@@ -622,7 +622,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_profile(args) -> int:
-    from .errors import CampaignInterrupted
+    from .errors import CampaignInterrupted, DatasetError
     from .gpu.faults import FaultConfig
     from .profiling import CampaignRunner, save_campaign
     from .stencil import generate_population
@@ -660,6 +660,9 @@ def cmd_profile(args) -> int:
         print(f"campaign interrupted: {e}", file=sys.stderr)
         print(runner.health.summary(), file=sys.stderr)
         return 3
+    except DatasetError as e:
+        print(f"profile: {e}", file=sys.stderr)
+        return 2
     save_campaign(campaign, args.output)
     n_meas = sum(len(campaign.measurements(g)) for g in campaign.gpus)
     print(

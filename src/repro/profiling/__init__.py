@@ -22,7 +22,7 @@ from .records import Measurement, OCResult, StencilProfile
 from .registry import DatasetRegistry, resolve_dataset_path
 from .runner import CampaignHealth, CampaignRunner, RetryPolicy, SimClock
 from .search import RandomSearch
-from .storage import atomic_write_text, load_campaign, save_campaign
+from .storage import load_campaign, save_campaign
 from .train import train_predictor_artifact, train_selector_artifact
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "RetryPolicy",
     "SimClock",
     "StencilProfile",
-    "atomic_write_text",
     "build_classification_dataset",
     "build_regression_dataset",
     "cross_validate",

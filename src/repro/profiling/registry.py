@@ -2,75 +2,34 @@
 
 The paper's headline artifact is the profiling campaign itself (~65k
 instances per GPU); at that scale the dataset deserves the same
-publishing discipline the serving layer gives trained models: immutable
-version files, an atomically-moved ``LATEST`` tag, and a checksum that
-fails closed on corruption.  :class:`DatasetRegistry` mirrors the
-:class:`~repro.serve.registry.ModelRegistry` layout::
-
-    <root>/
-        campaign-paper-2d/
-            v000001.json
-            v000002.json
-            LATEST          # text file: "v000002"
+publishing discipline the serving layer gives trained models.
+:class:`DatasetRegistry` is a :class:`~repro.store.VersionedStore` of
+campaigns; see :mod:`repro.store` for the on-disk layout and the
+fail-closed rules.
 
 Each version file is a **campaign-dataset document**: the ordinary
-:func:`~repro.profiling.storage.campaign_to_dict` payload wrapped with a
-BLAKE2b checksum over its canonical JSON encoding plus free-form
-provenance metadata (host, worker count, wall time -- whatever the
-producer records).  :func:`~repro.profiling.storage.load_campaign`
-understands the wrapper directly, so ``repro train --campaign
+:func:`~repro.profiling.storage.campaign_to_dict` payload wrapped with
+its :func:`~repro.store.checksum` plus free-form provenance metadata
+(host, worker count, wall time -- whatever the producer records).
+:func:`~repro.profiling.storage.load_campaign` understands the wrapper
+directly, so ``repro train --campaign
 <registry>/<name>/v000001.json`` -- or just the registry directory --
 consumes a published dataset with no extra tooling.
-
-This module deliberately does not import :mod:`repro.serve` (which
-imports :mod:`repro.profiling` for its storage primitives); the small
-canonical-JSON checksum idiom is restated here instead.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
-import re
-import threading
 from pathlib import Path
 
 from ..errors import DatasetError
+from ..store import VersionedStore, check_format
+from ..store import checksum as checksum_campaign_doc
 from .profiler import ProfileCampaign
-from .storage import (
-    FORMAT_VERSION,
-    atomic_write_text,
-    campaign_from_dict,
-    campaign_to_dict,
-    check_format_version,
-)
-
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-_VERSION_RE = re.compile(r"^v(\d{6})\.json$")
-_LATEST = "LATEST"
+from .storage import FORMAT_VERSION, campaign_from_dict, campaign_to_dict
 
 #: ``kind`` field of the wrapper document.
 DATASET_KIND = "campaign-dataset"
-
-
-def _check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
-        raise DatasetError(
-            f"bad dataset name {name!r}: use letters, digits, '.', '_', "
-            f"'-' (no path separators)"
-        )
-    return name
-
-
-def _canonical_json(payload: object) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-
-
-def checksum_campaign_doc(campaign_doc: dict) -> str:
-    """BLAKE2b digest of a campaign payload's canonical JSON encoding."""
-    return hashlib.blake2b(
-        _canonical_json(campaign_doc), digest_size=16
-    ).hexdigest()
 
 
 def dataset_document(campaign: ProfileCampaign, meta: "dict | None" = None) -> dict:
@@ -92,7 +51,7 @@ def unwrap_dataset_document(doc: dict) -> ProfileCampaign:
     hand-edited file -- fails closed with a :class:`DatasetError` naming
     both digests.
     """
-    check_format_version(doc, "dataset")
+    check_format(doc, FORMAT_VERSION, "dataset", DatasetError)
     if doc.get("kind") != DATASET_KIND:
         raise DatasetError(f"not a campaign dataset: kind={doc.get('kind')!r}")
     campaign_doc = doc.get("campaign")
@@ -108,108 +67,27 @@ def unwrap_dataset_document(doc: dict) -> ProfileCampaign:
     return campaign_from_dict(campaign_doc)
 
 
-class DatasetRegistry:
+class DatasetRegistry(VersionedStore):
     """Publish/resolve/load versioned campaign datasets under one root."""
 
-    def __init__(self, root: "str | Path"):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        # Serializes in-process publishes (cross-process safety comes
-        # from the atomic file moves, as in the model registry).
-        self._publish_lock = threading.Lock()
+    error = DatasetError
+    noun = "dataset"
 
-    # ------------------------------------------------------------------
-    # enumeration
-    # ------------------------------------------------------------------
-    def names(self) -> "list[str]":
-        """Dataset names with at least one published version."""
-        return [
-            p.name
-            for p in sorted(self.root.iterdir())
-            if p.is_dir() and self._versions_in(p)
-        ]
-
-    def versions(self, name: str) -> "list[str]":
-        """Published versions of *name*, oldest first (e.g. ``v000001``)."""
-        d = self.root / _check_name(name)
-        if not d.is_dir():
-            raise DatasetError(f"no dataset named {name!r} in {self.root}")
-        return self._versions_in(d)
-
-    @staticmethod
-    def _versions_in(d: Path) -> "list[str]":
-        found = []
-        for p in d.iterdir():
-            m = _VERSION_RE.match(p.name)
-            if m:
-                found.append(f"v{m.group(1)}")
-        return sorted(found)
-
-    def latest(self, name: str) -> str:
-        """The version the ``LATEST`` tag points at (fails closed)."""
-        d = self.root / _check_name(name)
-        tag = d / _LATEST
-        versions = self.versions(name)
-        if tag.exists():
-            try:
-                v = tag.read_text().strip()
-            except OSError as e:
-                raise DatasetError(f"{name}: cannot read LATEST tag: {e}") from None
-            if v in versions:
-                return v
-            raise DatasetError(
-                f"{name}: LATEST tag points at {v!r} but published "
-                f"versions are {versions} (torn tag, or the version "
-                f"file was deleted)"
-            )
-        if not versions:
-            raise DatasetError(f"{name}: no published versions in {self.root}")
-        return versions[-1]
-
-    # ------------------------------------------------------------------
-    # publish / load
-    # ------------------------------------------------------------------
     def publish(
         self, campaign: ProfileCampaign, name: str, meta: "dict | None" = None
     ) -> str:
-        """Write *campaign* as the next version of *name*; returns it.
-
-        The immutable version file lands first, the ``LATEST`` tag
-        second; both moves are atomic, so a crash between them leaves a
-        fully valid registry.
-        """
-        d = self.root / _check_name(name)
-        d.mkdir(parents=True, exist_ok=True)
-        doc = dataset_document(campaign, meta)
-        with self._publish_lock:
-            existing = self._versions_in(d)
-            next_num = 1 + (int(existing[-1][1:]) if existing else 0)
-            version = f"v{next_num:06d}"
-            atomic_write_text(d / f"{version}.json", json.dumps(doc))
-            atomic_write_text(d / _LATEST, version + "\n")
-        return version
-
-    def path(self, name: str, version: "str | None" = None) -> Path:
-        """Filesystem path of a published dataset document."""
-        version = version or self.latest(name)
-        p = self.root / _check_name(name) / f"{version}.json"
-        if not p.exists():
-            raise DatasetError(
-                f"{name}@{version} not found in {self.root} "
-                f"(published: {self.versions(name)})"
-            )
-        return p
+        """Write *campaign* as the next version of *name*; returns it."""
+        return self.publish_text(
+            name, json.dumps(dataset_document(campaign, meta))
+        )
 
     def meta(self, name: str, version: "str | None" = None) -> dict:
         """Provenance metadata of ``name@version`` (default latest)."""
-        doc = json.loads(self.path(name, version).read_text())
-        return dict(doc.get("meta") or {})
+        return dict(self.read(name, version).get("meta") or {})
 
     def load(self, name: str, version: "str | None" = None) -> ProfileCampaign:
         """Load and checksum-verify ``name@version`` (default latest)."""
-        return unwrap_dataset_document(
-            json.loads(self.path(name, version).read_text())
-        )
+        return unwrap_dataset_document(self.read(name, version))
 
 
 def resolve_dataset_path(path: "str | Path") -> Path:

@@ -45,13 +45,12 @@ from ..parallel import WorkerPool, resolve_workers
 from ..gpu.specs import GPU_ORDER
 from ..optimizations.combos import ALL_OCS, OC
 from ..stencil.stencil import Stencil
+from ..store import atomic_write_text, check_format, read_document
 from .profiler import ProfileCampaign
 from .records import StencilProfile
 from .search import RandomSearch
 from .storage import (
     FORMAT_VERSION,
-    atomic_write_text,
-    check_format_version,
     profile_from_row,
     profile_to_row,
     stencil_to_dict,
@@ -415,8 +414,8 @@ class CampaignRunner:
         silently merged -- the result would be an untraceable chimera.
         """
         assert self.checkpoint_path is not None
-        doc = json.loads(self.checkpoint_path.read_text())
-        check_format_version(doc, "checkpoint")
+        doc = read_document(self.checkpoint_path, DatasetError, "checkpoint")
+        check_format(doc, FORMAT_VERSION, "checkpoint", DatasetError)
         if doc.get("kind") != "campaign-checkpoint":
             raise DatasetError(
                 f"not a campaign checkpoint: kind={doc.get('kind')!r}"
@@ -488,8 +487,8 @@ class CampaignRunner:
         merged = 0
         for path in self._shard_files():
             try:
-                doc = json.loads(path.read_text())
-            except (OSError, ValueError):
+                doc = read_document(path, DatasetError, "shard checkpoint")
+            except DatasetError:
                 continue
             if doc.get("kind") != "campaign-shard" \
                     or doc.get("config") != config:

@@ -37,6 +37,7 @@ from __future__ import annotations
 from ..engine import as_backend
 from ..optimizations.combos import ALL_OCS, OC
 from ..stencil.stencil import Stencil
+from ..tuning import RandomStrategy, tune
 from .records import Measurement, OCResult, StencilProfile
 
 #: Sampling attempts allowed per requested valid setting (re-exported
@@ -95,8 +96,6 @@ class RandomSearch:
 
         Returns ``(None, [])`` when every attempted setting crashes.
         """
-        from ..tuning import RandomStrategy, tune
-
         strategy = RandomStrategy(
             n_settings=self.n_settings,
             refine=self.refine,

@@ -35,12 +35,8 @@ from pathlib import Path
 
 from ..gpu.faults import FaultConfig
 from ..optimizations.combos import OC_BY_NAME
-from .storage import (
-    FORMAT_VERSION,
-    atomic_write_text,
-    profile_to_row,
-    stencil_from_dict,
-)
+from ..store import atomic_write_text
+from .storage import FORMAT_VERSION, profile_to_row, stencil_from_dict
 
 #: Per-process campaign context, populated once by the pool initializer.
 _CFG: "dict | None" = None

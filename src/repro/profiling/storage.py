@@ -11,67 +11,18 @@ what the text codec handles comfortably.
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 
 from ..errors import DatasetError
 from ..optimizations.combos import OC_BY_NAME
 from ..optimizations.params import PARAM_NAMES, ParamSetting
 from ..stencil.stencil import Stencil
+from ..store import atomic_write_text, check_format, read_document
 from .profiler import ProfileCampaign
 from .records import Measurement, OCResult, StencilProfile
 
 #: Format version written into every document.
 FORMAT_VERSION = 1
-
-
-# ----------------------------------------------------------------------
-# crash-safe writes
-# ----------------------------------------------------------------------
-def atomic_write_text(path: "str | Path", text: str) -> None:
-    """Write *text* to *path* without ever exposing a partial file.
-
-    The content goes to a temporary file in the same directory (so the
-    final rename never crosses a filesystem boundary) and is moved into
-    place with :func:`os.replace`, which is atomic on POSIX and Windows.
-    An interrupt mid-write leaves either the previous document or nothing
-    -- never a truncated JSON body.
-    """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
-    )
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def check_format_version(doc: dict, kind: str = "campaign") -> None:
-    """Validate a document's ``format`` field against :data:`FORMAT_VERSION`.
-
-    Documents written by a *newer* library version get a distinct,
-    actionable message instead of best-effort parsing that would fail in
-    some arbitrary field deeper down.
-    """
-    fmt = doc.get("format")
-    if isinstance(fmt, int) and fmt > FORMAT_VERSION:
-        raise DatasetError(
-            f"{kind} document has format_version {fmt}, newer than the "
-            f"supported FORMAT_VERSION {FORMAT_VERSION}; upgrade the "
-            f"library to read it"
-        )
-    if fmt != FORMAT_VERSION:
-        raise DatasetError(f"unsupported {kind} format: {fmt!r}")
 
 
 # ----------------------------------------------------------------------
@@ -182,7 +133,7 @@ def campaign_to_dict(campaign: ProfileCampaign) -> dict:
 
 def campaign_from_dict(doc: dict) -> ProfileCampaign:
     """Inverse of :func:`campaign_to_dict`."""
-    check_format_version(doc, "campaign")
+    check_format(doc, FORMAT_VERSION, "campaign", DatasetError)
     stencils = [stencil_from_dict(d) for d in doc["stencils"]]
     try:
         ocs = tuple(OC_BY_NAME[name] for name in doc["ocs"])
@@ -205,7 +156,7 @@ def campaign_from_dict(doc: dict) -> ProfileCampaign:
 
 def save_campaign(campaign: ProfileCampaign, path: "str | Path") -> None:
     """Write a campaign to *path* as JSON (atomically; see
-    :func:`atomic_write_text`)."""
+    :func:`repro.store.atomic_write_text`)."""
     atomic_write_text(path, json.dumps(campaign_to_dict(campaign)))
 
 
@@ -213,8 +164,8 @@ def load_campaign(path: "str | Path") -> ProfileCampaign:
     """Read a campaign written by :func:`save_campaign` -- or a published
     campaign-dataset document (checksum-verified; see
     :mod:`repro.profiling.registry`)."""
-    doc = json.loads(Path(path).read_text())
-    if isinstance(doc, dict) and doc.get("kind") == "campaign-dataset":
+    doc = read_document(path, DatasetError, "campaign")
+    if doc.get("kind") == "campaign-dataset":
         from .registry import unwrap_dataset_document
 
         return unwrap_dataset_document(doc)

@@ -8,13 +8,13 @@ decode to.
 
 Integrity contract:
 
-- ``format`` follows the PR 1 storage convention: documents written by
-  a newer library version are rejected with a message naming both
-  versions; anything else malformed raises :class:`ArtifactError`.
-- ``checksum`` is a BLAKE2b digest over the canonical JSON encoding of
-  the whole payload (sorted keys, no whitespace).  A flipped bit in a
-  weight matrix, an edited metadata field or a truncated file all fail
-  closed at load time.
+- ``format`` follows the store convention (:func:`repro.store.check_format`):
+  documents written by a newer library version are rejected with a
+  message naming both versions; anything else malformed raises
+  :class:`ArtifactError`.
+- ``checksum`` is :func:`repro.store.checksum` over the whole payload.
+  A flipped bit in a weight matrix, an edited metadata field or a
+  truncated file all fail closed at load time.
 - The embedded model uses :mod:`repro.ml.serialize`, so a loaded
   artifact predicts bit-identically to the in-memory model it was saved
   from.
@@ -22,7 +22,6 @@ Integrity contract:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,8 +29,8 @@ from pathlib import Path
 from ..config import MAX_ORDER
 from ..errors import ArtifactError
 from ..ml.serialize import model_from_state, model_state
-from ..profiling.storage import atomic_write_text
 from ..stencil.features import feature_names
+from ..store import atomic_write_text, check_format, checksum, read_document
 
 #: Format version written into every artifact document.
 SERVE_FORMAT_VERSION = 1
@@ -39,30 +38,6 @@ SERVE_FORMAT_VERSION = 1
 #: Artifact kinds: OC selection (classifier) or time prediction
 #: (regressor).
 KINDS = ("selector", "predictor")
-
-
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def checksum_payload(payload: dict) -> str:
-    """BLAKE2b hex digest of the canonical JSON encoding of *payload*."""
-    data = _canonical_json(payload).encode("utf-8")
-    return hashlib.blake2b(data, digest_size=16).hexdigest()
-
-
-def check_artifact_version(doc: dict) -> None:
-    """PR 1 convention: newer documents name both versions, everything
-    else malformed is rejected outright."""
-    fmt = doc.get("format")
-    if isinstance(fmt, int) and fmt > SERVE_FORMAT_VERSION:
-        raise ArtifactError(
-            f"artifact document has format_version {fmt}, newer than the "
-            f"supported SERVE_FORMAT_VERSION {SERVE_FORMAT_VERSION}; "
-            f"upgrade the library to read it"
-        )
-    if fmt != SERVE_FORMAT_VERSION:
-        raise ArtifactError(f"unsupported artifact format: {fmt!r}")
 
 
 @dataclass
@@ -117,19 +92,15 @@ class ModelArtifact:
             "meta": dict(self.meta),
             "model": model_state(self.model),
         }
-        return {**payload, "checksum": checksum_payload(payload)}
+        return {**payload, "checksum": checksum(payload)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ModelArtifact":
         """Validate and rebuild an artifact from :meth:`to_dict` output."""
-        if not isinstance(doc, dict):
-            raise ArtifactError(
-                f"artifact document must be an object, got {type(doc).__name__}"
-            )
-        check_artifact_version(doc)
+        check_format(doc, SERVE_FORMAT_VERSION, "artifact", ArtifactError)
         recorded = doc.get("checksum")
         payload = {k: v for k, v in doc.items() if k != "checksum"}
-        actual = checksum_payload(payload)
+        actual = checksum(payload)
         if recorded != actual:
             raise ArtifactError(
                 f"artifact checksum mismatch: recorded {recorded!r}, "
@@ -151,22 +122,10 @@ class ModelArtifact:
 
 
 def save_artifact(artifact: ModelArtifact, path: "str | Path") -> None:
-    """Write an artifact to *path* atomically (tmp + rename, PR 1 style)."""
+    """Write an artifact to *path* atomically."""
     atomic_write_text(path, json.dumps(artifact.to_dict()))
 
 
 def load_artifact(path: "str | Path") -> ModelArtifact:
     """Read, checksum-verify and rebuild an artifact from *path*."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as e:
-        raise ArtifactError(f"cannot read artifact {path}: {e}") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ArtifactError(
-            f"artifact {path} is not valid JSON ({e}); the file is "
-            f"corrupt or was not written by save_artifact"
-        ) from None
-    return ModelArtifact.from_dict(doc)
+    return ModelArtifact.from_dict(read_document(path, ArtifactError, "artifact"))

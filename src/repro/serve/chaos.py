@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass
 from ..config import DEFAULT_SEED, MAX_ORDER
 from ..errors import OverloadError, ReproError
 from ..optimizations.params import ParamSetting
-from ..profiling.storage import atomic_write_text
+from ..store import LATEST, atomic_write_text
 from ..stencil.generator import generate_population
 from .admission import AdmissionPolicy
 from .features import FeatureCache
@@ -112,22 +112,13 @@ class ChaosRegistry(ModelRegistry):
 
     def publish_corrupt(self, name: str) -> str:
         """Publish a next version whose document fails validation."""
-        d = self.root / name
-        d.mkdir(parents=True, exist_ok=True)
-        with self._publish_lock:
-            existing = self._versions_in(d)
-            next_num = 1 + (int(existing[-1][1:]) if existing else 0)
-            version = f"v{next_num:06d}"
-            atomic_write_text(
-                d / f"{version}.json",
-                '{"format": 1, "kind": "selector", "note": "bit rot"}',
-            )
-            atomic_write_text(d / "LATEST", version + "\n")
-        return version
+        return self.publish_text(
+            name, '{"format": 1, "kind": "selector", "note": "bit rot"}'
+        )
 
     def tear_latest(self, name: str, text: str = "") -> None:
         """Overwrite the ``LATEST`` tag with a torn/garbage value."""
-        atomic_write_text(self.root / name / "LATEST", text)
+        atomic_write_text(self.root / name / LATEST, text)
 
 
 class _Staller:

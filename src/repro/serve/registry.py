@@ -1,149 +1,28 @@
 """Directory-backed model registry with ``latest`` tagging.
 
-Layout (one subdirectory per artifact name)::
-
-    <root>/
-        select-gbdt-V100/
-            v000001.json
-            v000002.json
-            LATEST          # text file: "v000002"
-
-Every write is atomic (tmp + ``os.replace``, the PR 1 storage
-primitive): a publish first lands the immutable version file, then
-moves the ``LATEST`` pointer, so readers observe either the old or the
-new tag -- never a tag pointing at a half-written artifact.  Version
-files are never rewritten; history stays queryable.
+A :class:`~repro.store.VersionedStore` of model artifacts, one name per
+trained model; see :mod:`repro.store` for the on-disk layout and the
+fail-closed rules.
 """
 
 from __future__ import annotations
 
-import re
-import threading
-from pathlib import Path
+import json
 
 from ..errors import ArtifactError
-from ..profiling.storage import atomic_write_text
-from .artifacts import ModelArtifact, load_artifact, save_artifact
-
-_NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
-_VERSION_RE = re.compile(r"^v(\d{6})\.json$")
-_LATEST = "LATEST"
+from ..store import VersionedStore
+from .artifacts import ModelArtifact, load_artifact
 
 
-def _check_name(name: str) -> str:
-    if not _NAME_RE.match(name):
-        raise ArtifactError(
-            f"bad artifact name {name!r}: use letters, digits, '.', '_', "
-            f"'-' (no path separators)"
-        )
-    return name
-
-
-class ModelRegistry:
+class ModelRegistry(VersionedStore):
     """Publish/resolve/load versioned model artifacts under one root."""
 
-    def __init__(self, root: "str | Path"):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        # Serializes in-process publishes so concurrent publishers never
-        # race for the same next version number.  (Cross-process safety
-        # comes from the atomic file moves: readers always observe a
-        # complete version file and a complete tag.)
-        self._publish_lock = threading.Lock()
+    error = ArtifactError
+    noun = "artifact"
 
-    # ------------------------------------------------------------------
-    # enumeration
-    # ------------------------------------------------------------------
-    def names(self) -> list[str]:
-        """Artifact names with at least one published version."""
-        out = []
-        for p in sorted(self.root.iterdir()):
-            if p.is_dir() and self._versions_in(p):
-                out.append(p.name)
-        return out
-
-    def versions(self, name: str) -> list[str]:
-        """Published versions of *name*, oldest first (e.g. ``v000001``)."""
-        d = self.root / _check_name(name)
-        if not d.is_dir():
-            raise ArtifactError(f"no artifact named {name!r} in {self.root}")
-        return self._versions_in(d)
-
-    @staticmethod
-    def _versions_in(d: Path) -> list[str]:
-        found = []
-        for p in d.iterdir():
-            m = _VERSION_RE.match(p.name)
-            if m:
-                found.append(f"v{m.group(1)}")
-        return sorted(found)
-
-    def latest(self, name: str) -> str:
-        """The version the ``LATEST`` tag points at.
-
-        Fails closed with a descriptive :class:`ArtifactError` on every
-        torn state a reader can observe: an empty or garbled tag, a tag
-        naming a version whose file was deleted, or a directory with no
-        published versions at all.  A reader racing a concurrent
-        :meth:`publish` sees either the old tag or the new one -- both
-        valid -- because the version file always lands before the tag
-        moves.
-        """
-        d = self.root / _check_name(name)
-        tag = d / _LATEST
-        versions = self.versions(name)
-        if tag.exists():
-            try:
-                v = tag.read_text().strip()
-            except OSError as e:
-                raise ArtifactError(
-                    f"{name}: cannot read LATEST tag: {e}"
-                ) from None
-            if v in versions:
-                return v
-            raise ArtifactError(
-                f"{name}: LATEST tag points at {v!r} but published "
-                f"versions are {versions} (torn tag, or the version "
-                f"file was deleted)"
-            )
-        # Tag missing (e.g. hand-pruned registry): newest published wins.
-        if not versions:
-            raise ArtifactError(
-                f"{name}: no published versions in {self.root}"
-            )
-        return versions[-1]
-
-    # ------------------------------------------------------------------
-    # publish / load
-    # ------------------------------------------------------------------
     def publish(self, artifact: ModelArtifact, name: str) -> str:
-        """Write *artifact* as the next version of *name*; returns it.
-
-        The version file lands first, the ``LATEST`` tag second; both
-        moves are atomic, so a crash between them leaves a fully valid
-        registry (the new version exists, the tag still names the old
-        one).
-        """
-        d = self.root / _check_name(name)
-        d.mkdir(parents=True, exist_ok=True)
-        with self._publish_lock:
-            existing = self._versions_in(d)
-            next_num = 1 + (int(existing[-1][1:]) if existing else 0)
-            version = f"v{next_num:06d}"
-            save_artifact(artifact, d / f"{version}.json")
-            atomic_write_text(d / _LATEST, version + "\n")
-        return version
-
-    def path(self, name: str, version: "str | None" = None) -> Path:
-        """Filesystem path of a published artifact document."""
-        version = version or self.latest(name)
-        p = self.root / _check_name(name) / f"{version}.json"
-        if not p.exists():
-            raise ArtifactError(
-                f"{name}@{version} not found in {self.root} "
-                f"(published: {self.versions(name)})"
-            )
-        return p
+        """Write *artifact* as the next version of *name*; returns it."""
+        return self.publish_text(name, json.dumps(artifact.to_dict()))
 
     def load(self, name: str, version: "str | None" = None) -> ModelArtifact:
         """Load and checksum-verify ``name@version`` (default latest)."""

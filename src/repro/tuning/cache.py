@@ -31,7 +31,7 @@ from typing import Sequence
 
 from ..engine import BackendBase, BackendInfo, EvalRequest, EvalResult, as_backend
 from ..errors import KernelLaunchError
-from ..profiling.storage import atomic_write_text
+from ..store import atomic_write_text
 
 __all__ = ["TuningCache"]
 

@@ -63,6 +63,22 @@ class TestProfileCommand:
         second = capsys.readouterr().out
         assert "recovered from checkpoint: 3" in second
 
+    def test_resume_from_truncated_checkpoint_fails_closed(
+        self, tmp_path, capsys
+    ):
+        ck = tmp_path / "ck.json"
+        common = [
+            "profile", "--ndim", "2", "--count", "3", "--gpus", "V100",
+            "--n-settings", "2", "-o", str(tmp_path / "c.json"),
+            "--seed", "4", "--checkpoint", str(ck),
+        ]
+        assert main(common) == 0
+        text = ck.read_text()
+        ck.write_text(text[: len(text) // 2])
+        capsys.readouterr()
+        assert main(common + ["--resume"]) == 2
+        assert "profile: checkpoint" in capsys.readouterr().err
+
     def test_faulty_and_clean_runs_agree(self, tmp_path, capsys):
         clean, faulty = tmp_path / "clean.json", tmp_path / "faulty.json"
         common = [

@@ -8,10 +8,10 @@ from repro.errors import DatasetError
 from repro.profiling import load_campaign, save_campaign
 from repro.profiling.storage import (
     FORMAT_VERSION,
-    atomic_write_text,
     campaign_from_dict,
     campaign_to_dict,
 )
+from repro.store import atomic_write_text
 
 
 class TestAtomicWrite:

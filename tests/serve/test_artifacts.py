@@ -1,4 +1,4 @@
-"""Artifact integrity and the directory-backed model registry.
+"""Artifact integrity and the directory-backed registries.
 
 The failure modes that matter in a registry are the quiet ones: a
 half-written file, a flipped bit in a weight matrix, a document written
@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ArtifactError
+from repro.profiling import DatasetRegistry
 from repro.serve import (
     SERVE_FORMAT_VERSION,
     ModelArtifact,
@@ -20,8 +21,8 @@ from repro.serve import (
     load_artifact,
     save_artifact,
 )
-from repro.serve.artifacts import checksum_payload
 from repro.serve.registry import default_artifact_name
+from repro.store import checksum
 from repro.stencil.features import extract_features
 from repro.stencil.library import get
 
@@ -133,7 +134,7 @@ class TestArtifactRejection:
         newer = SERVE_FORMAT_VERSION + 1
         doc["format"] = newer
         payload = {k: v for k, v in doc.items() if k != "checksum"}
-        doc["checksum"] = checksum_payload(payload)
+        doc["checksum"] = checksum(payload)
         path.write_text(json.dumps(doc))
         with pytest.raises(ArtifactError) as exc:
             load_artifact(path)
@@ -147,57 +148,84 @@ class TestArtifactRejection:
             load_artifact(path)
 
 
+def test_default_artifact_name():
+    assert default_artifact_name("selector", "gbdt", "V100", 2) == (
+        "select-gbdt-V100-2d"
+    )
+    assert default_artifact_name("predictor", "gbr", None, 3) == (
+        "predict-gbr-all-3d"
+    )
+
+
 class TestRegistry:
-    def test_publish_versions_and_latest(self, selector_artifact, tmp_path):
-        reg = ModelRegistry(tmp_path / "reg")
-        name = default_artifact_name("selector", "gbdt", "V100", 2)
-        assert name == "select-gbdt-V100-2d"
-        assert reg.publish(selector_artifact, name) == "v000001"
-        assert reg.publish(selector_artifact, name) == "v000002"
-        assert reg.versions(name) == ["v000001", "v000002"]
-        assert reg.latest(name) == "v000002"
-        assert reg.names() == [name]
-        loaded = reg.load(name)
-        assert np.array_equal(
-            selector_artifact.model.predict(X2D), loaded.model.predict(X2D)
-        )
+    """Store layout contract; :class:`TestDatasetRegistry` reruns it."""
 
-    def test_old_versions_stay_loadable(self, selector_artifact, tmp_path):
-        reg = ModelRegistry(tmp_path / "reg")
-        reg.publish(selector_artifact, "m")
-        reg.publish(selector_artifact, "m")
-        assert reg.load("m", "v000001").kind == "selector"
+    registry_cls = ModelRegistry
 
-    def test_missing_latest_tag_falls_back(self, selector_artifact, tmp_path):
-        reg = ModelRegistry(tmp_path / "reg")
-        reg.publish(selector_artifact, "m")
-        reg.publish(selector_artifact, "m")
+    def test_publish_versions_and_latest(self, store_case):
+        reg = store_case.registry
+        assert store_case.publish("m") == "v000001"
+        assert store_case.publish("m") == "v000002"
+        assert reg.versions("m") == ["v000001", "v000002"]
+        assert reg.latest("m") == "v000002"
+        assert reg.names() == ["m"]
+        assert store_case.doc(reg.load("m")) == store_case.doc(store_case.item)
+
+    def test_old_versions_stay_loadable(self, store_case):
+        reg = store_case.registry
+        store_case.publish("m")
+        first = reg.path("m", "v000001").read_bytes()
+        store_case.publish("m")
+        assert reg.path("m", "v000001").read_bytes() == first
+        loaded = reg.load("m", "v000001")
+        assert store_case.doc(loaded) == store_case.doc(store_case.item)
+
+    def test_missing_latest_tag_falls_back(self, store_case):
+        reg = store_case.registry
+        store_case.publish("m")
+        store_case.publish("m")
         (reg.root / "m" / "LATEST").unlink()
         assert reg.latest("m") == "v000002"
 
-    def test_dangling_latest_tag_rejected(self, selector_artifact, tmp_path):
-        reg = ModelRegistry(tmp_path / "reg")
-        reg.publish(selector_artifact, "m")
+    def test_dangling_latest_tag_rejected(self, store_case):
+        reg = store_case.registry
+        store_case.publish("m")
         (reg.root / "m" / "LATEST").write_text("v000009\n")
-        with pytest.raises(ArtifactError, match="LATEST"):
+        with pytest.raises(reg.error, match="LATEST"):
             reg.latest("m")
 
-    def test_unknown_name_rejected(self, tmp_path):
-        reg = ModelRegistry(tmp_path / "reg")
-        with pytest.raises(ArtifactError, match="no artifact named"):
+    def test_unknown_name_rejected(self, store_case):
+        reg = store_case.registry
+        with pytest.raises(reg.error, match=f"no {reg.noun} named"):
             reg.versions("ghost")
+        store_case.publish("m")
+        with pytest.raises(reg.error, match="not found"):
+            reg.path("m", "v000009")
 
-    def test_path_traversal_rejected(self, tmp_path):
-        reg = ModelRegistry(tmp_path / "reg")
-        with pytest.raises(ArtifactError, match="bad artifact name"):
+    def test_path_traversal_rejected(self, store_case):
+        reg = store_case.registry
+        with pytest.raises(reg.error, match=f"bad {reg.noun} name"):
             reg.versions("../escape")
+        with pytest.raises(reg.error, match=f"bad {reg.noun} name"):
+            store_case.publish("../escape")
 
-    def test_corrupt_published_artifact_fails_closed(
-        self, selector_artifact, tmp_path
-    ):
-        reg = ModelRegistry(tmp_path / "reg")
-        version = reg.publish(selector_artifact, "m")
+    def test_corrupt_published_artifact_fails_closed(self, store_case):
+        reg = store_case.registry
+        version = store_case.publish("m")
         p = reg.path("m", version)
         p.write_text(p.read_text().replace('"kind"', '"kinb"', 1))
-        with pytest.raises(ArtifactError):
+        with pytest.raises(reg.error):
             reg.load("m")
+
+    @pytest.mark.parametrize("mangle", ["truncate", "array"])
+    def test_unparseable_version_fails_closed(self, store_case, mangle):
+        reg = store_case.registry
+        p = reg.path("m", store_case.publish("m"))
+        text = p.read_text()
+        p.write_text(text[: len(text) // 2] if mangle == "truncate" else "[]")
+        with pytest.raises(reg.error):
+            reg.load("m")
+
+
+class TestDatasetRegistry(TestRegistry):
+    registry_cls = DatasetRegistry

@@ -1,37 +1,39 @@
-"""Registry under races and torn states: every read fails closed.
+"""Registries under races and torn states: every read fails closed.
 
 A reader racing a publisher must see either the old tag or the new one
 (both valid); a torn tag, a tag naming a deleted version file, or an
-empty registry must raise a descriptive :class:`ArtifactError`, never
-return garbage or crash with a raw OSError.
+empty registry must raise the registry's descriptive error, never
+return garbage or crash with a raw OSError.  Each class runs against the
+model registry and, through its ``Dataset`` subclass, the dataset
+registry.
 """
 
 import threading
 
 import pytest
 
-from repro.errors import ArtifactError
-from repro.profiling.storage import atomic_write_text
+from repro.profiling import DatasetRegistry
 from repro.serve import ModelRegistry
+from repro.store import atomic_write_text
 
 
 @pytest.fixture()
-def registry(tmp_path, selector_artifact):
-    reg = ModelRegistry(tmp_path / "models")
-    reg.publish(selector_artifact, "sel")
-    return reg
+def store(store_case):
+    """The case's registry with one published ``sel`` version."""
+    store_case.publish("sel")
+    return store_case
 
 
 class TestConcurrentPublish:
-    def test_parallel_publishes_get_distinct_versions(
-        self, tmp_path, selector_artifact
-    ):
-        reg = ModelRegistry(tmp_path / "models")
+    registry_cls = ModelRegistry
+
+    def test_parallel_publishes_get_distinct_versions(self, store_case):
+        reg = store_case.registry
         versions = []
         lock = threading.Lock()
 
         def publish():
-            v = reg.publish(selector_artifact, "sel")
+            v = store_case.publish("sel")
             with lock:
                 versions.append(v)
 
@@ -42,12 +44,12 @@ class TestConcurrentPublish:
             t.start()
         for t in pool:
             t.join(timeout=30.0)
+        assert not any(t.is_alive() for t in pool)
         assert sorted(versions) == [f"v{i:06d}" for i in range(1, 9)]
         assert reg.latest("sel") == "v000008"
 
-    def test_latest_during_concurrent_publish_is_always_valid(
-        self, registry, selector_artifact
-    ):
+    def test_latest_during_concurrent_publish_is_always_valid(self, store):
+        registry = store.registry
         stop = threading.Event()
         failures = []
 
@@ -64,41 +66,58 @@ class TestConcurrentPublish:
         t = threading.Thread(target=reader, daemon=True)
         t.start()
         for _ in range(10):
-            registry.publish(selector_artifact, "sel")
+            store.publish("sel")
         stop.set()
         t.join(timeout=30.0)
+        assert not t.is_alive()
         assert failures == []
 
 
+class TestDatasetConcurrentPublish(TestConcurrentPublish):
+    registry_cls = DatasetRegistry
+
+
 class TestTornStates:
-    def test_empty_tag_is_descriptive_error(self, registry):
+    registry_cls = ModelRegistry
+
+    def test_empty_tag_is_descriptive_error(self, store):
+        registry = store.registry
         atomic_write_text(registry.root / "sel" / "LATEST", "")
-        with pytest.raises(ArtifactError, match="torn tag"):
+        with pytest.raises(registry.error, match="torn tag"):
             registry.latest("sel")
 
-    def test_garbage_tag_is_descriptive_error(self, registry):
+    def test_garbage_tag_is_descriptive_error(self, store):
+        registry = store.registry
         atomic_write_text(registry.root / "sel" / "LATEST", "v999999\n")
-        with pytest.raises(ArtifactError, match="LATEST tag points at"):
+        with pytest.raises(registry.error, match="LATEST tag points at"):
             registry.latest("sel")
 
-    def test_tag_to_deleted_version_file(self, registry, selector_artifact):
-        v2 = registry.publish(selector_artifact, "sel")
+    def test_tag_to_deleted_version_file(self, store):
+        registry = store.registry
+        v2 = store.publish("sel")
         (registry.root / "sel" / f"{v2}.json").unlink()
-        with pytest.raises(ArtifactError, match="deleted"):
+        with pytest.raises(registry.error, match="deleted"):
             registry.latest("sel")
 
-    def test_directory_with_no_versions(self, registry):
+    def test_directory_with_no_versions(self, store):
+        registry = store.registry
         d = registry.root / "empty"
         d.mkdir()
         atomic_write_text(d / "LATEST", "v000001\n")
-        with pytest.raises(ArtifactError):
+        with pytest.raises(registry.error):
             registry.latest("empty")
 
-    def test_missing_name_fails_closed(self, registry):
-        with pytest.raises(ArtifactError, match="no artifact named"):
+    def test_missing_name_fails_closed(self, store):
+        registry = store.registry
+        with pytest.raises(registry.error, match=f"no {registry.noun} named"):
             registry.latest("nope")
 
-    def test_load_of_torn_registry_fails_closed(self, registry):
+    def test_load_of_torn_registry_fails_closed(self, store):
+        registry = store.registry
         atomic_write_text(registry.root / "sel" / "LATEST", "")
-        with pytest.raises(ArtifactError):
+        with pytest.raises(registry.error):
             registry.load("sel")
+
+
+class TestDatasetTornStates(TestTornStates):
+    registry_cls = DatasetRegistry

@@ -107,14 +107,7 @@ def rig(tmp_path, selector_artifact, predictor_artifact):
 
 def _publish_corrupt(registry: ModelRegistry, name: str) -> str:
     """A next version whose document fails checksum validation."""
-    from repro.profiling.storage import atomic_write_text
-
-    d = registry.root / name
-    versions = registry.versions(name)
-    version = f"v{int(versions[-1][1:]) + 1:06d}"
-    atomic_write_text(d / f"{version}.json", '{"format": 1}')
-    atomic_write_text(d / "LATEST", version + "\n")
-    return version
+    return registry.publish_text(name, '{"format": 1}')
 
 
 class TestModelReloader:
@@ -181,7 +174,7 @@ class TestModelReloader:
         assert r.artifact == "sel@v000003"
 
     def test_torn_tag_fails_closed(self, rig):
-        from repro.profiling.storage import atomic_write_text
+        from repro.store import atomic_write_text
 
         service, registry, reloader, _ = rig
         atomic_write_text(registry.root / "sel" / "LATEST", "")
