@@ -84,14 +84,6 @@ class _GBBase:
             gamma=self.gamma,
         )
 
-    def _new_tree(self) -> RegressionTree:
-        return RegressionTree(
-            max_depth=self.max_depth,
-            min_child_weight=self.min_child_weight,
-            reg_lambda=self.reg_lambda,
-            gamma=self.gamma,
-        )
-
     def _sample_rows(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.subsample >= 1.0:
             return np.arange(n)
@@ -122,8 +114,9 @@ class GBRegressor(_GBBase):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GBRegressor":
         X = np.asarray(X, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64).ravel()
-        if X.shape[0] != y.shape[0]:
-            raise ModelError(f"X has {X.shape[0]} rows, y has {y.shape[0]}")
+        _check_rows(X, y)
+        if not np.isfinite(y).all():
+            raise ModelError("regression target has NaN or infinite values")
         rng = np.random.default_rng(self.seed)
         self.base_score_ = float(y.mean())
         self.trees_: list[RegressionTree] = []
@@ -132,7 +125,9 @@ class GBRegressor(_GBBase):
         for _ in range(self.n_rounds):
             rows = self._sample_rows(y.shape[0], rng)
             grad = pred - y  # d/dpred of 0.5*(pred - y)^2
-            tree = self._new_tree().fit(X[rows], grad[rows], ones[rows])
+            tree = RegressionTree(**self._tree_params()).fit(
+                X[rows], grad[rows], ones[rows]
+            )
             self.trees_.append(tree)
             pred += self.learning_rate * tree.predict(X)
         return self
@@ -195,8 +190,7 @@ class GBDTClassifier(_GBBase):
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GBDTClassifier":
         X = np.asarray(X, dtype=np.float64)
         labels = np.asarray(y, dtype=np.int64).ravel()
-        if X.shape[0] != labels.shape[0]:
-            raise ModelError(f"X has {X.shape[0]} rows, y has {labels.shape[0]}")
+        _check_rows(X, labels)
         if labels.min() < 0:
             raise ModelError("negative class labels")
         self.n_classes_ = int(labels.max()) + 1
@@ -215,7 +209,9 @@ class GBDTClassifier(_GBBase):
             for k in range(self.n_classes_):
                 grad = P[:, k] - Y[:, k]
                 hess = np.maximum(P[:, k] * (1.0 - P[:, k]), 1e-6)
-                tree = self._new_tree().fit(X[rows], grad[rows], hess[rows])
+                tree = RegressionTree(**self._tree_params()).fit(
+                    X[rows], grad[rows], hess[rows]
+                )
                 round_trees.append(tree)
                 F[:, k] += self.learning_rate * tree.predict(X)
             self.trees_.append(round_trees)
@@ -296,6 +292,13 @@ class GBDTClassifier(_GBBase):
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class per row."""
         return np.argmax(self.decision_function(X), axis=1)
+
+
+def _check_rows(X: np.ndarray, y: np.ndarray) -> None:
+    if X.shape[0] != y.shape[0]:
+        raise ModelError(f"X has {X.shape[0]} rows, y has {y.shape[0]}")
+    if y.shape[0] == 0:
+        raise ModelError("cannot fit on zero rows")
 
 
 def _softmax(F: np.ndarray) -> np.ndarray:

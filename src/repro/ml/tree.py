@@ -6,9 +6,28 @@ threshold maximising the regularized gain
 
     0.5 * (GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l)) - gamma.
 
-Split search is vectorized per feature via argsort + cumulative sums, which
-is the appropriate NumPy idiom at this dataset size (no histogram binning
-needed for a few thousand rows and ~30 features).
+Like XGBoost's pre-sorted column blocks, a fit sorts each column once.
+:meth:`RegressionTree.fit` runs one stable ``argsort`` per column at the
+root and keeps the result as an ``(n_features, n_rows)`` order table:
+row ``f`` lists the node's rows by ascending ``X[:, f]``, ties by
+ascending row index.  A split partitions every row of the table with the
+same go-left mask (``order[go_left[order]]``, per row).  Selecting with a
+mask keeps relative order, so each child's table is again the stable
+argsort of the child's own columns, and no node below the root sorts.
+
+At a node the search covers all features at once, a block of table rows
+at a time (``_BLOCK_ENTRIES`` bounds the temporaries).  It gathers
+gradients, hessians and feature values through the table and takes the
+prefix sums along each row.  A cut after sorted position ``i`` is a
+candidate only when ``x[i] != x[i + 1]``; the gain formula above, with
+the same IEEE operations in the same order as a per-feature loop, is
+evaluated at every candidate, and candidates leaving either child under
+``min_child_weight`` hessian mass score ``-inf``, as do non-candidates.
+
+Tie-breaks: each feature's best cut is its first maximum (the leftmost
+cut), and the node splits on the feature with the highest best gain
+strictly above ``gamma``, the lowest feature index on ties.  The
+threshold is the midpoint of the two values around the cut.
 """
 
 from __future__ import annotations
@@ -18,6 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ModelError, NotFittedError
+
+#: Order-table entries searched together: a node of ``n_rows`` rows takes
+#: its features ``_BLOCK_ENTRIES // n_rows`` at a time, so temporaries stay
+#: near 16k floats (8 features at the root of a 2,000-row fit) while small
+#: nodes search every feature in one block.  Budgets from 8k to 64k entries
+#: fit a 2,000-row, 31-feature predictor equally fast; peak memory grows
+#: with the budget.
+_BLOCK_ENTRIES = 16384
 
 
 @dataclass
@@ -62,6 +89,8 @@ class RegressionTree:
         self.gamma = float(gamma)
         self.min_samples_split = int(min_samples_split)
         self._nodes: list[_Node] = []
+        # Columns predict() needs: 1 + the largest feature split on.
+        self._width = 0
 
     # ------------------------------------------------------------------
     def fit(self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray) -> "RegressionTree":
@@ -74,31 +103,49 @@ class RegressionTree:
                 f"inconsistent shapes: X{X.shape}, grad{g.shape}, hess{h.shape}"
             )
         self._nodes = []
-        self._grow(X, g, h, np.arange(X.shape[0]), depth=0)
+        XT = np.ascontiguousarray(X.T)
+        order = np.argsort(XT, axis=1, kind="stable")
+        self._grow(XT, g, h, np.arange(X.shape[0]), order, depth=0)
+        self._width = 1 + max(node.feature for node in self._nodes)
         return self
 
     def _leaf_value(self, g_sum: float, h_sum: float) -> float:
         return -g_sum / (h_sum + self.reg_lambda)
 
     def _grow(
-        self, X: np.ndarray, g: np.ndarray, h: np.ndarray, idx: np.ndarray, depth: int
+        self,
+        XT: np.ndarray,
+        g: np.ndarray,
+        h: np.ndarray,
+        idx: np.ndarray,
+        order: "np.ndarray | None",
+        depth: int,
     ) -> int:
+        """Grow the subtree over rows *idx* (ascending) and return its id.
+
+        *order* is the subtree's order table; it is ``None`` only for
+        nodes at ``max_depth``, which are leaves and never searched.
+        """
         node_id = len(self._nodes)
         g_sum = float(g[idx].sum())
         h_sum = float(h[idx].sum())
         # Reserve the slot; children fill in after recursion.
         self._nodes.append(_Node(-1, 0.0, -1, -1, self._leaf_value(g_sum, h_sum)))
 
-        if depth >= self.max_depth or idx.size < self.min_samples_split:
+        if depth >= self.max_depth or idx.size < max(self.min_samples_split, 2):
             return node_id
-        split = self._best_split(X, g, h, idx, g_sum, h_sum)
+        split = self._best_split(XT, g, h, order, g_sum, h_sum)
         if split is None:
             return node_id
         feature, threshold = split
-        mask = X[idx, feature] <= threshold
-        left_idx, right_idx = idx[mask], idx[~mask]
-        left = self._grow(X, g, h, left_idx, depth + 1)
-        right = self._grow(X, g, h, right_idx, depth + 1)
+        go_left = XT[feature] <= threshold
+        mask = go_left[idx]
+        if depth + 1 < self.max_depth:
+            left_order, right_order = _partition(order, go_left)
+        else:
+            left_order = right_order = None
+        left = self._grow(XT, g, h, idx[mask], left_order, depth + 1)
+        right = self._grow(XT, g, h, idx[~mask], right_order, depth + 1)
         node = self._nodes[node_id]
         node.feature = feature
         node.threshold = threshold
@@ -108,42 +155,46 @@ class RegressionTree:
 
     def _best_split(
         self,
-        X: np.ndarray,
+        XT: np.ndarray,
         g: np.ndarray,
         h: np.ndarray,
-        idx: np.ndarray,
+        order: np.ndarray,
         g_sum: float,
         h_sum: float,
     ) -> tuple[int, float] | None:
         lam = self.reg_lambda
         parent_score = g_sum * g_sum / (h_sum + lam)
-        best_gain = self.gamma
-        best: tuple[int, float] | None = None
-        for f in range(X.shape[1]):
-            x = X[idx, f]
-            order = np.argsort(x, kind="stable")
-            xs = x[order]
-            gs = np.cumsum(g[idx][order])
-            hs = np.cumsum(h[idx][order])
-            # Candidate cut after position i requires xs[i] != xs[i+1].
-            distinct = np.flatnonzero(xs[:-1] != xs[1:])
-            if distinct.size == 0:
-                continue
-            gl, hl = gs[distinct], hs[distinct]
+        n_feats, n_rows = order.shape
+        best_gain = np.empty(n_feats)
+        best_cut = np.empty(n_feats, dtype=np.intp)
+        step = max(1, _BLOCK_ENTRIES // n_rows)
+        for lo in range(0, n_feats, step):
+            rows = order[lo : lo + step]
+            width = rows.shape[0]
+            xs = np.take(XT, rows + np.arange(lo, lo + width)[:, None] * XT.shape[1])
+            gs = np.cumsum(g[rows], axis=1)
+            hs = np.cumsum(h[rows], axis=1)
+            # Candidate cut after sorted position i requires xs[i] != xs[i+1].
+            f, i = np.nonzero(xs[:, :-1] != xs[:, 1:])
+            gl, hl = gs[f, i], hs[f, i]
             gr, hr = g_sum - gl, h_sum - hl
             valid = (hl >= self.min_child_weight) & (hr >= self.min_child_weight)
-            if not valid.any():
-                continue
             gain = 0.5 * (
                 gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score
             )
             gain[~valid] = -np.inf
-            k = int(np.argmax(gain))
-            if gain[k] > best_gain:
-                best_gain = float(gain[k])
-                cut = distinct[k]
-                best = (f, float(0.5 * (xs[cut] + xs[cut + 1])))
-        return best
+            cuts = np.full((width, n_rows - 1), -np.inf)
+            cuts[f, i] = gain
+            cut = np.argmax(cuts, axis=1)
+            best_cut[lo : lo + width] = cut
+            best_gain[lo : lo + width] = cuts[np.arange(width), cut]
+        beats = best_gain > self.gamma
+        if not beats.any():
+            return None
+        feature = int(np.argmax(np.where(beats, best_gain, -np.inf)))
+        cut = best_cut[feature]
+        x_lo, x_hi = XT[feature, order[feature, cut : cut + 2]]
+        return feature, float(0.5 * (x_lo + x_hi))
 
     # ------------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -151,6 +202,11 @@ class RegressionTree:
         if not self._nodes:
             raise NotFittedError("RegressionTree.predict before fit")
         X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2 or X.shape[1] < self._width:
+            raise ModelError(
+                f"X has shape {X.shape}; the tree splits on feature "
+                f"{self._width - 1}, so it needs 2-D rows of >= {self._width} features"
+            )
         out = np.empty(X.shape[0], dtype=np.float64)
         # Vectorized level traversal: route index sets through the tree.
         stack: list[tuple[int, np.ndarray]] = [(0, np.arange(X.shape[0]))]
@@ -241,4 +297,15 @@ class RegressionTree:
             )
             for i in range(n)
         ]
+        tree._width = 1 + max(node.feature for node in tree._nodes)
         return tree
+
+
+def _partition(order: np.ndarray, go_left: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """The children's order tables: each row of *order* split by *go_left*,
+    relative order kept."""
+    side = go_left[order].ravel()
+    n_feats = order.shape[0]
+    left = np.compress(side, order).reshape(n_feats, -1)
+    right = np.compress(~side, order).reshape(n_feats, -1)
+    return left, right

@@ -1,0 +1,106 @@
+"""Regenerate the frozen digests of fitted boosting models.
+
+``test_golden.py`` pins the exact-greedy split search of
+:class:`repro.ml.RegressionTree` through the estimators built on it:
+:class:`~repro.ml.GBRegressor` (with and without row subsampling),
+:class:`~repro.ml.GBDTClassifier` (sequential and with a 2-worker
+per-class pool) and one ``bayes`` autotuning trajectory, the one search
+strategy that fits GBR surrogates.  ``golden_models.json`` was written by
+this script from the tree implementation that re-sorted every column at
+every node, before the presorted search replaced it; regenerate it only
+from a commit known to reproduce those fits::
+
+    PYTHONPATH=src python tests/ml/make_golden.py
+
+The training data is tie-heavy and integer coded, as the campaign's
+encoded OC parameters are, so the tie-break rules of the split search
+(lowest feature, leftmost cut) decide many of the splits.  Each model is
+stored as ``repro.store.checksum(model_state(model))`` -- a digest over
+every threshold and leaf value -- and every float of the ``bayes``
+trajectory via ``repr`` (exact round trip through JSON).
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from repro.ml import GBDTClassifier, GBRegressor
+from repro.ml.serialize import model_state
+from repro.optimizations import OC
+from repro.stencil import get
+from repro.store import checksum
+from repro.tuning import tune
+
+GOLDEN_PATH = Path(__file__).with_name("golden_models.json")
+
+#: Per-column cardinalities; the last two columns repeat the first two so
+#: that equal-gain splits on identical columns occur.
+LEVELS = (2, 3, 4, 5, 8, 2, 6, 3)
+N_ROWS = 240
+N_ROUNDS = 12
+SEED = 11
+
+#: The bayes trajectory: one (stencil, OC) slot with a multi-parameter space.
+BAYES = dict(stencil="star2d2r", oc="ST_RT", gpu="V100", budget=24, seed=5)
+
+
+def training_data() -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``(X, y_regression, y_class)`` with duplicated integer columns."""
+    rng = np.random.default_rng(SEED)
+    cols = [rng.integers(0, k, size=N_ROWS) for k in LEVELS]
+    X = np.column_stack(cols + cols[:2]).astype(np.float64)
+    y = (
+        1.5 * X[:, 0] + np.log2(1.0 + X[:, 4]) - 0.5 * X[:, 2] * X[:, 3]
+        + 0.25 * rng.standard_normal(N_ROWS)
+    )
+    labels = ((X[:, 1] + X[:, 2] + (X[:, 6] > 2)) % 4).astype(np.int64)
+    return X, y, labels
+
+
+def fitted_models() -> "dict[str, object]":
+    """Every pinned estimator, fitted on :func:`training_data`."""
+    X, y, labels = training_data()
+    return {
+        "gbr": GBRegressor(n_rounds=N_ROUNDS, seed=SEED).fit(X, y),
+        "gbr_subsample": GBRegressor(
+            n_rounds=N_ROUNDS, subsample=0.7, seed=SEED
+        ).fit(X, y),
+        "gbdt": GBDTClassifier(n_rounds=N_ROUNDS, seed=SEED).fit(X, labels),
+        "gbdt_workers2": GBDTClassifier(
+            n_rounds=N_ROUNDS, seed=SEED, workers=2
+        ).fit(X, labels),
+    }
+
+
+def bayes_trajectory() -> dict:
+    """One ``strategy="bayes"`` tuning run, floats stored via ``repr``."""
+    result = tune(
+        get(BAYES["stencil"]), oc=OC.parse(BAYES["oc"]), gpu=BAYES["gpu"],
+        strategy="bayes", budget=BAYES["budget"], seed=BAYES["seed"],
+    )
+    return {
+        "best_setting": list(result.best_setting.as_tuple()),
+        "best_time_ms": repr(result.best_time_ms),
+        "trials": result.trials,
+        "cost": repr(result.cost),
+        "log": [repr((r.setting.as_tuple(), r.time_ms)) for r in result.trial_log],
+    }
+
+
+def main() -> None:
+    golden = {
+        "models": {
+            name: checksum(model_state(model))
+            for name, model in fitted_models().items()
+        },
+        "bayes": bayes_trajectory(),
+    }
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    main()

@@ -16,6 +16,157 @@ def _make_regression(n=300, seed=0):
     return X, y
 
 
+def _reference_nodes(tree, X, g, h):
+    """Node table of the per-node, per-feature search (re-sorts each column).
+
+    The presorted all-feature search in ``RegressionTree`` must grow
+    exactly this tree: same features, thresholds and leaf values, bit for
+    bit.
+    """
+    lam = tree.reg_lambda
+    nodes = []
+
+    def grow(idx, depth):
+        node_id = len(nodes)
+        g_sum, h_sum = float(g[idx].sum()), float(h[idx].sum())
+        nodes.append([-1, 0.0, -1, -1, -g_sum / (h_sum + lam)])
+        if depth >= tree.max_depth or idx.size < tree.min_samples_split:
+            return node_id
+        parent_score = g_sum * g_sum / (h_sum + lam)
+        best_gain, best = tree.gamma, None
+        for f in range(X.shape[1]):
+            x = X[idx, f]
+            order = np.argsort(x, kind="stable")
+            xs = x[order]
+            gs, hs = np.cumsum(g[idx][order]), np.cumsum(h[idx][order])
+            distinct = np.flatnonzero(xs[:-1] != xs[1:])
+            if distinct.size == 0:
+                continue
+            gl, hl = gs[distinct], hs[distinct]
+            gr, hr = g_sum - gl, h_sum - hl
+            valid = (hl >= tree.min_child_weight) & (hr >= tree.min_child_weight)
+            gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score)
+            gain[~valid] = -np.inf
+            k = int(np.argmax(gain))
+            if gain[k] > best_gain:
+                best_gain, cut = float(gain[k]), distinct[k]
+                best = (f, float(0.5 * (xs[cut] + xs[cut + 1])))
+        if best is None:
+            return node_id
+        f, threshold = best
+        mask = X[idx, f] <= threshold
+        left = grow(idx[mask], depth + 1)
+        right = grow(idx[~mask], depth + 1)
+        nodes[node_id][:4] = [f, threshold, left, right]
+        return node_id
+
+    grow(np.arange(X.shape[0]), 0)
+    return nodes
+
+
+def _assert_matches_reference(tree, X, g, h):
+    """The fitted node table equals the reference's, bit for bit."""
+    arrays = tree.to_arrays()
+    ref = _reference_nodes(tree, X, g, h)
+    for i, key in enumerate(("feature", "threshold", "left", "right", "value")):
+        expected = np.array([node[i] for node in ref], dtype=arrays[key].dtype)
+        assert arrays[key].tobytes() == expected.tobytes(), key
+
+
+def _tie_heavy(n, seed, levels=(2, 3, 5, 8)):
+    """Integer-coded columns with many ties, plus a copy of the first."""
+    rng = np.random.default_rng(seed)
+    cols = [rng.integers(0, k, size=n) for k in levels]
+    X = np.column_stack(cols + cols[:1]).astype(np.float64)
+    return X, rng.standard_normal(n), rng.uniform(0.2, 1.0, n)
+
+
+class TestSplitSearch:
+    """The presorted search against the per-feature reference, and the
+    tie-break and stopping rules on hand-built cases."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(max_depth=5),
+            dict(max_depth=6, min_child_weight=4.0, reg_lambda=0.5),
+            dict(max_depth=4, gamma=0.3, reg_lambda=2.0),
+            dict(max_depth=7, min_child_weight=0.0, reg_lambda=0.0, min_samples_split=1),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_feature_reference(self, params, seed):
+        X, g, h = _tie_heavy(160, seed)
+        X = np.column_stack([X, np.random.default_rng(seed).random(160)])
+        tree = RegressionTree(**params).fit(X, g, h)
+        assert tree.n_nodes > 1
+        _assert_matches_reference(tree, X, g, h)
+
+    def test_subsampled_rows_in_any_order(self):
+        # Boosting hands fit() X[rows] with rows from rng.choice: unordered,
+        # so the root order table's ties fall in a shuffled row order.
+        X, g, h = _tie_heavy(200, 5)
+        rows = np.random.default_rng(5).choice(200, size=140, replace=False)
+        assert not np.all(np.diff(rows) > 0)
+        Xs, gs, hs = X[rows], g[rows], h[rows]
+        tree = RegressionTree(max_depth=5).fit(Xs, gs, hs)
+        _assert_matches_reference(tree, Xs, gs, hs)
+
+    def test_identical_columns_lowest_feature_wins(self):
+        X, g, h = _tie_heavy(120, 3, levels=(4,))
+        X = np.column_stack([np.zeros(120), X])  # columns 1 and 2 identical
+        tree = RegressionTree(max_depth=4).fit(X, g, h)
+        split_on = tree.to_arrays()["feature"]
+        assert tree.n_nodes > 1
+        assert set(split_on[split_on >= 0].tolist()) == {1}
+
+    def test_equal_gain_cuts_leftmost_wins(self):
+        # Symmetric gradients: the cuts after the first and the third row
+        # have bitwise-equal gain; the middle cut scores lower.
+        X = np.arange(4.0)[:, None]
+        g = np.array([-3.0, 1.0, 1.0, -3.0])
+        tree = RegressionTree(max_depth=1, reg_lambda=0.0).fit(X, g, np.ones(4))
+        assert tree.to_arrays()["threshold"][0] == 0.5
+
+    def test_constant_child_becomes_leaf(self):
+        # After the root split each side is constant in every column.
+        X = np.array([[0.0, 5.0], [0.0, 5.0], [1.0, 7.0], [1.0, 7.0]])
+        g = np.array([-1.0, -2.0, 2.0, 3.0])
+        tree = RegressionTree(max_depth=4, min_child_weight=0.0).fit(X, g, np.ones(4))
+        arrays = tree.to_arrays()
+        assert tree.n_nodes == 3
+        assert arrays["feature"].tolist() == [0, -1, -1]
+
+    def test_gamma_blocks_split(self):
+        # The only cut has gain exactly 0.5 * (1/1 + 1/1 - 0) = 1.0; a split
+        # needs gain strictly above gamma.
+        X = np.array([[0.0], [1.0]])
+        g = np.array([-1.0, 1.0])
+        kw = dict(reg_lambda=0.0, min_child_weight=0.0)
+        assert RegressionTree(gamma=1.0, **kw).fit(X, g, np.ones(2)).n_nodes == 1
+        assert RegressionTree(gamma=0.999, **kw).fit(X, g, np.ones(2)).n_nodes == 3
+
+    def test_min_child_weight_moves_cut_inward(self):
+        # Unconstrained, the best cut isolates the first row; with
+        # min_child_weight=2 only the middle cut leaves both sides heavy.
+        X = np.arange(4.0)[:, None]
+        g = np.array([-3.0, 1.0, 0.0, 2.0])
+        kw = dict(max_depth=1, reg_lambda=0.0, min_child_weight=1.0)
+        assert RegressionTree(**kw).fit(X, g, np.ones(4)).to_arrays()["threshold"][0] == 0.5
+        kw["min_child_weight"] = 2.0
+        assert RegressionTree(**kw).fit(X, g, np.ones(4)).to_arrays()["threshold"][0] == 1.5
+
+    def test_predict_rejects_narrow_x(self):
+        X, g, h = _tie_heavy(80, 0)
+        tree = RegressionTree(max_depth=3).fit(X, g, h)
+        width = int(tree.to_arrays()["feature"].max()) + 1
+        with pytest.raises(ModelError, match="splits on feature"):
+            tree.predict(X[:, : width - 1])
+        with pytest.raises(ModelError):
+            tree.predict(X[0])
+        assert tree.predict(X[:, :width]).shape == (80,)
+
+
 class TestRegressionTree:
     def test_fits_step_function(self):
         X = np.linspace(0, 1, 100)[:, None]
@@ -106,6 +257,25 @@ class TestGBRegressor:
         with pytest.raises(NotFittedError):
             GBRegressor().predict(np.ones((1, 2)))
 
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ModelError, match="zero rows"):
+            GBRegressor().fit(np.ones((0, 3)), np.ones(0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_target_rejected(self, bad):
+        X, y = _make_regression(20)
+        y[7] = bad
+        with pytest.raises(ModelError, match="NaN or infinite"):
+            GBRegressor(n_rounds=2).fit(X, y)
+
+    def test_predict_rejects_narrow_x(self):
+        X, y = _make_regression(120)
+        model = GBRegressor(n_rounds=5, seed=0).fit(X, y)
+        with pytest.raises(ModelError, match="splits on feature"):
+            model.predict(X[:, :1])
+        with pytest.raises(ModelError, match="splits on feature"):
+            model.staged_predict(X[:, :1])
+
 
 class TestGBDTClassifier:
     def _make_classification(self, n=400, seed=1):
@@ -141,6 +311,16 @@ class TestGBDTClassifier:
     def test_rejects_negative_labels(self):
         with pytest.raises(ModelError):
             GBDTClassifier().fit(np.ones((2, 2)), np.array([-1, 0]))
+
+    def test_zero_rows_rejected(self):
+        with pytest.raises(ModelError, match="zero rows"):
+            GBDTClassifier().fit(np.ones((0, 2)), np.array([], dtype=int))
+
+    def test_predict_rejects_narrow_x(self):
+        X, y = self._make_classification(120)
+        model = GBDTClassifier(n_rounds=3, seed=0).fit(X, y)
+        with pytest.raises(ModelError, match="splits on feature"):
+            model.predict(X[:, :1])
 
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
