@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..engine.core import BackendBase, BackendInfo, EvalRequest, EvalResult
-from ..errors import KernelLaunchError, OptimizationError
+from ..errors import KernelLaunchError
 from ..gpu.specs import get_gpu
 
 __all__ = ["AnalyticalBackend"]
@@ -60,21 +60,17 @@ class AnalyticalBackend(BackendBase):
         return BackendInfo(name="analytical", caching=True)
 
     def evaluate_batch(self, requests: Sequence[EvalRequest]) -> list[EvalResult]:
-        from .ir import ParseError
-        from .perfmodel import EstimateError, estimate_kernel
+        from .perfmodel import estimate_kernels
 
+        estimates = estimate_kernels(
+            [(r.stencil, r.oc, r.setting, r.grid) for r in requests], self._spec.name
+        )
         out: list[EvalResult] = []
-        for req in requests:
-            try:
-                est = estimate_kernel(
-                    req.stencil, req.oc, req.setting, self._spec.name, grid=req.grid
-                )
-            except KernelLaunchError as e:
-                out.append(EvalResult(error=e))
-            except (OptimizationError, EstimateError, ParseError) as e:
-                out.append(
-                    EvalResult(error=KernelLaunchError(f"analytical: {e}"))
-                )
+        for est in estimates:
+            if isinstance(est, KernelLaunchError):
+                out.append(EvalResult(error=est))
+            elif isinstance(est, Exception):
+                out.append(EvalResult(error=KernelLaunchError(f"analytical: {est}")))
             else:
                 out.append(EvalResult(time_ms=est.time_ms))
         return out

@@ -164,14 +164,9 @@ def build_context(
     profile_error = None
     if stencil is not None and oc is not None and setting is not None:
         try:
-            if warp_size == 32:
-                # Default width uses the legacy positional call so tests
-                # (and tooling) that stub build_profile keep working.
-                profile = kernelmodel.build_profile(stencil, oc, setting, grid)
-            else:
-                profile = kernelmodel.build_profile(
-                    stencil, oc, setting, grid, warp_size=warp_size
-                )
+            profile = kernelmodel.build_profile(
+                stencil, oc, setting, grid, warp_size=warp_size
+            )
         except (KernelLaunchError, OptimizationError) as e:
             profile_error = str(e)
     return AnalysisContext(

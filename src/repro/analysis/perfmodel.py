@@ -630,6 +630,8 @@ class VolumePass(MetricPass):
     name = "volumes"
 
     def run(self, unit, kernel, m):
+        from ..optimizations.kernelmodel import row_accesses, smem_traffic_taps
+
         t = m.temporal_steps
         points = m.points
         m.write_bytes = float(WORD * points)
@@ -670,8 +672,6 @@ class VolumePass(MetricPass):
             # Bank conflicts throttle achievable smem bandwidth rather
             # than adding traffic, so ``bank_conflict_factor`` stays a
             # reported metric and does not scale the volume.
-            from ..optimizations.kernelmodel import smem_traffic_taps
-
             m.smem_bytes = (
                 smem_traffic_taps(
                     m.taps,
@@ -701,7 +701,7 @@ class VolumePass(MetricPass):
                 )
                 inner = math.prod(m.dims[a] for a in axes[:-1])
                 m.reuse_window_bytes = (2 * m.extents[outer] + 1) * inner * WORD
-            l2 = WORD * points * _row_accesses(
+            l2 = WORD * points * row_accesses(
                 m.taps, tuple(axes), m.merge_factor, m.merge_axis
             )
             m.smem_bytes = 0.0
@@ -711,18 +711,6 @@ class VolumePass(MetricPass):
             l2 += spill
             m.read_bytes_base += 0.3 * spill
         m.l2_bytes = max(l2, m.read_bytes_base) + m.write_bytes
-
-
-def _row_accesses(taps, axes: tuple[int, ...], merge: int, merge_axis) -> float:
-    """Distinct offset rows per point: the SM <-> L2 transaction factor."""
-    outer = [a for a in axes if a != 0]
-    if not outer:
-        return 1.0
-    rows = {tuple(p[a] for a in outer) for p in taps}
-    n_rows = float(len(rows))
-    if merge > 1 and merge_axis in outer:
-        n_rows = 1.0 + (n_rows - 1.0) / merge
-    return n_rows
 
 
 #: The extraction pipeline, in dependency order.
@@ -789,75 +777,43 @@ class PerfEstimate:
         }
 
 
-def _to_profile(m: KernelMetrics):
-    """Package extracted metrics as a simulator-compatible profile."""
+def _to_profile(m: KernelMetrics, spec):
+    """Package extracted metrics as a simulator-compatible profile.
+
+    Every profile field is the metric of the same name, except the
+    scheme-derived ``scattered`` flag and, for scheduling widths other
+    than the default 32 lanes at which ``coalescing`` was classified,
+    the coalescing factor re-derived from the recorded threadIdx.x
+    stride (matching build_profile's warp_size-parameterized clause on
+    generator output).
+    """
+    from dataclasses import fields
+
     from ..optimizations.kernelmodel import KernelProfile
 
-    return KernelProfile(
-        threads_per_block=m.threads_per_block,
-        n_blocks=m.n_blocks,
-        launches=m.launches,
-        regs_per_thread=m.regs_per_thread,
-        spilled_regs=m.spilled_regs,
-        smem_per_block=m.smem_per_block,
-        flops=m.flops,
-        read_bytes_base=m.read_bytes_base,
-        read_amplification=m.read_amplification,
-        reuse_window_bytes=m.reuse_window_bytes,
-        write_bytes=m.write_bytes,
-        l2_bytes=m.l2_bytes,
-        smem_bytes=m.smem_bytes,
-        coalescing=m.coalescing,
-        scattered=m.scheme in ("cache", "register-stream"),
-        stream_iters=m.stream_iters,
-        prefetch=m.prefetch,
-        temporal_steps=m.temporal_steps,
-        points=m.points,
-    )
+    values = {f.name: getattr(m, f.name) for f in fields(KernelProfile) if f.name != "scattered"}
+    values["scattered"] = m.scheme in ("cache", "register-stream")
+    if spec.warp_size != 32:
+        stride = m.tx_stride if math.isfinite(m.tx_stride) else None
+        values["coalescing"] = AccessPass._coalescing(stride, m.block_dims[0], warp=spec.warp_size)
+    return KernelProfile(**values)
 
 
-def _compose(metrics: KernelMetrics, gpu: str) -> PerfEstimate:
-    """Time extracted metrics on one GPU via the centralized roofline.
+def _estimate(metrics: KernelMetrics, spec, result) -> PerfEstimate:
+    """Package a timed profile as the estimate.
 
     The simulator normalizes per-step time by its own ``TIME_STEPS``
     constant; the source carries the macro, so re-scale when they
     differ (they agree for all generator output).
     """
-    from dataclasses import replace as _replace
-
-    from ..gpu.simulator import GPUSimulator
-    from ..gpu.specs import get_gpu
     from ..optimizations.kernelmodel import TIME_STEPS
 
-    spec = get_gpu(gpu)
-    sim = GPUSimulator(spec, sigma=0.0)
-    profile = _to_profile(metrics)
-    if spec.warp_size != 32:
-        # The extracted coalescing factor was classified at the default
-        # 32-lane width; re-derive it for this device's scheduling width
-        # from the recorded threadIdx.x stride (matches build_profile's
-        # warp_size-parameterized clause on generator output).
-        stride = metrics.tx_stride if math.isfinite(metrics.tx_stride) else None
-        profile = _replace(
-            profile,
-            coalescing=AccessPass._coalescing(
-                stride, metrics.block_dims[0], warp=spec.warp_size
-            ),
-        )
-    result = sim.time_profile(profile)
-    scale = TIME_STEPS / max(1, metrics.time_steps)
-    smem_s = 0.0
-    if metrics.smem_bytes:
-        smem_bw = (
-            spec.sms * spec.smem_bytes_per_clk * spec.boost_clock_mhz * 1e6 * 0.35
-        )
-        smem_s = metrics.smem_bytes / smem_bw
     return PerfEstimate(
         gpu=spec.name,
-        time_ms=result.time_ms * scale,
+        time_ms=result.time_ms * (TIME_STEPS / max(1, metrics.time_steps)),
         dram_ms=result.dram_ms,
         l2_ms=result.l2_ms,
-        smem_ms=smem_s * 1e3,
+        smem_ms=result.smem_ms,
         compute_ms=result.compute_ms,
         stream_ms=result.stream_ms,
         launch_ms=result.launch_ms,
@@ -865,6 +821,16 @@ def _compose(metrics: KernelMetrics, gpu: str) -> PerfEstimate:
         utilization=result.utilization,
         metrics=metrics,
     )
+
+
+def _compose(metrics: KernelMetrics, gpu: str) -> PerfEstimate:
+    """Time extracted metrics on one GPU via the centralized roofline."""
+    from ..gpu.simulator import GPUSimulator
+    from ..gpu.specs import get_gpu
+
+    spec = get_gpu(gpu)
+    result = GPUSimulator(spec, sigma=0.0).time_profile(_to_profile(metrics, spec))
+    return _estimate(metrics, spec, result)
 
 
 def estimate_source(source: "str | ir.TranslationUnit", gpu: str) -> PerfEstimate:
@@ -904,6 +870,35 @@ def estimate_kernel(
     only the (cheap) per-GPU composition runs on repeat calls.
     """
     return _compose(_metrics_for(stencil, oc, setting, grid), gpu)
+
+
+def estimate_kernels(points, gpu: str) -> list:
+    """:func:`estimate_kernel` for many ``(stencil, oc, setting, grid)``
+    points, composed in one array pass.
+
+    Each entry is the point's :class:`PerfEstimate`, or the exception
+    :func:`estimate_kernel` raises for it (a launch failure, an
+    inexpressible configuration, or source outside the extractable
+    subset).
+    """
+    from ..errors import OptimizationError
+    from ..gpu.simulator import GPUSimulator
+    from ..gpu.specs import get_gpu
+
+    spec = get_gpu(gpu)
+    out: list = [None] * len(points)
+    extracted: list = []
+    for i, (stencil, oc, setting, grid) in enumerate(points):
+        try:
+            extracted.append((i, _metrics_for(stencil, oc, setting, grid)))
+        except (KernelLaunchError, OptimizationError, EstimateError, ir.ParseError) as e:
+            out[i] = e
+    results = GPUSimulator(spec, sigma=0.0).time_profiles(
+        [_to_profile(m, spec) for _, m in extracted]
+    )
+    for (i, m), result in zip(extracted, results):
+        out[i] = result if isinstance(result, Exception) else _estimate(m, spec, result)
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -124,47 +124,43 @@ def _predictor_picks(
     their extrapolation onto crashing configurations is unconstrained --
     and launchability is knowable without measuring anything.
     """
-    from ..errors import KernelLaunchError, OptimizationError
-    from ..gpu.occupancy import compute_occupancy
+    from ..gpu import model
     from ..gpu.specs import get_gpu, hardware_features
     from ..ml.preprocess import LogTimeTransform, augment_features
     from ..optimizations.combos import OC_BY_NAME
-    from ..optimizations.kernelmodel import build_profile
     from ..optimizations.params import sample_settings
     from ..profiling.dataset import oc_flags
     from ..stencil.features import batch_features
 
     spec = get_gpu(gpu)
 
-    def _launchable(stencil, oc, setting) -> bool:
-        try:
-            if spec.warp_size == 32:
-                p = build_profile(stencil, oc, setting)
-            else:
-                p = build_profile(stencil, oc, setting, warp_size=spec.warp_size)
-            compute_occupancy(
-                spec, p.threads_per_block, p.regs_per_thread, p.smem_per_block
-            )
-        except (KernelLaunchError, OptimizationError):
-            return False
-        return True
+    def _launchable(stencil, ocs, settings) -> np.ndarray:
+        """Mask of the (OC, setting) points that can launch on *gpu*."""
+        prof = model.profile(
+            stencil, ocs, [s.as_tuple() for s in settings], warp_size=spec.warp_size
+        )
+        lim = model.limits(
+            spec, prof.threads_per_block, prof.regs_per_thread,
+            prof.smem_per_block, crashes=prof.crashes,
+        )
+        return ~lim.crashes.mask
 
     hw = np.array(hardware_features(gpu))
     sten_feats = batch_features(list(stencils), art.max_order)
     candidates = _bench_ocs()
     picks: list[str] = []
     for i, stencil in enumerate(stencils):
-        rows: list[np.ndarray] = []
-        meta: list[tuple[str, object]] = []
+        drawn: list[tuple[str, object]] = []
         for j, oc_name in enumerate(candidates):
-            oc = OC_BY_NAME[oc_name]
             rng = np.random.default_rng((seed, i, j))
-            for setting in sample_settings(oc, stencil.ndim, n_settings, rng):
-                if not _launchable(stencil, oc, setting):
-                    continue
-                aux = np.concatenate([oc_flags(oc_name), setting.encode(), hw])
-                rows.append(np.concatenate([sten_feats[i], aux]))
-                meta.append((oc_name, setting))
+            for setting in sample_settings(OC_BY_NAME[oc_name], stencil.ndim, n_settings, rng):
+                drawn.append((oc_name, setting))
+        ok = _launchable(stencil, [OC_BY_NAME[o] for o, _ in drawn], [s for _, s in drawn])
+        meta = [point for point, launches in zip(drawn, ok) if launches]
+        rows = [
+            np.concatenate([sten_feats[i], oc_flags(oc_name), setting.encode(), hw])
+            for oc_name, setting in meta
+        ]
         if not rows:
             picks.append("naive")
             continue

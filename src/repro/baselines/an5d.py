@@ -28,7 +28,7 @@ class AN5DBaseline:
     name = "AN5D"
 
     def __init__(self, gpu: str, n_settings: int, seed: int,
-                 sigma: float = 0.03, backend: str = "scalar"):
+                 sigma: float = 0.03, backend: str = "vector"):
         self.search = RandomSearch(
             make_backend(backend, gpu, sigma=sigma), n_settings, seed
         )

@@ -47,7 +47,7 @@ class ArtemisBaseline:
         seed: int,
         sigma: float = 0.03,
         n_candidates: int = 2,
-        backend: str = "scalar",
+        backend: str = "vector",
     ):
         self.search = RandomSearch(
             make_backend(backend, gpu, sigma=sigma), n_settings, seed

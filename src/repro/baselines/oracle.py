@@ -18,14 +18,14 @@ class OracleBaseline:
     """Profiles every OC with the standard budget and keeps the best.
 
     Exhausting the whole OC space makes the oracle the most
-    measurement-hungry tuner in the repo; ``backend="cached"`` (or
-    ``"vector"``) runs it on the batched engine.
+    measurement-hungry tuner in the repo; ``backend="cached"`` memoizes
+    repeated points on top of the batched engine.
     """
 
     name = "Oracle"
 
     def __init__(self, gpu: str, n_settings: int, seed: int,
-                 sigma: float = 0.03, backend: str = "scalar"):
+                 sigma: float = 0.03, backend: str = "vector"):
         self.search = RandomSearch(
             make_backend(backend, gpu, sigma=sigma), n_settings, seed
         )

@@ -63,11 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default="vector",
-        choices=("scalar", "vector", "cached", "parallel"),
-        help="measurement backend: per-point reference (the oracle), "
-        "NumPy-vectorized batches (default), vectorized with "
-        "content-keyed memoization, or batches sharded across a process "
-        "pool (equivalent results, much faster than scalar)",
+        choices=("vector", "cached", "parallel"),
+        help="measurement backend: NumPy-vectorized batches (default), "
+        "vectorized with content-keyed memoization, or batches sharded "
+        "across a process pool (identical results)",
     )
     p.add_argument(
         "--workers",
@@ -196,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     tu.add_argument(
         "--backend",
         default="vector",
-        choices=("scalar", "vector", "cached", "parallel"),
-        help="measurement backend (results are equivalent; vector is "
-        "the fast default)",
+        choices=("vector", "cached", "parallel"),
+        help="measurement backend (results are identical; vector is "
+        "the default)",
     )
     tu.add_argument(
         "--trials",
@@ -246,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e.add_argument(
         "--backend",
-        default="scalar",
-        choices=("scalar", "vector", "cached", "parallel"),
+        default="vector",
+        choices=("vector", "cached", "parallel"),
         help="measurement backend for on-the-fly profiling (same choices "
         "and semantics as `repro profile`)",
     )

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DatasetError, KernelLaunchError
+from ..engine import EvalRequest, VectorBackend
+from ..errors import DatasetError
 from ..gpu.noise import DEFAULT_SIGMA
-from ..gpu.simulator import GPUSimulator
 from ..gpu.specs import get_gpu
 from ..optimizations.combos import ALL_OCS, OC
 from ..optimizations.params import ParamSetting, sample_setting
@@ -64,29 +64,31 @@ def build_cross_gpu_instances(
     An instance is kept only when it runs on *all* GPUs so the ground
     truth is well defined.  Sampling is deterministic per stencil.
     """
-    sims = {g: GPUSimulator(g, sigma=sigma) for g in gpus}
+    backends = {g: VectorBackend(g, sigma=sigma) for g in gpus}
     out: list[CrossGPUInstance] = []
     for sid, stencil in enumerate(stencils):
         rng = np.random.default_rng(np.random.SeedSequence((seed, sid)))
-        kept = 0
-        attempts = 0
-        while kept < n_per_stencil and attempts < n_per_stencil * 10:
-            attempts += 1
+        # The draws do not depend on the outcomes, so every attempt the
+        # sampler may make is drawn up front and measured in one batch
+        # per GPU; the first n_per_stencil that run everywhere are kept.
+        draws = []
+        for _ in range(n_per_stencil * 10):
             oc = ocs[rng.integers(len(ocs))]
-            setting = sample_setting(oc, stencil.ndim, rng)
-            times: dict[str, float] = {}
-            try:
-                for g, sim in sims.items():
-                    times[g] = sim.time(stencil, oc, setting)
-            except KernelLaunchError:
+            draws.append(EvalRequest(stencil, oc, sample_setting(oc, stencil.ndim, rng)))
+        results = {g: be.evaluate_batch(draws) for g, be in backends.items()}
+        kept = 0
+        for k, req in enumerate(draws):
+            if kept == n_per_stencil:
+                break
+            if any(r[k].crashed for r in results.values()):
                 continue
             out.append(
                 CrossGPUInstance(
                     stencil_id=sid,
                     stencil=stencil,
-                    oc=oc.name,
-                    setting=setting,
-                    times_ms=times,
+                    oc=req.oc.name,
+                    setting=req.setting,
+                    times_ms={g: r[k].time_ms for g, r in results.items()},
                 )
             )
             kept += 1

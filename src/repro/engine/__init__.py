@@ -5,12 +5,12 @@ configurations through a :class:`Backend` -- an object that evaluates
 *batches* of (stencil, OC, setting) requests and advertises its
 capabilities.  Concrete backends:
 
-- :class:`ScalarBackend` -- the per-point reference path (wraps a
-  :class:`~repro.gpu.simulator.GPUSimulator` or any ``time``-shaped
-  object); defines the engine's semantics.
-- :class:`VectorBackend` -- NumPy-vectorized evaluation of whole
-  frontiers, observationally equivalent to the scalar path (identical
-  crashes, bit-identical noise, times within 1e-9 relative).
+- :class:`VectorBackend` -- evaluation of whole frontiers through the
+  timing model's array pipeline (:mod:`repro.gpu.model`); the default.
+- :class:`ScalarBackend` -- the per-point adapter for ``time``-shaped
+  objects (fault injectors, test stubs); around a
+  :class:`~repro.gpu.simulator.GPUSimulator` it loops batches of one
+  through the same pipeline, bit-identical to the vector backend.
 - :class:`CachingBackend` -- content-keyed memoization decorator.
 - :class:`FaultBackend` / :class:`RetryBackend` -- deterministic fault
   injection and retry-with-backoff decorators used by the campaign
@@ -52,8 +52,9 @@ def make_backend(
 ) -> Backend:
     """Construct a measurement backend by name.
 
-    ``scalar`` is the reference per-point path; ``vector`` evaluates
-    batches with array math; ``cached`` memoizes on top of ``vector``;
+    ``vector`` evaluates batches through the array pipeline; ``scalar``
+    loops the same pipeline one point at a time (a per-point reference,
+    bit-identical and much slower); ``cached`` memoizes on top of ``vector``;
     ``parallel`` shards batches across a worker pool of ``workers``
     processes, each running its own vector backend (see
     :class:`~repro.engine.parallel.ParallelBackend`; results are

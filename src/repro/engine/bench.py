@@ -20,11 +20,7 @@ import time
 import numpy as np
 
 from ..optimizations.combos import ALL_OCS
-from ..optimizations.kernelmodel import (
-    _bm_overlap_factor,
-    _row_accesses,
-    build_profile,
-)
+from ..optimizations.kernelmodel import build_profile, row_accesses, tap_overlap_factor
 from ..optimizations.params import default_setting, sample_setting
 from ..stencil.generator import generate_population
 from . import make_backend
@@ -51,15 +47,9 @@ def make_workload(
 
 
 def _clear_model_caches() -> None:
-    """Reset per-process memoization so every backend starts cold.
-
-    Tolerates functions whose ``lru_cache`` has been refactored away --
-    the bench only cares that whatever caches *do* exist start cold.
-    """
-    for fn in (build_profile, _bm_overlap_factor, _row_accesses):
-        clear = getattr(fn, "cache_clear", None)
-        if clear is not None:
-            clear()
+    """Reset per-process memoization so every backend starts cold."""
+    for fn in (build_profile, tap_overlap_factor, row_accesses):
+        fn.cache_clear()
 
 
 def run_throughput_bench(quick: bool = False, gpu: str = "V100") -> dict:

@@ -4,9 +4,10 @@ The engine decouples *what to measure* from *how it is measured*: search
 strategies (random search, coordinate descent, genetic tuning), campaign
 runners and baselines all describe work as batches of
 :class:`EvalRequest` and hand them to a :class:`Backend`, the pluggable
-measurement substrate.  Today's backends are the analytical simulator in
-three flavors (scalar reference, NumPy-vectorized, memoizing); the same
-seam is where a real-GPU or remote profiling backend plugs in later.
+measurement substrate.  Today's backends evaluate the analytical timing
+model (batched, memoizing, sharded, or per point through an adapter);
+the same seam is where a real-GPU or remote profiling backend plugs in
+later.
 
 Design rules every backend follows:
 
@@ -158,14 +159,22 @@ class BackendBase:
 def as_backend(obj) -> "Backend":
     """Coerce *obj* to a :class:`Backend`.
 
-    Accepts an existing backend (anything exposing ``evaluate_batch``) or
-    a simulator-like object (anything exposing ``time``), which is
-    wrapped in a :class:`~repro.engine.scalar.ScalarBackend`.  This keeps
-    every pre-engine call site -- ``RandomSearch(GPUSimulator(...))`` and
-    friends -- working unchanged.
+    Accepts an existing backend (anything exposing ``evaluate_batch``), a
+    :class:`~repro.gpu.simulator.GPUSimulator` -- wrapped in the batched
+    :class:`~repro.engine.vector.VectorBackend` over the same model, so
+    ``RandomSearch(GPUSimulator(...))`` and friends evaluate whole
+    frontiers -- or any other simulator-like object (anything exposing
+    ``time``: fault injectors, test stubs), which is wrapped in the
+    per-point :class:`~repro.engine.scalar.ScalarBackend` adapter.
     """
     if hasattr(obj, "evaluate_batch"):
         return obj
+    from ..gpu.simulator import GPUSimulator
+
+    if type(obj) is GPUSimulator:
+        from .vector import VectorBackend
+
+        return VectorBackend(obj)
     if hasattr(obj, "time"):
         from .scalar import ScalarBackend
 

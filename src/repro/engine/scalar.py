@@ -1,12 +1,13 @@
-"""Reference backend: the per-point simulator path, one request at a time.
+"""Per-point adapter: any ``time``-shaped object behind the batched protocol.
 
-``ScalarBackend`` defines the engine's semantics.  Every other backend --
-vectorized, caching, fault-injecting -- must be observationally
-equivalent to it (see ``tests/engine/test_backend_equivalence.py``); it
-is also the adapter that lets any simulator-shaped object (a
-:class:`~repro.gpu.simulator.GPUSimulator`, a
-:class:`~repro.gpu.faults.FaultInjector`, a test stub with a ``time``
-method) serve a batched caller.
+``ScalarBackend`` loops a simulator-shaped object's ``time`` over a
+batch, one request at a time.  It is what lets a
+:class:`~repro.gpu.faults.FaultInjector` or a test stub with a ``time``
+method serve a batched caller.  Wrapped around a
+:class:`~repro.gpu.simulator.GPUSimulator` it is a per-point reference
+over the same array pipeline as :class:`~repro.engine.VectorBackend`
+(each call a batch of one), so the two agree bit for bit and differ only
+in speed.
 """
 
 from __future__ import annotations

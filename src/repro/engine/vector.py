@@ -1,84 +1,44 @@
-"""NumPy-vectorized batch evaluation of the analytical timing model.
+"""Batched evaluation over the timing model's array pipeline.
 
 ``VectorBackend`` evaluates whole frontiers of tuning points at once:
-requests are grouped by (stencil, grid) -- OCs mix freely within a group
--- the per-group stencil-level quantities (extents, tap sets, reuse
-windows, row-access counts) are computed once, and the per-setting
-kernel characterization, occupancy math, latency-hiding curves,
-memory-hierarchy phases, wave quantization and streaming stalls run as
-array expressions over the whole group.  Optimization flags (streaming,
-merging, retiming, prefetch, temporal) become per-point boolean masks,
-so a campaign slice covering every OC amortizes the fixed cost of the
-array pipeline over hundreds of points instead of one OC's handful.
+requests are grouped by (stencil, grid) -- OCs mix freely within a group,
+their flags becoming per-point masks -- and each group is one pass of the
+array pipeline in :mod:`repro.gpu.model` (profile, limits, phases), so a
+campaign slice covering every OC amortizes the pipeline's fixed cost over
+hundreds of points.  The per-point
+:class:`~repro.gpu.simulator.GPUSimulator` is a batch of one over the
+same pipeline, so the two agree bit for bit.
 
-Equivalence contract (enforced by ``tests/engine``):
-
-- Every arithmetic step mirrors the scalar path op for op -- same IEEE
-  operations in the same order -- so batched times match
-  :class:`~repro.engine.scalar.ScalarBackend` to ~1 ulp (well inside the
-  1e-9 relative tolerance the engine guarantees).  Masked steps stay
-  exact because a lane either receives the identical operation sequence
-  or an identity operation (``+ 0.0``, ``/ 1.0``, ``np.where`` select).
-- Measurement noise is *bit-identical*: the blake2b keying of
-  :func:`repro.gpu.noise.noise_factor` is reproduced exactly via a
-  shared digest prefix per (stencil, OC).
-- Crash behavior is *identical*: points whose configuration violates a
-  hardware limit (and any degenerate parameter combination outside the
-  sampled space) are detected by vectorized masks and delegated to the
-  scalar reference path, so the raised/recorded
-  :class:`~repro.errors.KernelLaunchError` carries the exact message the
-  scalar path produces.
+- Measurement noise is keyed by content through
+  :func:`repro.gpu.noise.noise_factors`, hashing the (GPU, stencil, OC)
+  prefix once per group.
+- A point whose configuration cannot launch carries its
+  :class:`~repro.errors.KernelLaunchError` as data; a point whose
+  geometry cannot be expressed raises its
+  :class:`~repro.errors.OptimizationError` and voids the batch, as a
+  per-point call would.
 - Results are per-point pure: every expression is elementwise, so a
   request's result never depends on what else shares its batch.
 """
 
 from __future__ import annotations
 
-import math
-import struct
-from hashlib import blake2b
 from typing import Sequence
 
 import numpy as np
 
 from ..errors import KernelLaunchError
-from ..optimizations.kernelmodel import (
-    TIME_STEPS,
-    WORD,
-    _bm_overlap_factor,
-    _row_accesses,
-    _worst_case_amplification,
-    default_grid,
-    reuse_window_bytes,
-)
-from ..optimizations.params import PARAM_NAMES
-from ..optimizations.passes import Opt
-from ..gpu.simulator import (
-    _BW_HALF_OCC,
-    _COMPUTE_HALF_OCC,
-    _EXPOSED_LATENCY_CYCLES,
-    _L2_USABLE,
-    _PREFETCH_HIDING,
-    _SCATTER_EFF,
-    _SMOOTH_P,
-    _SYNC_CYCLES,
-    GPUSimulator,
-)
+from ..gpu import model
+from ..gpu.noise import noise_factors
+from ..gpu.simulator import GPUSimulator
 from .core import BackendBase, BackendInfo, EvalRequest, EvalResult
-
-_COL = {name: i for i, name in enumerate(PARAM_NAMES)}
-
-
-def _round_up(values: np.ndarray, unit: int) -> np.ndarray:
-    return ((values + unit - 1) // unit) * unit
 
 
 class VectorBackend(BackendBase):
     """Vectorized analytical backend for one GPU.
 
-    Parameters mirror :class:`~repro.gpu.simulator.GPUSimulator`; the
-    wrapped simulator doubles as the delegation target for crashing and
-    degenerate points.
+    Parameters mirror :class:`~repro.gpu.simulator.GPUSimulator`; an
+    existing simulator may be passed in place of the GPU.
     """
 
     def __init__(self, gpu, sigma: float = 0.03):
@@ -101,532 +61,43 @@ class VectorBackend(BackendBase):
         out: list[EvalResult | None] = [None] * len(requests)
         # Identity-based grouping: results are per-point pure, so finer
         # groups are never wrong, and id() avoids hashing stencil content
-        # per request on the hot path.  OCs vary freely inside a group --
-        # their flags become per-point masks -- so a whole campaign slice
-        # for one stencil is a single array pipeline pass.
+        # per request on the hot path.
         groups: dict[tuple, list[int]] = {}
         for i, req in enumerate(requests):
-            key = (id(req.stencil), req.grid)
-            groups.setdefault(key, []).append(i)
+            groups.setdefault((id(req.stencil), req.grid), []).append(i)
+        spec = self.spec
         for idxs in groups.values():
             first = requests[idxs[0]]
             ocs = [requests[i].oc for i in idxs]
             tuples = [requests[i].setting.as_tuple() for i in idxs]
-            times, errors, fallback = self._evaluate_group(
-                first.stencil, ocs, first.grid, tuples
-            )
+            prof = model.profile(first.stencil, ocs, tuples, first.grid, spec.warp_size)
+            _, valid, ph = model.evaluate(spec, prof)
+            times = np.zeros(len(idxs))
+            times[valid] = ph.time_ms
+            if self.sigma > 0:
+                times[valid] *= self._noise(first.stencil, ocs, tuples, np.arange(len(idxs))[valid])
             for j, i in enumerate(idxs):
-                if fallback[j]:
-                    out[i] = self._scalar_eval(requests[i])
-                elif errors[j] is not None:
-                    out[i] = EvalResult(error=errors[j])
-                else:
+                error = prof.crashes.errors[j]
+                if error is None:
                     out[i] = EvalResult(time_ms=float(times[j]))
+                elif isinstance(error, KernelLaunchError):
+                    out[i] = EvalResult(error=error)
+                else:
+                    raise error
         return out  # type: ignore[return-value]
 
-    def _scalar_eval(self, req: EvalRequest) -> EvalResult:
-        """Reference path for points the vector math cannot (or must not)
-        time: reproduces the exact scalar result, including the exact
-        :class:`KernelLaunchError` for crashing configurations."""
-        try:
-            t = self.sim.time(req.stencil, req.oc, req.setting, grid=req.grid)
-        except KernelLaunchError as e:
-            return EvalResult(error=e)
-        return EvalResult(time_ms=t)
-
-    # ------------------------------------------------------------------
-    def _evaluate_group(self, stencil, ocs, grid, tuples):
-        """Vector-time one (stencil, grid) group of (OC, setting) points.
-
-        Returns ``(times, errors, fallback)``: per-point times (garbage
-        where crashed or delegated), per-point synthesized
-        :class:`KernelLaunchError` (or ``None``), and the mask of points
-        to delegate to the scalar path.  Crashes are detected by masks
-        applied in the scalar path's exact precedence order (geometry ->
-        occupancy -> grid) and carry the scalar path's exact messages;
-        degenerate parameter values outside the sampled space (which the
-        scalar path answers with :class:`OptimizationError`) are
-        delegated instead, preserving correctness at a small speed cost
-        for such points.
-        """
-        spec = self.spec
-        ndim = stencil.ndim
-        dims = default_grid(ndim) if grid is None else tuple(grid)
-        n = len(tuples)
-        errors: list = [None] * n
-        if len(dims) != ndim:
-            # build_profile raises OptimizationError; let the scalar
-            # reference produce it.
-            return np.zeros(n), errors, np.ones(n, dtype=bool)
-
-        extents = stencil.axis_extents
-        ext_arr = np.asarray(extents, dtype=np.int64)
-        dims_arr = np.asarray(dims, dtype=np.int64)
-        nnz = stencil.nnz
-
-        # Per-point optimization flags: one row of booleans per distinct
-        # OC, fancy-indexed out to the group.
-        oc_index: dict[int, int] = {}
-        oc_list: list = []
-        oc_idx = np.empty(n, dtype=np.int64)
-        for j, oc in enumerate(ocs):
-            k = oc_index.get(id(oc))
-            if k is None:
-                k = oc_index[id(oc)] = len(oc_list)
-                oc_list.append(oc)
-            oc_idx[j] = k
-        flags = np.array(
-            [
-                (
-                    Opt.ST in oc.opts,
-                    Opt.BM in oc.opts or Opt.CM in oc.opts,
-                    Opt.BM in oc.opts,
-                    Opt.RT in oc.opts,
-                    Opt.PR in oc.opts,
-                    Opt.TB in oc.opts,
-                )
-                for oc in oc_list
-            ],
-            dtype=bool,
-        )
-        per_oc = flags[oc_idx]
-        streaming = per_oc[:, 0]
-        merging = per_oc[:, 1]
-        block_merge = per_oc[:, 2]
-        retiming = per_oc[:, 3]
-        prefetch = per_oc[:, 4]
-        temporal = per_oc[:, 5]
-
-        S = np.asarray(tuples, dtype=np.int64)
-        bx = S[:, _COL["block_x"]]
-        by = S[:, _COL["block_y"]]
-        bz = S[:, _COL["block_z"]]
-        ones = np.ones(n, dtype=np.int64)
-        fallback = np.zeros(n, dtype=bool)
-
-        t = np.where(temporal, S[:, _COL["temporal_steps"]], 1)
-        fallback |= (TIME_STEPS % np.maximum(t, 1)) != 0
-        fallback |= t < 1
-        launches = TIME_STEPS // np.maximum(t, 1)
-
-        # Axis -1 (the parameter default, ``merge_dim``/``stream_dim`` 0)
-        # is legal: the scalar path indexes with it, so Python wrap
-        # semantics select the last axis wherever an axis is *indexed*,
-        # while ``== axis`` comparisons keep the raw -1 (matching no
-        # axis).  Only >= ndim is degenerate (scalar raises
-        # OptimizationError; delegated).
-        m = np.where(merging, S[:, _COL["merge_factor"]], 1)
-        merge_axis = np.where(merging, S[:, _COL["merge_dim"]] - 1, -1)
-        fallback |= merging & (merge_axis >= ndim)
-        ma_pos = np.where(merge_axis < 0, merge_axis + ndim, merge_axis)
-
-        stream_axis = np.where(streaming, S[:, _COL["stream_dim"]] - 1, -1)
-        fallback |= streaming & (stream_axis >= ndim)
-        # Safe fancy index: -1 wraps like the scalar path; out-of-range
-        # lanes (already fallback) are clamped to 0.
-        sa_ix = np.where(stream_axis >= ndim, 0, stream_axis)
-
-        use_smem = (S[:, _COL["use_smem"]] != 0) | temporal
-        su = S[:, _COL["stream_unroll"]]
-        stl = S[:, _COL["stream_tiles"]]
-        fallback |= (su < 1) | (stl < 1)
-        su = np.maximum(su, 1)
-        stl = np.maximum(stl, 1)
-
-        # Merging along the stream axis cannot be expressed: codegen
-        # drops the merge loop, so the emitted kernel is plain streaming
-        # (mirrors build_profile).
-        phantom = merging & streaming & (merge_axis == stream_axis)
-        merging = merging & ~phantom
-        block_merge = block_merge & ~phantom
-        m = np.where(phantom, 1, m)
-        merge_axis = np.where(phantom, -1, merge_axis)
-        ma_pos = np.where(merge_axis < 0, merge_axis + ndim, merge_axis)
-
-        # --- launch geometry ------------------------------------------
-        # Streaming lanes launch planes: block_x/block_y land on the
-        # first/second surviving axes (all axes survive for axis -1);
-        # others use the block dims directly.
-        first_plane = np.where(stream_axis == 0, 1, 0)
-        if ndim == 3:
-            second_plane = np.where(
-                (stream_axis == 0) | (stream_axis == 1), 2, 1
-            )
-        else:
-            # Two surviving axes only when no axis is consumed.
-            second_plane = np.where(stream_axis < 0, 1, ndim)
-        plain = [bx, by, bz]
-        bd = []
-        for a in range(ndim):
-            val = np.where(first_plane == a, bx, ones)
-            val = np.where(second_plane == a, by, val)
-            bd.append(np.where(streaming, val, plain[a]))
-        fallback |= np.any(np.stack(bd) < 1, axis=0)
-
-        threads = bd[0].copy()
-        for a in range(1, ndim):
-            threads = threads * bd[a]
-
-        # Cyclic merging with a unit block dimension along the merge
-        # axis strides the outputs by 1, i.e. adjacent (block) merging
-        # (mirrors build_profile).
-        bd_ma = np.stack(bd)[ma_pos, np.arange(n)]
-        block_merge = block_merge | (merging & (bd_ma == 1))
-
-        cov = []
-        for a in range(ndim):
-            c = np.where(
-                (ma_pos == a) & (merge_axis != stream_axis), bd[a] * m, bd[a]
-            )
-            cov.append(np.maximum(c, 1))
-
-        nb = ones.copy()
-        for a in range(ndim):
-            term = np.ceil(dims[a] / cov[a]).astype(np.int64)
-            nb = nb * np.where(stream_axis == a, 1, term)
-        nb = nb * np.where(streaming, stl, 1)
-        points = math.prod(dims)
-
-        # Temporal halo consuming the tile: a deterministic launch crash,
-        # reported for the first failing axis exactly as build_profile does.
-        crashed = np.zeros(n, dtype=bool)
-        if temporal.any():
-            for a in range(ndim):
-                halo = 2 * extents[a] * (t - 1)
-                mask = (t > 1) & (stream_axis != a) & (cov[a] <= halo)
-                for i in np.flatnonzero(mask & ~crashed & ~fallback):
-                    errors[i] = KernelLaunchError(
-                        f"temporal halo {halo[i]} consumes the tile "
-                        f"(coverage {cov[a][i]}) along axis {a}"
-                    )
-                crashed |= mask
-
-        # --- registers per thread -------------------------------------
-        # Masked lanes add 0.0 / keep their value, so every lane sees the
-        # scalar path's exact operation sequence.
-        regs = np.full(n, 24.0 + 3.0 * math.sqrt(nnz))
-        per_point = 5.0 + 1.1 * math.sqrt(nnz)
-        regs = regs + np.where(
-            merging,
-            (m - 1) * per_point * np.where(block_merge, 1.1, 0.85),
-            0.0,
-        )
-        ext_sa = ext_arr[sa_ix]
-        queue = (2 * ext_sa + 1) * su * 2.2
-        queue = np.where(use_smem, queue * 0.35, queue)
-        queue = np.where(retiming, queue * 0.45, queue)
-        regs = regs + np.where(streaming & retiming, 6.0, 0.0)
-        regs = regs + np.where(
-            streaming, np.where(use_smem, queue * 1.0, queue * 1.6), 0.0
-        )
-        regs = regs + np.where(streaming, (su - 1) * 5.0, 0.0)
-        regs = regs + np.where(streaming & prefetch, 8.0 * su + 6.0, 0.0)
-        regs = np.where(
-            temporal & streaming,
-            regs + 10.0 * t,
-            np.where(temporal, regs * (1.0 + 0.4 * (t - 1)), regs),
-        )
-
-        regs_needed = np.rint(regs).astype(np.int64)
-        spilled = np.maximum(0, regs_needed - 255)
-        regs_pt = np.minimum(regs_needed, 255)
-
-        # --- shared memory per block ----------------------------------
-        plane_cells = ones.copy()
-        tile_cells = ones.copy()
-        for a in range(ndim):
-            cells = cov[a] + 2 * extents[a] * t
-            plane_cells = plane_cells * np.where(stream_axis == a, 1, cells)
-            tile_cells = tile_cells * cells
-        planes = 2 * ext_arr[sa_ix] + 1
-        planes = np.where(retiming, np.maximum(2, ext_arr[sa_ix] + 1), planes)
-        planes = planes + np.where(prefetch, 1, 0)
-        planes = planes + 2 * (t - 1)
-        smem = np.where(
-            streaming,
-            plane_cells * planes * WORD,
-            tile_cells * WORD * np.where(temporal, 2, 1),
-        )
-        smem = np.where(use_smem, smem, 0)
-
-        # --- floating-point work --------------------------------------
-        fp = float(stencil.flops_per_point())
-        red = np.ones(n)
-        if temporal.any():
-            for a in range(ndim):
-                factor = (cov[a] + 2 * extents[a] * (t - 1)) / cov[a]
-                red = red * np.where(stream_axis == a, 1.0, factor)
-        flops = points * fp * t * red
-
-        # --- memory traffic -------------------------------------------
-        write_bytes = float(WORD * points)
-
-        halo_f = np.ones(n)
-        for a in range(ndim):
-            f = (cov[a] + 2 * extents[a] * t) / cov[a]
-            halo_f = halo_f * np.where(stream_axis == a, 1.0, f)
-        rb_smem = WORD * points * halo_f
-        l2_smem = rb_smem
-
-        # Worst-case amplification and reuse window depend only on the
-        # stream axis (index 0 = not streaming): small per-group tables.
-        amp_tab = np.empty(ndim + 1)
-        win_tab = np.empty(ndim + 1)
-        amp_tab[0] = _worst_case_amplification(stencil, list(range(ndim)))
-        win_tab[0] = reuse_window_bytes(stencil, dims, None)
-        for s in range(ndim):
-            amp_tab[s + 1] = _worst_case_amplification(
-                stencil, [a for a in range(ndim) if a != s]
-            )
-            win_tab[s + 1] = reuse_window_bytes(stencil, dims, s)
-        sa_tab = np.where(stream_axis >= ndim, 0, stream_axis + 1)
-        amp_plain = amp_tab[sa_tab]
-        window_plain = win_tab[sa_tab]
-
-        # SM<->L2 row-access multipliers depend on the small discrete key
-        # (stream axis, merge factor, merge axis); evaluate the cached
-        # scalar helper once per distinct key for bit-identical values.
-        # Keys are packed into one int so np.unique stays 1-D (fast).
-        combo = ((stream_axis + 1) * 16 + m) * 4 + (merge_axis + 1)
-        uniq, inv = np.unique(combo, return_inverse=True)
-        ra_vals = np.empty(len(uniq))
-        for u, packed in enumerate(uniq.tolist()):
-            ma_ = packed % 4 - 1
-            s_ = packed // 64 - 1
-            m_ = packed // 4 % 16
-            if s_ >= 0:
-                axes = tuple(a for a in range(ndim) if a != s_)
-            else:
-                axes = tuple(range(ndim))
-            ra_vals[u] = _row_accesses(stencil, axes, m_, ma_)
-        l2_plain = WORD * points * ra_vals[inv]
-
-        read_base = np.where(use_smem, rb_smem, float(WORD * points))
-        read_amp = np.where(use_smem, 1.0, amp_plain)
-        window = np.where(use_smem, 0.0, window_plain)
-        l2_read = np.where(use_smem, l2_smem, l2_plain)
-
-        # Shared-memory traffic.
-        taps = np.full(n, float(nnz))
-        rt_st = retiming & streaming
-        if rt_st.any():
-            off_by_sa = np.array(
-                [
-                    float(sum(1 for p in stencil.offsets if p[s] == 0)) + 2.0
-                    for s in range(ndim)
-                ]
-            )
-            taps = np.where(rt_st, off_by_sa[sa_ix], taps)
-        # Block-merge overlap divides the tap count; other lanes divide
-        # by 1.0, which is exact.
-        bm_factor = np.ones(n)
-        if block_merge.any():
-            bm_combo = np.where(block_merge, (merge_axis + 1) * 16 + m, -1)
-            bm_uniq, bm_inv = np.unique(bm_combo, return_inverse=True)
-            bm_vals = np.ones(len(bm_uniq))
-            for u, packed in enumerate(bm_uniq.tolist()):
-                if packed >= 0:
-                    bm_vals[u] = _bm_overlap_factor(
-                        stencil, packed // 16 - 1, packed % 16
-                    )
-            bm_factor = bm_vals[bm_inv]
-        taps = taps / bm_factor
-        smem_bytes = (taps + 2.0) * WORD * points * t * red
-        smem_bytes = np.where(use_smem, smem_bytes, 0.0)
-
-        # Register spills (adding the zero spill term is exact).
-        spill = spilled * WORD * 2 * 0.25 * points * t
-        l2_read = l2_read + spill
-        read_base = read_base + 0.3 * spill
-        l2_bytes = np.maximum(l2_read, read_base) + write_bytes
-
-        # --- coalescing -----------------------------------------------
-        x_threads = bd[0]
-        warp = float(spec.warp_size)
-        coalesce = np.where(
-            x_threads >= warp, 1.0, np.maximum(x_threads / warp, 0.25)
-        )
-        coalesce = np.where(stream_axis == 0, 0.25, coalesce)
-        coalesce = np.where(
-            block_merge & (merge_axis == 0),
-            coalesce * (1.0 / np.minimum(m, 4)),
-            coalesce,
-        )
-        coalesce = np.maximum(coalesce, 0.15)
-
-        # --- streaming synchronization structure ----------------------
-        tile_len = np.ceil(dims_arr[sa_ix] / stl).astype(np.int64)
-        stream_iters = np.where(
-            streaming, np.ceil(tile_len / su).astype(np.int64), 0
-        )
-
-        # --- occupancy: hardware-limit crashes, in compute_occupancy's
-        # check order, with its exact messages ------------------------
-        fallback |= threads < 1  # cannot happen for validated settings
-
-        def _synth(mask, fmt):
-            nonlocal crashed
-            for i in np.flatnonzero(mask & ~crashed & ~fallback):
-                errors[i] = KernelLaunchError(fmt(i))
-            crashed |= mask
-
-        _synth(
-            threads > spec.max_threads_per_block,
-            lambda i: f"block of {threads[i]} threads exceeds "
-            f"{spec.max_threads_per_block} on {spec.name}",
-        )
-        _synth(
-            regs_pt > spec.max_registers_per_thread,
-            lambda i: f"{regs_pt[i]} registers/thread exceeds "
-            f"{spec.max_registers_per_thread} on {spec.name}",
-        )
-        _synth(
-            smem > spec.smem_per_block_max,
-            lambda i: f"{smem[i]} B shared memory/block exceeds "
-            f"{spec.smem_per_block_max} B on {spec.name}",
-        )
-
-        wpb = np.ceil(threads / spec.warp_size).astype(np.int64)
-        wpb_safe = np.maximum(wpb, 1)
-        lim_threads = spec.max_warps_per_sm // wpb_safe
-        regs_per_warp = _round_up(
-            np.maximum(regs_pt, 1) * spec.warp_size, spec.reg_alloc_unit
-        )
-        regs_per_block = regs_per_warp * wpb_safe
-        lim_regs = spec.registers_per_sm // np.maximum(regs_per_block, 1)
-        smem_rounded = _round_up(smem, spec.smem_alloc_unit)
-        lim_smem = np.where(
-            smem > 0,
-            spec.smem_per_sm // np.maximum(smem_rounded, 1),
-            spec.max_blocks_per_sm,
-        )
-        blocks = np.minimum(
-            np.minimum(lim_threads, spec.max_blocks_per_sm),
-            np.minimum(lim_regs, lim_smem),
-        )
-
-        def _limiter(i):
-            # compute_occupancy's tie-break: min limit, priority order
-            # threads < blocks < registers < smem.
-            pairs = (
-                (lim_threads[i], "threads"),
-                (spec.max_blocks_per_sm, "blocks"),
-                (lim_regs[i], "registers"),
-                (lim_smem[i], "smem"),
-            )
-            return min(pairs, key=lambda kv: kv[0])[1]
-
-        _synth(
-            blocks < 1,
-            lambda i: f"zero occupancy on {spec.name}: "
-            f"limited by {_limiter(i)} "
-            f"(threads/block={threads[i]}, regs={regs_pt[i]}, "
-            f"smem={smem[i]})",
-        )
-        _synth(nb < 1, lambda i: "empty grid: zero thread blocks")
-
-        # --- phases, on the valid subset only -------------------------
-        times = np.zeros(n)
-        v = ~(fallback | crashed)
-        if not v.any():
-            return times, errors, fallback
-
-        blocks_v = blocks[v]
-        nb_v = nb[v]
-        wpb_v = wpb[v]
-        eff = np.minimum(blocks_v, np.maximum(1, -(-nb_v // spec.sms)))
-        occ_ach = np.minimum(1.0, eff * wpb_v / spec.max_warps_per_sm)
-        bw_frac = occ_ach / (occ_ach + _BW_HALF_OCC)
-        comp_frac = occ_ach / (occ_ach + _COMPUTE_HALF_OCC)
-
-        slots = blocks_v * spec.sms
-        n_waves = -(-nb_v // slots)
-        util = np.maximum(nb_v / (n_waves * slots), 1e-3)
-
-        window_v = window[v]
-        l2_budget = _L2_USABLE * spec.l2_bytes
-        p_hit = np.where(
-            window_v > 0,
-            np.minimum(1.0, l2_budget / np.where(window_v > 0, window_v, 1.0)),
-            1.0,
-        )
-        reads = read_base[v] * (1.0 + (read_amp[v] - 1.0) * (1.0 - p_hit))
-        dram_bytes = reads + write_bytes
-        dram_bw = (
-            spec.dram_bytes_per_s * spec.memory_efficiency * bw_frac * coalesce[v]
-        )
-        dram_bw = np.where(use_smem[v], dram_bw, dram_bw * _SCATTER_EFF)
-        dram_s = dram_bytes / dram_bw
-
-        l2_bw = spec.dram_bytes_per_s * spec.l2_bw_ratio * bw_frac
-        l2_s = l2_bytes[v] / l2_bw
-
-        smem_bw = (
-            spec.sms
-            * spec.smem_bytes_per_clk
-            * spec.boost_clock_mhz
-            * 1e6
-            * 0.35
-            * comp_frac
-        )
-        smem_s = smem_bytes[v] / smem_bw
-
-        flops_rate = spec.peak_fp64_flops * spec.compute_efficiency * comp_frac
-        compute_s = flops[v] / flops_rate
-
-        p = _SMOOTH_P
-        main_s = (dram_s**p + l2_s**p + compute_s**p + smem_s**p) ** (1.0 / p)
-        main_s = main_s / util
-
-        # Streaming stalls: stream_iters is zero off the streaming lanes,
-        # so their cycle count (and stall time) is exactly zero.
-        exposed = np.where(
-            prefetch[v],
-            _EXPOSED_LATENCY_CYCLES * (1.0 - _PREFETCH_HIDING),
-            _EXPOSED_LATENCY_CYCLES,
-        )
-        exposed_v = exposed / np.maximum(1.0, wpb_v / 4.0)
-        cycles = stream_iters[v] * (_SYNC_CYCLES + exposed_v)
-        stream_s = n_waves * cycles / (spec.boost_clock_mhz * 1e6)
-
-        launch_s = spec.kernel_launch_us * 1e-6
-        per_launch_s = main_s + stream_s + launch_s
-        per_step_ms = per_launch_s * launches[v] / TIME_STEPS * 1e3
-
-        sigma = self.sigma
-        if sigma > 0:
-            per_step_ms = per_step_ms * self._noise_factors(
-                stencil, oc_list, oc_idx, tuples, np.flatnonzero(v), sigma
-            )
-        times[v] = per_step_ms
-        return times, errors, fallback
-
-    # ------------------------------------------------------------------
-    def _noise_factors(self, stencil, oc_list, oc_idx, tuples, valid_idx, sigma):
-        """Bit-exact lognormal jitter for the valid points of a group.
-
-        Reproduces :func:`repro.gpu.noise.noise_factor` for the key
-        ``(gpu, stencil, oc, setting)`` by feeding blake2b the same byte
-        stream; the per-OC key prefix is hashed once and copied per
-        point.
-        """
-        prefixes = []
-        for oc in oc_list:
-            h = blake2b(digest_size=16)
-            for part in (self.spec.name, stencil.cache_key(), oc.name):
-                h.update(repr(part).encode())
-                h.update(b"\x1f")
-            prefixes.append(h)
+    def _noise(self, stencil, ocs, tuples, valid_idx) -> np.ndarray:
+        """Jitter for the valid points of a group, keyed exactly as
+        :meth:`GPUSimulator.run` keys it."""
+        by_oc: dict[str, list[int]] = {}
+        for j, i in enumerate(valid_idx.tolist()):
+            by_oc.setdefault(ocs[i].name, []).append(j)
+        key = stencil.cache_key()
         out = np.empty(len(valid_idx))
-        sqrt, log, cos, exp = math.sqrt, math.log, math.cos, math.exp
-        two_pi = 2.0 * math.pi
-        for j, i in enumerate(valid_idx):
-            h = prefixes[oc_idx[i]].copy()
-            h.update(repr(tuples[i]).encode())
-            h.update(b"\x1f")
-            a, b = struct.unpack("<QQ", h.digest())
-            u1 = (a + 1) / (2**64 + 1)
-            u2 = b / 2**64
-            z = sqrt(-2.0 * log(u1)) * cos(two_pi * u2)
-            out[j] = exp(sigma * z)
+        for name, js in by_oc.items():
+            out[js] = noise_factors(
+                (self.spec.name, key, name),
+                [tuples[valid_idx[j]] for j in js],
+                self.sigma,
+            )
         return out

@@ -32,7 +32,6 @@ behavioral difference over the bare simulator.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from dataclasses import dataclass, fields
@@ -44,7 +43,7 @@ from ..errors import (
     MeasurementTimeout,
     TransientMeasurementError,
 )
-from .noise import uniform01
+from .noise import _hasher, uniform01
 from .simulator import GPUSimulator
 
 #: Detectable corruption values cycled through deterministically.
@@ -269,25 +268,13 @@ class FaultInjector:
         arithmetic before the float division).
         """
         out = np.empty(len(identities))
-        prefixes: dict[tuple, "hashlib.blake2b"] = {}
-        sep = b"\x1f"
-        seed = self.seed
+        prefixes: dict[tuple, object] = {}
         for i, ident in enumerate(identities):
             pkey = ident[:3]  # (unit, gpu, stencil_key); kind fixed per call
             h = prefixes.get(pkey)
             if h is None:
-                h = hashlib.blake2b(digest_size=16)
-                for part in (seed, kind, ident[0], ident[1], ident[2]):
-                    h.update(repr(part).encode())
-                    h.update(sep)
-                prefixes[pkey] = h
-            d = h.copy()
-            d.update(repr(ident[3]).encode())
-            d.update(sep)
-            d.update(repr(ident[4]).encode())
-            d.update(sep)
-            d.update(repr(attempts[i]).encode())
-            d.update(sep)
+                h = prefixes[pkey] = _hasher((self.seed, kind) + pkey)
+            d = _hasher((ident[3], ident[4], attempts[i]), h)
             out[i] = struct.unpack_from("<Q", d.digest())[0] / 2**64
         return out
 

@@ -14,21 +14,35 @@ import hashlib
 import math
 import struct
 
+import numpy as np
+
 #: Standard deviation of the lognormal jitter (about +/-3% per sample).
 DEFAULT_SIGMA = 0.03
 
 
-def _digest(*parts: object) -> tuple[int, int]:
-    """Stable pair of 64-bit words from arbitrary run-identity parts.
+def _hasher(parts, base=None):
+    """blake2b fed the repr of each part (continuing *base* if given).
 
     Python's builtin ``hash`` is salted per process, so we serialize the
     repr of each part through blake2b instead.
     """
-    h = hashlib.blake2b(digest_size=16)
+    h = hashlib.blake2b(digest_size=16) if base is None else base.copy()
     for part in parts:
         h.update(repr(part).encode())
         h.update(b"\x1f")
-    return struct.unpack("<QQ", h.digest())
+    return h
+
+
+def _digest(*parts: object) -> tuple[int, int]:
+    """Stable pair of 64-bit words from arbitrary run-identity parts."""
+    return struct.unpack("<QQ", _hasher(parts).digest())
+
+
+def _normal(a: int, b: int) -> float:
+    """Box-Muller: a standard normal from two 64-bit words."""
+    u1 = (a + 1) / (2**64 + 1)  # in (0, 1), never exactly 0
+    u2 = b / 2**64
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 def standard_normal(*key: object) -> float:
@@ -38,10 +52,7 @@ def standard_normal(*key: object) -> float:
     simulator's runtime at dataset scale, so the two uniforms come straight
     from a blake2b digest of the key.
     """
-    a, b = _digest(*key)
-    u1 = (a + 1) / (2**64 + 1)  # in (0, 1), never exactly 0
-    u2 = b / 2**64
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return _normal(*_digest(*key))
 
 
 def uniform01(*key: object) -> float:
@@ -55,13 +66,32 @@ def uniform01(*key: object) -> float:
     return a / 2**64
 
 
+def noise_factors(prefix: tuple, keys, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
+    """Jitter for the runs keyed ``prefix + (key,)``, one per *keys* entry.
+
+    The shared *prefix* (GPU, stencil, OC for a campaign slice) is
+    hashed once and the digest state copied per key; each factor equals
+    ``noise_factor(*prefix, key, sigma=sigma)``.
+    """
+    base = _hasher(prefix)
+    unpack, exp = struct.unpack, math.exp
+    out = np.empty(len(keys))
+    for j, key in enumerate(keys):
+        h = base.copy()
+        h.update(repr(key).encode())
+        h.update(b"\x1f")
+        out[j] = exp(sigma * _normal(*unpack("<QQ", h.digest())))
+    return out
+
+
 def noise_factor(*key: object, sigma: float = DEFAULT_SIGMA) -> float:
     """Deterministic multiplicative jitter for the run identified by *key*.
 
     Returns ``exp(sigma * z)`` with ``z`` standard normal derived from the
     key; the expected value is slightly above 1 (lognormal mean), which is
-    harmless since every configuration receives the same treatment.
+    harmless since every configuration receives the same treatment.  A
+    batch of one through :func:`noise_factors`.
     """
     if sigma <= 0:
         return 1.0
-    return math.exp(sigma * standard_normal(*key))
+    return float(noise_factors(key[:-1], key[-1:], sigma)[0])

@@ -1,51 +1,20 @@
-"""CUDA-style occupancy calculation.
+"""CUDA-style occupancy calculation for one kernel configuration.
 
 Given a kernel's per-thread register count, per-block shared memory and
 block size, compute how many blocks fit on one SM and the resulting warp
-occupancy.  This follows the standard CUDA occupancy-calculator math with
-register allocation rounded to warp granularity.
+occupancy: standard CUDA occupancy-calculator math with register and
+shared-memory allocation rounded to the vendor's granules.  A batch of
+one through :func:`repro.gpu.model.limits`.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import numpy as np
 
-from ..errors import KernelLaunchError
+from .model import Occupancy, limits
 from .specs import GPUSpec
 
-#: Register allocation granularity on NVIDIA devices (registers are
-#: allocated per warp in units of 256 on all modeled generations).  Kept
-#: for backward compatibility; :func:`compute_occupancy` reads the
-#: per-vendor granule from ``spec.reg_alloc_unit``.
-_REG_ALLOC_UNIT = 256
-
-#: Shared memory allocation granularity on NVIDIA devices (see above;
-#: AMD LDS uses 512 B granules via ``spec.smem_alloc_unit``).
-_SMEM_ALLOC_UNIT = 256
-
-
-@dataclass(frozen=True)
-class Occupancy:
-    """Result of an occupancy calculation for one kernel on one GPU.
-
-    Attributes
-    ----------
-    blocks_per_sm:
-        Resident thread blocks per SM.
-    warps_per_sm:
-        Resident warps per SM.
-    occupancy:
-        ``warps_per_sm / max_warps_per_sm`` in [0, 1].
-    limiter:
-        Which resource bounds residency: ``"threads"``, ``"registers"``,
-        ``"smem"`` or ``"blocks"``.
-    """
-
-    blocks_per_sm: int
-    warps_per_sm: int
-    occupancy: float
-    limiter: str
+__all__ = ["Occupancy", "compute_occupancy"]
 
 
 def compute_occupancy(
@@ -63,61 +32,11 @@ def compute_occupancy(
         registers per thread over the hardware limit, shared memory per
         block over the limit, or zero blocks fit on an SM.
     """
-    if threads_per_block < 1:
-        raise KernelLaunchError(f"block of {threads_per_block} threads")
-    if threads_per_block > spec.max_threads_per_block:
-        raise KernelLaunchError(
-            f"block of {threads_per_block} threads exceeds "
-            f"{spec.max_threads_per_block} on {spec.name}"
-        )
-    if regs_per_thread > spec.max_registers_per_thread:
-        raise KernelLaunchError(
-            f"{regs_per_thread} registers/thread exceeds "
-            f"{spec.max_registers_per_thread} on {spec.name}"
-        )
-    if smem_per_block > spec.smem_per_block_max:
-        raise KernelLaunchError(
-            f"{smem_per_block} B shared memory/block exceeds "
-            f"{spec.smem_per_block_max} B on {spec.name}"
-        )
-
-    warps_per_block = math.ceil(threads_per_block / spec.warp_size)
-
-    limits: dict[str, int] = {}
-    limits["threads"] = spec.max_warps_per_sm // warps_per_block
-    limits["blocks"] = spec.max_blocks_per_sm
-
-    regs_per_warp = _round_up(
-        max(regs_per_thread, 1) * spec.warp_size, spec.reg_alloc_unit
+    lim = limits(
+        spec,
+        np.array([threads_per_block]),
+        np.array([regs_per_thread]),
+        np.array([smem_per_block]),
     )
-    regs_per_block = regs_per_warp * warps_per_block
-    limits["registers"] = spec.registers_per_sm // regs_per_block
-
-    if smem_per_block > 0:
-        smem = _round_up(smem_per_block, spec.smem_alloc_unit)
-        limits["smem"] = spec.smem_per_sm // smem
-    else:
-        limits["smem"] = limits["blocks"]
-
-    # Tie-break toward the benign limiter so reports read naturally when a
-    # light kernel saturates several limits at once.
-    priority = {"threads": 0, "blocks": 1, "registers": 2, "smem": 3}
-    limiter = min(limits, key=lambda k: (limits[k], priority[k]))
-    blocks = limits[limiter]
-    if blocks < 1:
-        raise KernelLaunchError(
-            f"zero occupancy on {spec.name}: limited by {limiter} "
-            f"(threads/block={threads_per_block}, regs={regs_per_thread}, "
-            f"smem={smem_per_block})"
-        )
-    warps = blocks * warps_per_block
-    return Occupancy(
-        blocks_per_sm=blocks,
-        warps_per_sm=warps,
-        occupancy=warps / spec.max_warps_per_sm,
-        limiter=limiter,
-    )
-
-
-def _round_up(value: int, unit: int) -> int:
-    return ((value + unit - 1) // unit) * unit
+    lim.crashes.raise_first()
+    return lim.occupancy(0)

@@ -1,64 +1,35 @@
-"""Analytical GPU timing simulator for stencil kernels.
+"""Analytical GPU timing simulator for stencil kernels: the per-point view.
 
 This is the measurement substrate standing in for the paper's four physical
-GPUs: given a :class:`~repro.optimizations.kernelmodel.KernelProfile` and a
+GPUs: for one (stencil, OC, setting) on one
 :class:`~repro.gpu.specs.GPUSpec`, it produces an execution time per sweep
-in milliseconds.  The model composes:
+in milliseconds, with its phase breakdown.  The model itself --
+characterisation, occupancy, latency hiding, memory hierarchy, wave
+quantization, streaming stalls and launch overhead -- is the array
+pipeline of :mod:`repro.gpu.model`; every method here is a batch of one
+over it.  Configurations that exceed a hardware limit raise
+:class:`KernelLaunchError` ("the OC crashes under certain stencils",
+Section III-A).  Measurement noise is deterministic lognormal jitter
+keyed by the full run identity (:mod:`repro.gpu.noise`).
 
-1. **Occupancy** -- CUDA-style residency math; zero-occupancy and
-   over-limit configurations raise :class:`KernelLaunchError` ("the OC
-   crashes under certain stencils", Section III-A).
-2. **Latency hiding** -- achieved DRAM bandwidth and issue throughput are
-   saturating functions of resident warps; register-heavy variants lose
-   both.
-3. **Memory hierarchy** -- DRAM time uses the profile's base reads plus an
-   L2-capacity-dependent re-read amplification; L2 time uses the SM<->L2
-   transaction volume against the GPU's L2 bandwidth; coalescing scales
-   the effective DRAM bandwidth.
-4. **Compute** -- FP64 roofline with the per-architecture achieved
-   efficiency (the CUDA 10.0 / PTX-JIT penalty on A100 lives in the spec).
-5. **Wave quantization** -- the dominant phase is stretched by the tail
-   effect when the block count does not fill an integer number of waves.
-6. **Streaming stalls** -- per-plane synchronization plus exposed load
-   latency, mostly hidden by prefetching.
-7. **Launch overhead** -- per kernel invocation; temporal blocking
-   amortizes it across fused steps.
-8. **Measurement noise** -- deterministic lognormal jitter keyed by the
-   full run identity.
+Batched callers use :class:`~repro.engine.VectorBackend`, which runs the
+same pipeline over whole frontiers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..errors import KernelLaunchError
+import numpy as np
+
 from ..optimizations.combos import OC
-from ..optimizations.kernelmodel import TIME_STEPS, KernelProfile, build_profile
+from ..optimizations.kernelmodel import KernelProfile, build_profile, default_grid
 from ..optimizations.params import ParamSetting
 from ..stencil.stencil import Stencil
+from . import model
 from .noise import noise_factor
-from .occupancy import Occupancy, compute_occupancy
+from .occupancy import Occupancy
 from .specs import GPUSpec, get_gpu
-
-#: Half-saturation occupancies for the latency-hiding curves: DRAM traffic
-#: needs more parallelism to saturate than the issue pipelines do.
-_BW_HALF_OCC = 0.15
-_COMPUTE_HALF_OCC = 0.10
-
-#: DRAM efficiency derating for cache-served schemes, whose warps keep many
-#: concurrent row streams alive (DRAM page thrash, sector overfetch).
-_SCATTER_EFF = 0.70
-
-#: Fraction of nominal L2 capacity usable for stencil reuse windows.
-_L2_USABLE = 0.80
-
-#: Streaming per-iteration costs in cycles.
-_SYNC_CYCLES = 25.0
-_EXPOSED_LATENCY_CYCLES = 320.0
-_PREFETCH_HIDING = 0.70
-
-#: Exponent of the smooth-max combining the three roofline phases.
-_SMOOTH_P = 4.0
 
 
 @dataclass(frozen=True)
@@ -73,6 +44,7 @@ class SimResult:
     time_ms: float
     dram_ms: float
     l2_ms: float
+    smem_ms: float
     compute_ms: float
     stream_ms: float
     launch_ms: float
@@ -116,19 +88,12 @@ class GPUSimulator:
         KernelLaunchError
             When the configuration exceeds a hardware limit on this GPU.
         """
-        if self.spec.warp_size == 32:
-            # Legacy positional call: keeps build_profile stubs (tests,
-            # tooling) working and shares cache entries across NVIDIA
-            # devices exactly as before.
-            profile = build_profile(stencil, oc, setting, grid=grid)
-        else:
-            profile = build_profile(
-                stencil, oc, setting, grid=grid, warp_size=self.spec.warp_size
-            )
+        profile = build_profile(
+            stencil, oc, setting, grid=grid, warp_size=self.spec.warp_size
+        )
         result = self.time_profile(profile)
         if boundary is not None:
             from ..stencil.boundary import boundary_overhead_factor
-            from ..optimizations.kernelmodel import default_grid
 
             dims = default_grid(stencil.ndim) if grid is None else tuple(grid)
             factor = boundary_overhead_factor(stencil, dims, boundary)
@@ -145,120 +110,42 @@ class GPUSimulator:
         return result
 
     def time(self, stencil, oc, setting, grid=None) -> float:
-        """Per-step time in ms for a configuration: the one scalar path.
-
-        This is the *single* per-point timing implementation in the repo:
-        :func:`simulate`, the engine's
-        :class:`~repro.engine.ScalarBackend` (and through it every
-        backend's scalar fallback) and the fault injector all funnel into
-        this method, so model changes land in one place.
-        """
+        """Per-step time in ms for one configuration (noise included)."""
         return self.run(stencil, oc, setting, grid=grid).time_ms
 
     # ------------------------------------------------------------------
     def time_profile(self, profile: KernelProfile) -> SimResult:
         """Noise-free timing for a pre-built kernel profile."""
-        spec = self.spec
-        occ = compute_occupancy(
-            spec,
-            profile.threads_per_block,
-            profile.regs_per_thread,
-            profile.smem_per_block,
-        )
-        if profile.n_blocks < 1:
-            raise KernelLaunchError("empty grid: zero thread blocks")
+        (result,) = self.time_profiles([profile])
+        if isinstance(result, Exception):
+            raise result
+        return result
 
-        # Resident parallelism may be supply-limited when few blocks exist.
-        blocks_per_sm_eff = min(
-            occ.blocks_per_sm,
-            max(1, -(-profile.n_blocks // spec.sms)),  # ceil div
-        )
-        warps_per_block = -(-profile.threads_per_block // spec.warp_size)
-        achieved_occ = min(
-            1.0,
-            blocks_per_sm_eff * warps_per_block / spec.max_warps_per_sm,
-        )
+    def time_profiles(self, profiles) -> list:
+        """Noise-free timing for pre-built profiles in one array pass.
 
-        bw_frac = achieved_occ / (achieved_occ + _BW_HALF_OCC)
-        comp_frac = achieved_occ / (achieved_occ + _COMPUTE_HALF_OCC)
-
-        # Wave quantization / tail effect.
-        slots_per_wave = occ.blocks_per_sm * spec.sms
-        n_waves = -(-profile.n_blocks // slots_per_wave)
-        utilization = profile.n_blocks / (n_waves * slots_per_wave)
-        utilization = max(utilization, 1e-3)
-
-        # --- DRAM phase -------------------------------------------------
-        if profile.reuse_window_bytes > 0:
-            p_hit = min(1.0, _L2_USABLE * spec.l2_bytes / profile.reuse_window_bytes)
-        else:
-            p_hit = 1.0
-        reads = profile.read_bytes_base * (
-            1.0 + (profile.read_amplification - 1.0) * (1.0 - p_hit)
-        )
-        dram_bytes = reads + profile.write_bytes
-        dram_bw = (
-            spec.dram_bytes_per_s
-            * spec.memory_efficiency
-            * bw_frac
-            * profile.coalescing
-        )
-        if profile.scattered:
-            dram_bw *= _SCATTER_EFF
-        dram_s = dram_bytes / dram_bw
-
-        # --- L2 phase ---------------------------------------------------
-        l2_bw = spec.dram_bytes_per_s * spec.l2_bw_ratio * bw_frac
-        l2_s = profile.l2_bytes / l2_bw
-
-        # --- shared-memory phase ------------------------------------------
-        # Aggregate scratchpad (smem/LDS) bandwidth: bytes/cycle per SM/CU
-        # from the vendor layer, derated for bank conflicts and issue
-        # overhead.
-        smem_bw = (
-            spec.sms
-            * spec.smem_bytes_per_clk
-            * spec.boost_clock_mhz
-            * 1e6
-            * 0.35
-            * comp_frac
-        )
-        smem_s = profile.smem_bytes / smem_bw
-
-        # --- compute phase ----------------------------------------------
-        flops_rate = spec.peak_fp64_flops * spec.compute_efficiency * comp_frac
-        compute_s = profile.flops / flops_rate
-
-        # --- combine ----------------------------------------------------
-        p = _SMOOTH_P
-        main_s = (dram_s**p + l2_s**p + compute_s**p + smem_s**p) ** (1.0 / p)
-        main_s /= utilization
-
-        # --- streaming stalls ---------------------------------------------
-        stream_s = 0.0
-        if profile.stream_iters:
-            exposed = _EXPOSED_LATENCY_CYCLES
-            if profile.prefetch:
-                exposed *= 1.0 - _PREFETCH_HIDING
-            exposed /= max(1.0, warps_per_block / 4.0)
-            cycles = profile.stream_iters * (_SYNC_CYCLES + exposed)
-            stream_s = n_waves * cycles / (spec.boost_clock_mhz * 1e6)
-
-        launch_s = spec.kernel_launch_us * 1e-6
-        per_launch_s = main_s + stream_s + launch_s
-        per_step_ms = per_launch_s * profile.launches / TIME_STEPS * 1e3
-
-        return SimResult(
-            time_ms=per_step_ms,
-            dram_ms=dram_s * 1e3,
-            l2_ms=l2_s * 1e3,
-            compute_ms=compute_s * 1e3,
-            stream_ms=stream_s * 1e3,
-            launch_ms=launch_s * 1e3,
-            occupancy=occ,
-            utilization=utilization,
-            profile=profile,
-        )
+        Returns, per profile, its :class:`SimResult` or the
+        :class:`KernelLaunchError` it cannot launch with.
+        """
+        if not profiles:
+            return []
+        prof = model.Profiles.stack(profiles)
+        lim, valid, ph = model.evaluate(self.spec, prof)
+        out = list(prof.crashes.errors)
+        for k, i in enumerate(np.arange(len(profiles))[valid].tolist()):
+            out[i] = SimResult(
+                time_ms=ph.time_ms[k].item(),
+                dram_ms=ph.dram_s[k].item() * 1e3,
+                l2_ms=ph.l2_s[k].item() * 1e3,
+                smem_ms=ph.smem_s[k].item() * 1e3,
+                compute_ms=ph.compute_s[k].item() * 1e3,
+                stream_ms=ph.stream_s[k].item() * 1e3,
+                launch_ms=ph.launch_s * 1e3,
+                occupancy=lim.occupancy(i),
+                utilization=ph.utilization[k].item(),
+                profile=profiles[i],
+            )
+        return out
 
 
 def simulate(

@@ -1,10 +1,14 @@
 """Analytical kernel characterization for (stencil, OC, parameter setting).
 
 This module is the bridge between the optimization layer and the GPU
-simulator: it derives, for one kernel variant, the quantities a timing model
-needs -- launch geometry, per-thread registers, per-block shared memory,
-DRAM and L2 traffic, floating-point work, coalescing efficiency and
-streaming synchronization structure.
+timing model: :class:`KernelProfile` records, for one kernel variant, the
+quantities a timing model needs -- launch geometry, per-thread registers,
+per-block shared memory, DRAM and L2 traffic, floating-point work,
+coalescing efficiency and streaming synchronization structure.  The
+arithmetic lives in the array pipeline of :mod:`repro.gpu.model`;
+:func:`build_profile` and :func:`register_estimate` are batches of one
+over it.  What stays here is per-stencil (reuse windows, row accesses,
+tap overlap) or the contract with the code generator (queue planes).
 
 The model captures the first-order mechanics of each optimization:
 
@@ -40,12 +44,10 @@ Temporal blocking (TB)
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from ..config import GRID_2D, GRID_3D
-from ..errors import KernelLaunchError, OptimizationError
 from ..stencil.stencil import Stencil
 from .combos import OC
 from .params import ParamSetting
@@ -150,271 +152,30 @@ def build_profile(
 ) -> KernelProfile:
     """Characterise the kernel implementing *stencil* under *oc*/*setting*.
 
-    Profiles are GPU-*model*-independent given the scheduling width, so
-    results are memoized: a multi-GPU profiling campaign re-times the
-    same (stencil, OC, setting) triples on each architecture and pays
-    the characterization cost once per ``warp_size`` (32 for every
-    NVIDIA device, 64 for AMD wavefronts -- the width only affects the
-    coalescing estimate).
+    A batch of one through :func:`repro.gpu.model.profile`.  Profiles are
+    GPU-*model*-independent given the scheduling width, so results are
+    memoized: a multi-GPU campaign re-times the same (stencil, OC,
+    setting) triples on each architecture and pays the characterization
+    cost once per ``warp_size`` (32 for every NVIDIA device, 64 for AMD
+    wavefronts -- the width only affects the coalescing estimate).
 
     Raises
     ------
     OptimizationError
         For geometry that cannot be expressed (e.g. a merge/stream
-        dimension beyond the grid's rank).  Hardware-limit violations are
-        *not* checked here; the simulator owns those (they depend on the
-        GPU).
+        dimension beyond the grid's rank).
+    KernelLaunchError
+        When a temporal halo consumes the tile.  Other hardware limits
+        are *not* checked here; they depend on the GPU.
     """
-    ndim = stencil.ndim
-    dims = default_grid(ndim) if grid is None else tuple(grid)
-    if len(dims) != ndim:
-        raise OptimizationError(f"grid rank {len(dims)} != stencil ndim {ndim}")
+    from ..gpu import model
 
-    extents = stencil.axis_extents
-    nnz = stencil.nnz
-
-    streaming = Opt.ST in oc.opts
-    merging = Opt.BM in oc.opts or Opt.CM in oc.opts
-    block_merge = Opt.BM in oc.opts
-    retiming = Opt.RT in oc.opts
-    prefetch = Opt.PR in oc.opts
-    temporal = Opt.TB in oc.opts
-
-    t = setting["temporal_steps"] if temporal else 1
-    if TIME_STEPS % t:
-        raise OptimizationError(f"temporal_steps={t} does not divide {TIME_STEPS}")
-    launches = TIME_STEPS // t
-
-    m = setting["merge_factor"] if merging else 1
-    merge_axis = setting["merge_dim"] - 1 if merging else -1
-    if merging and merge_axis >= ndim:
-        raise OptimizationError(f"merge_dim={setting['merge_dim']} on {ndim}-D grid")
-
-    stream_axis = setting["stream_dim"] - 1 if streaming else -1
-    if streaming and stream_axis >= ndim:
-        raise OptimizationError(f"stream_dim={setting['stream_dim']} on {ndim}-D grid")
-
-    # Merging along the stream axis cannot be expressed: the stream loop
-    # already walks that axis, so codegen emits a plain streaming kernel
-    # (see ``CudaEmitter._merge_loop``).  Price what is actually emitted.
-    if merging and streaming and merge_axis == stream_axis:
-        merging = False
-        block_merge = False
-        m = 1
-        merge_axis = -1
-
-    # TB kernels stage time planes in shared memory regardless of the
-    # use_smem parameter (see module docstring).
-    use_smem = bool(setting["use_smem"]) or temporal
-
-    # ------------------------------------------------------------------
-    # launch geometry: per-axis thread coverage c[i] and block dims
-    # ------------------------------------------------------------------
-    if streaming:
-        plane_axes = [a for a in range(ndim) if a != stream_axis]
-        block_dims = [1] * ndim
-        block_dims[plane_axes[0]] = setting["block_x"]
-        if len(plane_axes) > 1:
-            block_dims[plane_axes[1]] = setting["block_y"]
-    else:
-        block_dims = [setting["block_x"], setting["block_y"], setting["block_z"]][
-            :ndim
-        ]
-        block_dims += [1] * (ndim - len(block_dims))
-
-    threads_per_block = math.prod(block_dims)
-
-    # Cyclic merging strides the merged outputs by the block extent; a
-    # unit block dimension degenerates the stride to 1, which is exactly
-    # adjacent (block) merging -- price the register/overlap structure
-    # the emitted kernel actually has.
-    if merging and not block_merge and block_dims[merge_axis] == 1:
-        block_merge = True
-
-    coverage = list(block_dims)
-    if merging and merge_axis != stream_axis:
-        coverage[merge_axis] *= m
-
-    n_blocks = 1
-    for a in range(ndim):
-        if a == stream_axis:
-            continue
-        n_blocks *= math.ceil(dims[a] / coverage[a])
-    if streaming:
-        n_blocks *= setting["stream_tiles"]
-
-    points = math.prod(dims)
-
-    # Temporal blocking shrinks the valid interior of a tile by the stencil
-    # extent per fused step (trapezoidal halo); a tile whose halo consumes
-    # it computes nothing, so such configurations cannot run.  This is why
-    # temporal blocking without streaming fails for high-order 3-D stencils
-    # (Section III-A): no in-range block shape keeps all three axes wider
-    # than their temporal halos.
-    if temporal and t > 1:
-        for a in range(ndim):
-            if a == stream_axis:
-                continue
-            halo = 2 * extents[a] * (t - 1)
-            if coverage[a] <= halo:
-                raise KernelLaunchError(
-                    f"temporal halo {halo} consumes the tile "
-                    f"(coverage {coverage[a]}) along axis {a}"
-                )
-
-    # ------------------------------------------------------------------
-    # registers per thread
-    # ------------------------------------------------------------------
-    regs_per_thread, spilled = register_estimate(
-        nnz,
-        merge_factor=m if merging else 1,
-        block_merge=block_merge,
-        streaming=streaming,
-        use_smem=use_smem,
-        retiming=retiming,
-        stream_extent=extents[stream_axis] if streaming else 0,
-        unroll=setting["stream_unroll"] if streaming else 1,
-        prefetch=prefetch,
-        temporal_steps=t,
-        temporal=temporal,
-    )
-
-    # ------------------------------------------------------------------
-    # shared memory per block
-    # ------------------------------------------------------------------
-    smem = 0
-    if use_smem:
-        if streaming:
-            plane_cells = 1
-            for a in range(ndim):
-                if a == stream_axis:
-                    continue
-                plane_cells *= coverage[a] + 2 * extents[a] * t
-            smem = plane_cells * smem_plane_count(stencil, oc, setting) * WORD
-        else:
-            tile_cells = 1
-            for a in range(ndim):
-                tile_cells *= coverage[a] + 2 * extents[a] * t
-            smem = tile_cells * WORD * (2 if temporal else 1)
-
-    # ------------------------------------------------------------------
-    # floating-point work per launch
-    # ------------------------------------------------------------------
-    flops_per_point = float(stencil.flops_per_point())
-    redundancy = 1.0
-    if temporal:
-        for a in range(ndim):
-            if a == stream_axis:
-                continue
-            redundancy *= (coverage[a] + 2 * extents[a] * (t - 1)) / coverage[a]
-    flops = points * flops_per_point * t * redundancy
-
-    # ------------------------------------------------------------------
-    # memory traffic per launch
-    # ------------------------------------------------------------------
-    write_bytes = float(WORD * points)  # final time plane of the fused group
-
-    if use_smem:
-        halo = 1.0
-        for a in range(ndim):
-            if a == stream_axis:
-                continue
-            halo *= (coverage[a] + 2 * extents[a] * t) / coverage[a]
-        read_base = WORD * points * halo
-        read_amp = 1.0
-        window = 0.0
-        l2_read = read_base
-    elif streaming:
-        # Register streaming: stream-axis reuse is perfect; in-plane reuse
-        # rides the cache like the naive scheme restricted to plane axes.
-        plane_axes = [a for a in range(ndim) if a != stream_axis]
-        read_base = float(WORD * points)
-        read_amp = _worst_case_amplification(stencil, plane_axes)
-        window = reuse_window_bytes(stencil, dims, stream_axis)
-        l2_read = WORD * points * _row_accesses(stencil, tuple(plane_axes), m, merge_axis)
-    else:
-        axes = list(range(ndim))
-        read_base = float(WORD * points)
-        read_amp = _worst_case_amplification(stencil, axes)
-        window = reuse_window_bytes(stencil, dims, None)
-        l2_read = WORD * points * _row_accesses(stencil, tuple(axes), m, merge_axis)
-
-    # Shared-memory traffic: tiled kernels re-read each accessed neighbor
-    # from shared memory, so dense (high-nnz) stencils become
-    # smem-bandwidth-bound -- the reason AN5D-style frameworks work to
-    # reduce shared memory usage for high-order stencils.  Retiming
-    # accumulates partial sums in registers so each staged plane value is
-    # read once per stream-axis position instead of once per tap; block
-    # merging reuses overlapping taps across the merged outputs.
-    smem_bytes = 0.0
-    if use_smem:
-        taps = smem_traffic_taps(
-            stencil.offsets,
-            stream_axis=stream_axis if streaming else None,
-            retiming=retiming,
-            block_merge=block_merge,
-            merge_axis=merge_axis,
-            merge_factor=m,
-        )
-        smem_bytes = taps * WORD * points * t * redundancy
-
-    # Register spills round-trip through L1/L2 (and partly DRAM).
-    if spilled:
-        spill_traffic = spilled * WORD * 2 * 0.25 * points * t
-        l2_read += spill_traffic
-        read_base += 0.3 * spill_traffic
-
-    l2_bytes = max(l2_read, read_base) + write_bytes
-
-    # ------------------------------------------------------------------
-    # coalescing efficiency
-    # ------------------------------------------------------------------
-    if streaming and stream_axis == 0:
-        # Threads cover (y[,z]) while x is swept: every warp access is a
-        # strided row fetch and only a quarter of each sector is used.
-        coalesce = 0.25
-    else:
-        x_threads = block_dims[0]
-        coalesce = (
-            1.0
-            if x_threads >= warp_size
-            else max(x_threads / float(warp_size), 0.25)
-        )
-    if block_merge and merge_axis == 0:
-        coalesce *= 1.0 / min(m, 4)
-    coalesce = max(coalesce, 0.15)
-
-    # ------------------------------------------------------------------
-    # streaming synchronization structure
-    # ------------------------------------------------------------------
-    stream_iters = 0
-    if streaming:
-        tile_len = math.ceil(dims[stream_axis] / setting["stream_tiles"])
-        stream_iters = math.ceil(tile_len / setting["stream_unroll"])
-
-    return KernelProfile(
-        threads_per_block=threads_per_block,
-        n_blocks=n_blocks,
-        launches=launches,
-        regs_per_thread=regs_per_thread,
-        spilled_regs=spilled,
-        smem_per_block=int(smem),
-        flops=flops,
-        read_bytes_base=read_base,
-        read_amplification=read_amp,
-        reuse_window_bytes=window,
-        write_bytes=write_bytes,
-        l2_bytes=l2_bytes,
-        smem_bytes=smem_bytes,
-        coalescing=coalesce,
-        scattered=not use_smem,
-        stream_iters=stream_iters,
-        prefetch=prefetch,
-        temporal_steps=t,
-        points=points,
-    )
+    prof = model.profile(stencil, (oc,), (setting.as_tuple(),), grid, warp_size)
+    prof.crashes.raise_first()
+    return prof.row(0)
 
 
+@lru_cache(maxsize=4096)
 def register_estimate(
     nnz: int,
     *,
@@ -432,37 +193,21 @@ def register_estimate(
     """Per-thread register pressure from the kernel's *structure* alone.
 
     Returns ``(regs_per_thread, spilled)`` with the per-thread count
-    capped at the hardware's 255.  This is the single register model of
-    the repo: :func:`build_profile` calls it with intent-derived
-    arguments, and the static analyzer's register pass calls it with the
-    same facts recovered from generated source, so both sides price
-    occupancy identically.
+    capped at the hardware's 255: a batch of one through
+    :func:`repro.gpu.model.registers`, the register model
+    :func:`build_profile` prices occupancy with.  The static analyzer's
+    register pass calls it with the same facts recovered from generated
+    source, so both sides price occupancy identically.
     """
-    regs = 24.0 + 3.0 * math.sqrt(nnz)
-    if merge_factor > 1:
-        per_point = 5.0 + 1.1 * math.sqrt(nnz)
-        regs += (merge_factor - 1) * per_point * (1.1 if block_merge else 0.85)
-    if streaming:
-        queue = (2 * stream_extent + 1) * unroll * 2.2
-        if use_smem:
-            queue *= 0.35
-        if retiming:
-            queue *= 0.45
-            regs += 6.0
-        regs += queue * (1.0 if use_smem else 1.6)
-        regs += (unroll - 1) * 5.0
-        if prefetch:
-            regs += 8.0 * unroll + 6.0
+    from ..gpu.model import registers
+
     if temporal is None:
         temporal = temporal_steps > 1
-    if temporal:
-        if streaming:
-            regs += 10.0 * temporal_steps
-        else:
-            regs *= 1.0 + 0.4 * (temporal_steps - 1)
-
-    regs_needed = int(round(regs))
-    return min(regs_needed, 255), max(0, regs_needed - 255)
+    regs, spilled = registers(
+        nnz, merge_factor, block_merge, streaming, use_smem, retiming,
+        stream_extent, unroll, prefetch, temporal_steps, temporal,
+    )
+    return regs.item(), spilled.item()
 
 
 def smem_traffic_taps(
@@ -512,26 +257,26 @@ def tap_overlap_factor(
     return m * len(taps) / len(union)
 
 
-def _bm_overlap_factor(stencil: Stencil, axis: int, m: int) -> float:
-    return tap_overlap_factor(stencil.offsets, axis, m)
-
-
 @lru_cache(maxsize=65536)
-def _row_accesses(
-    stencil: Stencil, axes: tuple[int, ...], merge: int, merge_axis: int
+def row_accesses(
+    taps: "tuple[tuple[int, ...], ...]",
+    axes: tuple[int, ...],
+    merge: int,
+    merge_axis: "int | None",
 ) -> float:
     """SM <-> L2 traffic multiplier: distinct offset rows touched per point.
 
     Accesses that differ only along the contiguous axis coalesce into the
     same cache lines, so the L2 transaction count per point is the number
-    of unique offset projections onto the remaining axes.  Block merging
+    of unique tap projections onto the remaining axes.  Block merging
     along a non-contiguous axis overlaps adjacent points' rows and serves
-    the repeats from registers.
+    the repeats from registers.  Shared between the timing model (stencil
+    offsets) and the analyzer's volume pass (extracted taps).
     """
     outer = [a for a in axes if a != 0]
     if not outer:
         return 1.0
-    rows = {tuple(p[a] for a in outer) for p in stencil.offsets}
+    rows = {tuple(p[a] for a in outer) for p in taps}
     n_rows = float(len(rows))
     if merge > 1 and merge_axis in outer:
         # Adjacent merged points share all but ~2*extent of their rows.

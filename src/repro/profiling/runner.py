@@ -268,12 +268,11 @@ class CampaignRunner:
         Campaign definition, identical in meaning to
         :func:`~repro.profiling.profiler.run_campaign`.
     backend:
-        Measurement backend kind (``"scalar"``, ``"vector"`` or
-        ``"cached"``, see :func:`repro.engine.make_backend`).  All kinds
-        produce equivalent campaigns (times within 1e-9 relative,
-        identical crashes and noise); ``scalar`` is the reference,
-        ``vector``/``cached`` trade memory for throughput.  Part of the
-        checkpoint identity.
+        Measurement backend kind (``"vector"``, ``"cached"`` or
+        ``"parallel"``, see :func:`repro.engine.make_backend`).  All
+        kinds evaluate the same array pipeline and produce identical
+        campaigns; ``cached`` trades memory for repeat throughput.  Part
+        of the checkpoint identity.
     faults:
         Optional :class:`FaultConfig`; ``None`` or an all-zero config
         runs the bare simulator with no injection layer at all.
@@ -328,7 +327,7 @@ class CampaignRunner:
         n_settings: int = 8,
         seed: int = DEFAULT_SEED,
         sigma: float = 0.03,
-        backend: str = "scalar",
+        backend: str = "vector",
         faults: "FaultConfig | None" = None,
         policy: "RetryPolicy | None" = None,
         checkpoint_path: "str | Path | None" = None,

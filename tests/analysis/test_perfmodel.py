@@ -18,6 +18,7 @@ from repro.analysis.perfmodel import (
     ANALYTICAL_FEATURE_NAMES,
     analytical_features,
     estimate_kernel,
+    estimate_kernels,
     estimate_source,
     extract_metrics,
 )
@@ -170,6 +171,44 @@ class TestEstimates:
         phases = [est.dram_ms, est.l2_ms, est.smem_ms, est.compute_ms]
         assert est.time_ms >= max(phases) * 0.9
         assert 0.0 < est.occupancy <= 1.0
+
+    def test_smem_phase_is_the_phase_that_was_timed(self):
+        # smem_ms is the shared-memory phase the smooth-max combined
+        # (latency hiding included), so the reported phases reassemble
+        # time_ms exactly.
+        stencil = get("box3d2r")
+        setting = ParamSetting(block_x=32, block_y=4, use_smem=1, stream_dim=3)
+        est = estimate_kernel(stencil, OC.parse("ST"), setting, "V100")
+        m = est.metrics
+        assert est.smem_ms > est.dram_ms > 0
+        phases = (est.dram_ms, est.l2_ms, est.compute_ms, est.smem_ms)
+        main = sum(p**4 for p in phases) ** 0.25 / est.utilization
+        per_launch = main + est.stream_ms + est.launch_ms
+        assert est.time_ms == pytest.approx(
+            per_launch * m.launches / m.time_steps, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("gpu", ["V100", "MI210"])
+    def test_batched_estimates_equal_per_point(self, gpu):
+        # One array pass over a mixed batch (crashes and inexpressible
+        # points included) gives each point exactly its own estimate.
+        points = [
+            (get(name), OC.parse(oc), setting, None)
+            for name in ("star2d1r", "box2d2r", "star3d2r")
+            for oc in ("naive", "ST_RT", "BM", "ST_TB")
+            for setting in feasible_settings(get(name), OC.parse(oc), 2)
+        ]
+        points.append((get("star2d1r"), OC.parse("ST"), ParamSetting(stream_dim=3), None))
+        batched = estimate_kernels(points, gpu)
+        assert len(batched) == len(points)
+        for (stencil, oc, setting, grid), got in zip(points, batched):
+            try:
+                want = estimate_kernel(stencil, oc, setting, gpu, grid=grid)
+            except Exception as e:  # noqa: BLE001 - compared below
+                assert type(got) is type(e) and str(got) == str(e)
+            else:
+                assert got.to_dict() == want.to_dict()
+                assert got.time_ms == want.time_ms
 
     def test_gpu_ordering_is_sane(self):
         stencil, oc, setting, _ = _fixture("star2d1r", "naive")

@@ -98,8 +98,8 @@ class TestModelDriftRegression:
         setting = feasible_settings(stencil, oc, 1)[0]
         real = kernelmodel.build_profile
 
-        def perturbed(stencil, oc, setting, grid=None):
-            p = real(stencil, oc, setting, grid)
+        def perturbed(stencil, oc, setting, grid=None, warp_size=32):
+            p = real(stencil, oc, setting, grid, warp_size=warp_size)
             return dataclasses.replace(p, smem_per_block=p.smem_per_block + 64)
 
         monkeypatch.setattr(kernelmodel, "build_profile", perturbed)

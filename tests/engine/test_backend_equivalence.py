@@ -1,11 +1,15 @@
-"""Scalar/vector/cached backend equivalence: the engine's core contract.
+"""The timing model against its frozen golden; the backends against each other.
 
-The vectorized backend must be observationally equivalent to the scalar
-reference over the whole configuration space: identical crash behavior
-(same :class:`KernelLaunchError`, same message), bit-identical noise
-keying, and times within 1e-9 relative.  The sweep here covers random
-stencils x every OC x sampled settings x all four GPUs.
+``golden_model.json`` (regenerate with ``make_golden.py``) pins the
+batched model over random stencils x every OC x sampled settings on all
+seven GPUs at two noise levels, plus a crash-heavy slice: times bit for
+bit (``repr``), crashes by type and message.  The per-point
+``ScalarBackend`` adapter loops batches of one through the same array
+pipeline, so it must agree with the vector backend exactly, and the
+cached backend must replay it exactly.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -17,55 +21,79 @@ from repro.engine import (
     VectorBackend,
     make_backend,
 )
-from repro.errors import KernelLaunchError
+from repro.errors import KernelLaunchError, OptimizationError
+from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import GPU_ORDER
+from repro.optimizations import OC
 from repro.optimizations.combos import ALL_OCS
-from repro.optimizations.params import default_setting, sample_setting
+from repro.optimizations.kernelmodel import build_profile
+from repro.optimizations.params import (
+    PARAM_NAMES,
+    ParamSetting,
+    default_setting,
+    sample_setting,
+)
+from repro.stencil import get
 from repro.stencil.generator import generate_population
 
-REL_TOL = 1e-9
+from .make_golden import (
+    CRASH_GPU,
+    GOLDEN_PATH,
+    SIGMAS,
+    crash_heavy_requests,
+    describe_crash,
+    sweep_requests,
+)
+
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
 
-def _sweep_requests(ndim: int, n_stencils: int, n_settings: int, seed: int):
-    """Random stencils x all OCs x sampled settings (+ the default)."""
-    rng = np.random.default_rng(seed)
-    requests = []
-    for stencil in generate_population(ndim, n_stencils, seed=seed):
-        for oc in ALL_OCS:
-            settings = [default_setting()] + [
-                sample_setting(oc, stencil.ndim, rng) for _ in range(n_settings)
-            ]
-            requests.extend(EvalRequest(stencil, oc, s) for s in settings)
-    return requests
+def assert_matches_golden(results, case: dict, sigma: float) -> None:
+    times = case[f"sigma={sigma}"]
+    assert len(results) == len(times)
+    for i, (r, want) in enumerate(zip(results, times)):
+        if want is None:
+            assert not r.ok, f"point {i}: golden crash, got {r.time_ms!r}"
+            assert describe_crash(r.error) == case["crashes"][str(i)], f"point {i}"
+        else:
+            assert r.ok, f"point {i}: golden {want}, got {describe_crash(r.error)}"
+            assert repr(r.time_ms) == want, f"point {i}"
 
 
-def _assert_equivalent(reference, candidate, requests):
+def assert_identical(reference, candidate, requests) -> None:
+    """Bit-identical times and identical crashes, point by point."""
     ref = reference.evaluate_batch(requests)
     got = candidate.evaluate_batch(requests)
     assert len(ref) == len(got) == len(requests)
     for req, r, g in zip(requests, ref, got):
         ctx = f"{req.oc.name} {req.setting.as_tuple()}"
         if r.crashed:
-            assert g.crashed, f"scalar crashed, {candidate.info.name} did not: {ctx}"
+            assert g.crashed, f"{candidate.info.name} did not crash: {ctx}"
             assert type(g.error) is type(r.error), ctx
             assert str(g.error) == str(r.error), ctx
         else:
-            assert g.ok, f"{candidate.info.name} crashed, scalar did not: {ctx}"
-            assert g.time_ms == pytest.approx(r.time_ms, rel=REL_TOL), ctx
+            assert g.ok, f"{candidate.info.name} crashed: {ctx}"
+            assert g.time_ms == r.time_ms, ctx
 
 
 @pytest.mark.parametrize("gpu", GPU_ORDER)
 @pytest.mark.parametrize("ndim", (2, 3))
 def test_vector_matches_scalar_across_space(gpu, ndim):
-    requests = _sweep_requests(ndim, n_stencils=2, n_settings=4, seed=17 + ndim)
-    _assert_equivalent(ScalarBackend(gpu), VectorBackend(gpu), requests)
+    """The batched model reproduces the golden at both noise levels, and
+    the per-point adapter agrees with it bit for bit."""
+    requests = sweep_requests(ndim)
+    case = GOLDEN[f"{gpu}/{ndim}d"]
+    for sigma in SIGMAS:
+        results = VectorBackend(gpu, sigma=sigma).evaluate_batch(requests)
+        assert_matches_golden(results, case, sigma)
+    assert_identical(VectorBackend(gpu), ScalarBackend(gpu), requests)
 
 
 @pytest.mark.parametrize("gpu", ("V100", "2080Ti"))
 def test_cached_matches_scalar_and_replays(gpu):
-    requests = _sweep_requests(2, n_stencils=1, n_settings=3, seed=5)
+    requests = sweep_requests(2, n_stencils=1, n_settings=3, seed=5)
     cached = CachingBackend(VectorBackend(gpu))
-    _assert_equivalent(ScalarBackend(gpu), cached, requests)
+    assert_identical(ScalarBackend(gpu), cached, requests)
     # A replay must return the exact same results from memory.
     first = cached.evaluate_batch(requests)
     hits_before = cached.cache_info()["hits"]
@@ -77,41 +105,25 @@ def test_cached_matches_scalar_and_replays(gpu):
 
 def test_crash_parity_is_exact_on_crash_heavy_oc():
     # Streaming + temporal OCs crash for most settings; every crash must
-    # carry the scalar path's exact message.
-    rng = np.random.default_rng(99)
-    (stencil,) = generate_population(3, 1, seed=3)
-    ocs = [oc for oc in ALL_OCS if "ST" in oc.name.split("_") and "TB" in oc.name]
-    assert ocs
-    requests = [
-        EvalRequest(stencil, oc, sample_setting(oc, 3, rng))
-        for oc in ocs
-        for _ in range(12)
-    ]
-    scalar = ScalarBackend("P100").evaluate_batch(requests)
-    vector = VectorBackend("P100").evaluate_batch(requests)
-    crashes = sum(r.crashed for r in scalar)
-    assert crashes > 0
-    for r, g in zip(scalar, vector):
-        assert r.crashed == g.crashed
-        if r.crashed:
-            assert str(r.error) == str(g.error)
+    # carry its pinned message, batched or one point at a time.
+    requests = crash_heavy_requests()
+    case = GOLDEN[f"{CRASH_GPU}/crash-heavy"]
+    results = VectorBackend(CRASH_GPU).evaluate_batch(requests)
+    assert sum(r.crashed for r in results) > 0
+    assert_matches_golden(results, case, SIGMAS[0])
+    assert_identical(VectorBackend(CRASH_GPU), ScalarBackend(CRASH_GPU), requests)
 
 
 def test_noise_is_bit_identical():
-    # Noise is part of the equivalence contract *bit for bit*: jitter is
-    # keyed by content, and the vector path reuses the exact blake2b /
-    # Box-Muller arithmetic of the scalar path.
-    rng = np.random.default_rng(7)
-    (stencil,) = generate_population(2, 1, seed=11)
-    oc = ALL_OCS[0]
-    requests = [
-        EvalRequest(stencil, oc, sample_setting(oc, 2, rng)) for _ in range(16)
-    ]
-    noisy_s = ScalarBackend("A100", sigma=0.25).evaluate_batch(requests)
-    noisy_v = VectorBackend("A100", sigma=0.25).evaluate_batch(requests)
-    for r, g in zip(noisy_s, noisy_v):
+    # Noise is keyed by content: the batched jitter is exactly the
+    # per-point simulator's, for every OC of a slice.
+    requests = sweep_requests(2, n_stencils=1, n_settings=2, seed=11)
+    noisy = VectorBackend("A100", sigma=0.25).evaluate_batch(requests)
+    sim = GPUSimulator("A100", sigma=0.25)
+    assert sum(r.ok for r in noisy) > 0
+    for req, r in zip(requests, noisy):
         if r.ok:
-            assert g.time_ms == r.time_ms  # exact equality, not approx
+            assert r.time_ms == sim.time(req.stencil, req.oc, req.setting)
 
 
 def test_results_independent_of_batch_composition():
@@ -134,6 +146,40 @@ def test_results_independent_of_batch_composition():
             assert a.time_ms == b.time_ms == c.time_ms
 
 
+def _trusted(**values) -> ParamSetting:
+    """A setting outside the validated choice lists."""
+    full = dict(default_setting().items())
+    full.update(values)
+    return ParamSetting._trusted(full, tuple(full[n] for n in PARAM_NAMES))
+
+
+@pytest.mark.parametrize(
+    "oc, setting, grid, message",
+    [
+        ("naive", ParamSetting(), (64, 64, 64), "grid rank 3 != stencil ndim 2"),
+        ("BM", ParamSetting(merge_factor=2, merge_dim=3), None, "merge_dim=3 on 2-D grid"),
+        ("ST", ParamSetting(stream_dim=3), None, "stream_dim=3 on 2-D grid"),
+        ("TB", _trusted(temporal_steps=3), None, "temporal_steps=3 does not divide 8"),
+    ],
+    ids=("grid-rank", "merge-dim", "stream-dim", "temporal-steps"),
+)
+def test_inexpressible_geometry_raises(oc, setting, grid, message):
+    """Geometry the kernel cannot express raises OptimizationError -- it
+    is not a launch crash -- batched, per point and from build_profile."""
+    stencil, oc = get("star2d2r"), OC.parse(oc)
+    req = EvalRequest(stencil, oc, setting, grid)
+    for call in (
+        lambda: VectorBackend("V100").evaluate_batch(
+            [EvalRequest(stencil, OC.parse("ST"), ParamSetting()), req]
+        ),
+        lambda: GPUSimulator("V100").time(stencil, oc, setting, grid=grid),
+        lambda: build_profile(stencil, oc, setting, grid),
+    ):
+        with pytest.raises(OptimizationError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_make_backend_kinds():
     for kind, vectorized, caching in (
         ("scalar", False, False),
@@ -149,7 +195,7 @@ def test_make_backend_kinds():
 
 
 def test_scalar_backend_time_matches_simulator():
-    from repro.gpu.simulator import GPUSimulator, simulate
+    from repro.gpu.simulator import simulate
 
     (stencil,) = generate_population(2, 1, seed=41)
     oc = ALL_OCS[1]

@@ -12,7 +12,7 @@ from repro.engine import (
     as_backend,
 )
 from repro.errors import DeviceLostError
-from repro.gpu.faults import FaultConfig
+from repro.gpu.faults import FaultConfig, FaultInjector
 from repro.optimizations.combos import ALL_OCS
 from repro.optimizations.params import default_setting, sample_setting
 from repro.profiling.runner import CampaignHealth, RetryPolicy, SimClock
@@ -171,9 +171,13 @@ class TestAsBackend:
     def test_simulator_wrap(self):
         from repro.gpu.simulator import GPUSimulator
 
-        be = as_backend(GPUSimulator("A100"))
-        assert isinstance(be, ScalarBackend)
-        assert be.spec.name == "A100"
+        # A simulator gets the batched backend over the same model; any
+        # other time-shaped object gets the per-point adapter.
+        sim = GPUSimulator("A100")
+        be = as_backend(sim)
+        assert isinstance(be, VectorBackend) and be.sim is sim
+        stub = FaultInjector(sim, FaultConfig())
+        assert isinstance(as_backend(stub), ScalarBackend)
 
     def test_rejects_unrelated_objects(self):
         with pytest.raises(TypeError):

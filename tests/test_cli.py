@@ -344,17 +344,17 @@ class TestEvaluateParity:
 
     def test_evaluate_backend_invariance(self, capsys):
         """Backend choice shapes speed, never scores: the cached and
-        scalar paths must report identical fold accuracies."""
+        vector paths must report identical fold accuracies."""
         argv = [
             "evaluate", "--task", "select", "--gpu", "V100", "--ndim", "2",
             "--count", "6", "--n-settings", "3", "--folds", "2",
             "--seed", "6",
         ]
-        assert main(argv + ["--backend", "scalar"]) == 0
-        scalar = capsys.readouterr().out
+        assert main(argv + ["--backend", "vector"]) == 0
+        vector = capsys.readouterr().out
         assert main(argv + ["--backend", "cached"]) == 0
         cached = capsys.readouterr().out
-        assert scalar == cached
+        assert vector == cached
 
     def test_evaluate_without_campaign_needs_ndim(self, capsys):
         rc = main(["evaluate", "--gpu", "V100"])
@@ -487,8 +487,8 @@ class TestLintCommand:
 
         real = kernelmodel.build_profile
 
-        def perturbed(stencil, oc, setting, grid=None):
-            p = real(stencil, oc, setting, grid)
+        def perturbed(stencil, oc, setting, grid=None, warp_size=32):
+            p = real(stencil, oc, setting, grid, warp_size=warp_size)
             return dataclasses.replace(p, smem_per_block=p.smem_per_block + 64)
 
         monkeypatch.setattr(kernelmodel, "build_profile", perturbed)
@@ -513,8 +513,8 @@ class TestLintCommand:
 
         real = kernelmodel.build_profile
 
-        def perturbed(stencil, oc, setting, grid=None):
-            p = real(stencil, oc, setting, grid)
+        def perturbed(stencil, oc, setting, grid=None, warp_size=32):
+            p = real(stencil, oc, setting, grid, warp_size=warp_size)
             return dataclasses.replace(p, smem_per_block=p.smem_per_block + 64)
 
         monkeypatch.setattr(kernelmodel, "build_profile", perturbed)
