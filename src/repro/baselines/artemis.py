@@ -56,26 +56,31 @@ class ArtemisBaseline:
 
     def tune(self, stencil: Stencil, stencil_id: int = -1) -> tuple[OC, ParamSetting, float]:
         """Best configuration found by the two-stage procedure."""
-        stage1: list[tuple[float, OC, ParamSetting]] = []
-        for name in _SKELETONS:
-            oc = OC.parse(name)
-            result, _ = self.search.tune_oc(stencil, stencil_id, oc)
-            if result is not None:
-                stage1.append((result.best_time_ms, oc, result.best_setting))
+        skeletons = [OC.parse(name) for name in _SKELETONS]
+        stage1: list[tuple[float, OC, ParamSetting]] = [
+            (result.best_time_ms, oc, result.best_setting)
+            for oc, (result, _) in zip(
+                skeletons, self.search.tune_oc(stencil, stencil_id, skeletons)
+            )
+            if result is not None
+        ]
         if not stage1:
             raise DatasetError("no Artemis skeleton could run")
         stage1.sort(key=lambda r: r[0])
         best_time, best_oc, best_setting = stage1[0]
 
+        stage2: list[OC] = []
         for _, skeleton, _ in stage1[: self.n_candidates]:
             for extra in _SECONDARY:
                 try:
-                    oc = OC(skeleton.opts | {extra})
+                    stage2.append(OC(skeleton.opts | {extra}))
                 except ConstraintViolation:
                     continue
-                result, _ = self.search.tune_oc(stencil, stencil_id, oc)
-                if result is not None and result.best_time_ms < best_time:
-                    best_time = result.best_time_ms
-                    best_oc = oc
-                    best_setting = result.best_setting
+        for oc, (result, _) in zip(
+            stage2, self.search.tune_oc(stencil, stencil_id, stage2)
+        ):
+            if result is not None and result.best_time_ms < best_time:
+                best_time = result.best_time_ms
+                best_oc = oc
+                best_setting = result.best_setting
         return best_oc, best_setting, best_time

@@ -18,7 +18,8 @@ class OracleBaseline:
     """Profiles every OC with the standard budget and keeps the best.
 
     Exhausting the whole OC space makes the oracle the most
-    measurement-hungry tuner in the repo; ``backend="cached"`` memoizes
+    measurement-hungry tuner in the repo, so every OC is tuned in
+    lockstep, one engine batch per round; ``backend="cached"`` memoizes
     repeated points on top of the batched engine.
     """
 
@@ -33,8 +34,8 @@ class OracleBaseline:
     def tune(self, stencil: Stencil, stencil_id: int = -1) -> tuple[OC, ParamSetting, float]:
         """Best configuration over the full OC space."""
         best: tuple[float, OC, ParamSetting] | None = None
-        for oc in ALL_OCS:
-            result, _ = self.search.tune_oc(stencil, stencil_id, oc)
+        pairs = self.search.tune_oc(stencil, stencil_id, ALL_OCS)
+        for oc, (result, _) in zip(ALL_OCS, pairs):
             if result is None:
                 continue
             if best is None or result.best_time_ms < best[0]:

@@ -9,9 +9,13 @@ rather than aborting the run, progress is checkpointed atomically, and an
 interrupted campaign resumes from its checkpoint to the bit-identical
 result an uninterrupted run would have produced.
 
-Execution is organised as **work units** of one stencil on one GPU, each
-unit tuned OC by OC.  The per-(stencil, OC) sampling streams are derived
-from the seed independent of order (see
+Execution is organised as **work units** of one stencil on one GPU.  A
+unit's OCs are tuned in lockstep: every round, each OC's search asks
+for its next frontier and the union goes to the engine as one batch
+(see :func:`~repro.tuning.tune_lockstep`).  With fault injection on,
+each OC is its own group instead, so one device loss voids one OC's
+tuning point rather than the whole unit's.  The per-(stencil, OC)
+sampling streams are derived from the seed independent of order (see
 :class:`~repro.profiling.search.RandomSearch`), and fault draws are
 scoped per unit (see :meth:`~repro.gpu.faults.FaultInjector.begin_unit`),
 so units are self-contained: a tuning point re-run from scratch -- after
@@ -73,10 +77,11 @@ class RetryPolicy:
 
     Per-call retries absorb :class:`MeasurementTimeout`,
     :class:`TransientMeasurementError` and corrupted-sample rejections;
-    point retries re-run a whole (stencil, OC) tuning point after a
-    :class:`DeviceLostError` (which voids all in-flight measurements) or
-    after a call exhausted its per-call budget.  Backoff doubles from
-    ``backoff_base_s`` up to ``backoff_max_s`` on the simulated clock.
+    point retries re-run a whole group of (stencil, OC) tuning points
+    after a :class:`DeviceLostError` (which voids all in-flight
+    measurements) or after a call exhausted its per-call budget.
+    Backoff doubles from ``backoff_base_s`` up to ``backoff_max_s`` on
+    the simulated clock.
     """
 
     max_call_retries: int = 8
@@ -206,20 +211,29 @@ def run_unit(
     stencil: Stencil,
     sid: int,
     ocs: "tuple[OC, ...]",
+    faults: FaultConfig,
     policy: RetryPolicy,
     clock: SimClock,
     health: CampaignHealth,
 ) -> StencilProfile:
-    """One (gpu, stencil) work unit, tuned OC by OC with retries.
+    """One (gpu, stencil) work unit, its OCs tuned in lockstep with retries.
+
+    Without fault injection all OCs form one group: a single
+    ``search.tune_oc`` call advances every OC's search together, one
+    engine batch per round.  With injection on, each OC is a group of
+    its own: a merged attempt measures the whole unit, about 2,800
+    points at ``n_settings=6``, and at a device-loss rate of 0.001 per
+    request (``--fault-rate 0.1``) it survives only 0.999**2800, about
+    6%, of the time, so merged groups would quarantine whole units.
 
     A :class:`DeviceLostError` (or a call that exhausted its per-call
-    budget) voids the in-flight (stencil, OC) tuning point; the point
-    re-runs from scratch after a backoff -- its sampling stream is
-    re-derived from the seed, and the fault injector's advanced attempt
-    counters make the retry draw fresh fault decisions, so a recovered
-    point yields exactly the fault-free measurements.  A point that
-    keeps failing is quarantined and recorded as crashed (no
-    :class:`OCResult`, the same shape an all-crashing OC already
+    budget) voids the in-flight group; the group re-runs from scratch
+    after a backoff -- its sampling streams are re-derived from the
+    seed, and the fault injector's advanced attempt counters make the
+    retry draw fresh fault decisions, so a recovered group yields
+    exactly the fault-free measurements.  A group that keeps failing has
+    each of its OCs quarantined, in OC order, and recorded as crashed
+    (no :class:`OCResult`, the same shape an all-crashing OC already
     produces), never aborting the campaign.
 
     Shared verbatim by the sequential runner and shard workers: both
@@ -230,20 +244,22 @@ def run_unit(
     if begin_unit is not None:
         begin_unit((gpu, sid))
     profile = StencilProfile(stencil=stencil, stencil_id=sid, gpu=gpu)
-    for oc in ocs:
+    groups = [(oc,) for oc in ocs] if faults.enabled else [tuple(ocs)]
+    for group in groups:
         delay = policy.backoff_base_s
         for attempt in range(policy.max_point_retries + 1):
             try:
-                result, ms = search.tune_oc(stencil, sid, oc)
+                pairs = search.tune_oc(stencil, sid, group)
             except TransientError as e:
                 if attempt == policy.max_point_retries:
-                    health.quarantined.append(
+                    health.quarantined.extend(
                         {
                             "gpu": gpu,
                             "stencil_id": sid,
                             "oc": oc.name,
                             "reason": str(e),
                         }
+                        for oc in group
                     )
                     break
                 health.point_retries += 1
@@ -252,9 +268,10 @@ def run_unit(
                 delay = min(delay * policy.backoff_factor,
                             policy.backoff_max_s)
             else:
-                if result is not None:
-                    profile.oc_results[oc.name] = result
-                    profile.measurements.extend(ms)
+                for oc, (result, ms) in zip(group, pairs):
+                    if result is not None:
+                        profile.oc_results[oc.name] = result
+                        profile.measurements.extend(ms)
                 break
     return profile
 
@@ -531,7 +548,7 @@ class CampaignRunner:
         self, search: RandomSearch, gpu: str, stencil: Stencil, sid: int
     ) -> StencilProfile:
         return run_unit(
-            search, gpu, stencil, sid, self.ocs,
+            search, gpu, stencil, sid, self.ocs, self.faults,
             self.policy, self.clock, self.health,
         )
 

@@ -8,15 +8,14 @@ setting at all is reported as crashed for that stencil/GPU, matching the
 paper's note that "there are some cases where OC crashes under certain
 stencils".
 
-Since the unified front door landed, this module is a *compatibility
-wrapper*: the actual search lives in
-:class:`repro.tuning.RandomStrategy` (a bit-identical port of the walk +
-coordinate-refinement tuner this module used to implement) and runs
-through :func:`repro.tuning.tune`, which owns backend resolution, the
-ask/evaluate/tell loop and result packaging.  ``RandomSearch`` keeps the
-historical surface -- ``tune_oc`` returning ``(OCResult, measurements)``
-and ``profile_stencil`` -- that the campaign runner, baselines and
-framework still speak.
+This module is a *compatibility wrapper*: the actual search lives in
+:class:`repro.tuning.RandomStrategy` and runs through
+:func:`repro.tuning.tune_lockstep`, which owns the ask/evaluate/tell
+loop and result packaging.  ``RandomSearch`` keeps the historical
+surface -- ``tune_oc`` returning ``(OCResult, measurements)`` and
+``profile_stencil`` -- that the campaign runner, baselines and
+framework still speak.  ``tune_oc`` also takes a sequence of OCs and
+tunes them in lockstep, one engine batch per round for all of them.
 
 **RNG stream-key convention.**  Each (stencil, OC) tuning batch owns one
 independent random stream, derived as::
@@ -34,18 +33,14 @@ no strategy-name component.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from ..engine import as_backend
 from ..optimizations.combos import ALL_OCS, OC
 from ..stencil.stencil import Stencil
-from ..tuning import RandomStrategy, tune
+from ..tuning import RandomStrategy, tune_lockstep
+from ..tuning.random_search import ATTEMPTS_PER_SETTING, REFINE_PASSES
 from .records import Measurement, OCResult, StencilProfile
-
-#: Sampling attempts allowed per requested valid setting (re-exported
-#: from the strategy, which owns the value now).
-_ATTEMPTS_PER_SETTING = 12
-
-#: Coordinate-descent passes after random sampling.
-_REFINE_PASSES = 3
 
 
 class RandomSearch:
@@ -90,47 +85,60 @@ class RandomSearch:
         self.refine = bool(refine)
 
     def tune_oc(
-        self, stencil: Stencil, stencil_id: int, oc: OC
-    ) -> "tuple[OCResult | None, list[Measurement]]":
+        self, stencil: Stencil, stencil_id: int, oc: "OC | Sequence[OC]"
+    ) -> "tuple[OCResult | None, list[Measurement]] | list[tuple]":
         """Measure up to ``n_settings`` valid settings of *oc*.
 
-        Returns ``(None, [])`` when every attempted setting crashes.
+        Returns ``(OCResult, measurements)``, or ``(None, [])`` when
+        every attempted setting crashes.  Given a sequence of OCs, tunes
+        them in lockstep (see :func:`repro.tuning.tune_lockstep`) and
+        returns one such pair per OC, in OC order; each pair equals what
+        a one-OC call returns.
         """
-        strategy = RandomStrategy(
-            n_settings=self.n_settings,
-            refine=self.refine,
-            attempts_per_setting=_ATTEMPTS_PER_SETTING,
-            refine_passes=_REFINE_PASSES,
-        )
-        result = tune(
+        jobs = [
+            (
+                one,
+                RandomStrategy(
+                    n_settings=self.n_settings,
+                    refine=self.refine,
+                    attempts_per_setting=ATTEMPTS_PER_SETTING,
+                    refine_passes=REFINE_PASSES,
+                ),
+            )
+            for one in ([oc] if isinstance(oc, OC) else oc)
+        ]
+        results = tune_lockstep(
             stencil,
-            oc=oc,
+            jobs,
             backend=self.backend,
-            strategy=strategy,
             seed=self.seed,
             stencil_id=stencil_id,
         )
-        if not result.ok:
-            return None, []
         gpu_name = self.backend.spec.name
-        measurements = [
-            Measurement(
-                stencil_id=stencil_id,
-                oc=oc.name,
-                setting=setting,
-                gpu=gpu_name,
-                time_ms=time_ms,
+        pairs = []
+        for (_, strategy), result in zip(jobs, results):
+            if not result.ok:
+                pairs.append((None, []))
+                continue
+            measurements = [
+                Measurement(
+                    stencil_id=stencil_id,
+                    oc=result.oc,
+                    setting=setting,
+                    gpu=gpu_name,
+                    time_ms=time_ms,
+                )
+                for setting, time_ms in strategy.measurements
+            ]
+            oc_result = OCResult(
+                oc=result.oc,
+                best_setting=result.best_setting,
+                best_time_ms=result.best_time_ms,
+                n_settings=len(measurements),
+                crashed=strategy.walk_crashed,
             )
-            for setting, time_ms in strategy.measurements
-        ]
-        oc_result = OCResult(
-            oc=oc.name,
-            best_setting=result.best_setting,
-            best_time_ms=result.best_time_ms,
-            n_settings=len(measurements),
-            crashed=strategy.walk_crashed,
-        )
-        return oc_result, measurements
+            pairs.append((oc_result, measurements))
+        return pairs[0] if isinstance(oc, OC) else pairs
 
     # ------------------------------------------------------------------
     def profile_stencil(
@@ -139,12 +147,12 @@ class RandomSearch:
         stencil_id: int,
         ocs: "tuple[OC, ...] | list[OC]" = ALL_OCS,
     ) -> StencilProfile:
-        """Profile *stencil* under every OC in *ocs* on this GPU."""
+        """Profile *stencil* under every OC in *ocs* on this GPU, all
+        OCs in lockstep."""
         profile = StencilProfile(
             stencil=stencil, stencil_id=stencil_id, gpu=self.backend.spec.name
         )
-        for oc in ocs:
-            result, ms = self.tune_oc(stencil, stencil_id, oc)
+        for oc, (result, ms) in zip(ocs, self.tune_oc(stencil, stencil_id, ocs)):
             if result is not None:
                 profile.oc_results[oc.name] = result
                 profile.measurements.extend(ms)

@@ -126,7 +126,7 @@ def run_shard(task: tuple) -> dict:
             searches[gpu] = search
         profile = run_unit(
             search, gpu, cfg["stencils"][sid], sid, cfg["ocs"],
-            cfg["policy"], clock, health,
+            cfg["faults"], cfg["policy"], clock, health,
         )
         rows.setdefault(gpu, []).append(profile_to_row(profile))
         since += 1

@@ -11,7 +11,7 @@ semantics and budget accounting.
 """
 
 from .anneal import AnnealingStrategy
-from .api import tune
+from .api import tune, tune_lockstep
 from .bayes import BayesStrategy
 from .cache import TuningCache
 from .genetic import GAResult, GeneticSearch, GeneticStrategy
@@ -57,4 +57,5 @@ __all__ = [
     "stream_key",
     "stream_rng",
     "tune",
+    "tune_lockstep",
 ]

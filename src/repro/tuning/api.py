@@ -21,13 +21,16 @@ logic:
 
 The loop's only contract with the strategy is the ask/tell protocol;
 whole frontiers go to the backend as single batches, so vectorized,
-cached, and multi-process backends amortize exactly as they do under
-the campaign runner.
+cached, and multi-process backends amortize.  :func:`tune_lockstep`
+runs the same loop over several (OC, strategy) jobs of one stencil at
+once: every round sends the union of their frontiers as one batch,
+which is how the campaign runner tunes a whole unit.  ``tune()`` is
+that loop's one-job case.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from ..engine import Backend, EvalRequest, as_backend, make_backend
 from ..errors import TuningError
@@ -37,12 +40,12 @@ from .cache import TuningCache
 from .result import TuneResult
 from .rng import stream_rng
 from .space import ParameterSpace
-from .strategy import Strategy, StrategyContext, make_strategy
+from .strategy import Strategy, StrategyContext, StrategyOutcome, make_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from pathlib import Path
 
-__all__ = ["tune"]
+__all__ = ["tune", "tune_lockstep"]
 
 
 def _resolve_space(space_or_stencil, oc, restrictions):
@@ -162,7 +165,74 @@ def tune(
         raise TuningError(f"budget must be positive, got {budget!r}")
 
     strat = _resolve_strategy(strategy, strategy_options)
-    base = _resolve_backend(backend, gpu, sigma)
+    components = (
+        rng_streams
+        if rng_streams is not None
+        else strat.stream_components(seed, stencil_id, oc)
+    )
+    (result,) = _tune_jobs(
+        stencil,
+        [(strat, oc, space, components)],
+        _resolve_backend(backend, gpu, sigma),
+        seed=seed,
+        stencil_id=stencil_id,
+        budget=budget,
+        grid=grid,
+        cache_dir=cache_dir,
+    )
+    return result
+
+
+def tune_lockstep(
+    stencil: Stencil,
+    jobs: "Sequence[tuple[OC, Strategy]]",
+    *,
+    backend,
+    seed: int = 0,
+    stencil_id: int = -1,
+) -> "list[TuneResult]":
+    """Tune *stencil* under each (OC, strategy) job of *jobs* at once.
+
+    The strategies advance in lockstep: each round, every unfinished
+    strategy asks for its next frontier and the union of the frontiers
+    goes to *backend* as one batch, so the call makes as many engine
+    calls as its longest trajectory has rounds.  Each job keeps its own
+    named RNG stream, ``seen`` set and walk order, and results are
+    per-point pure, so every result equals what :func:`tune` returns
+    for that job alone.  Cache hit/miss counts, when *backend* is a
+    :class:`~repro.tuning.TuningCache`, cover the whole call.  Results
+    come back in job order.
+    """
+    return _tune_jobs(
+        stencil,
+        [
+            (
+                strat,
+                oc,
+                ParameterSpace.for_oc(oc, stencil.ndim, None),
+                strat.stream_components(seed, stencil_id, oc),
+            )
+            for oc, strat in jobs
+        ],
+        as_backend(backend),
+        seed=seed,
+        stencil_id=stencil_id,
+    )
+
+
+def _tune_jobs(
+    stencil: Stencil,
+    jobs: "list[tuple[Strategy, OC, ParameterSpace, tuple]]",
+    base: Backend,
+    *,
+    seed: int,
+    stencil_id: int,
+    budget: "float | None" = None,
+    grid: "tuple[int, ...] | None" = None,
+    cache_dir: "str | Path | None" = None,
+) -> "list[TuneResult]":
+    """Build each (strategy, OC, space, stream) job's context, drive them
+    all to completion on *base* and package one result per job."""
     cache: "TuningCache | None" = None
     if cache_dir is not None:
         cache = TuningCache(base, cache_dir)
@@ -172,58 +242,83 @@ def tune(
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
 
-    components = (
-        rng_streams
-        if rng_streams is not None
-        else strat.stream_components(seed, stencil_id, oc)
-    )
-    ctx = StrategyContext(
-        stencil=stencil,
-        stencil_id=stencil_id,
-        oc=oc,
-        space=space,
-        rng=stream_rng(*components),
-        seed=seed,
-        budget=budget,
-        backend_info=substrate.info,
-        grid=grid,
-    )
-
+    prepared = [
+        (
+            strat,
+            StrategyContext(
+                stencil=stencil,
+                stencil_id=stencil_id,
+                oc=oc,
+                space=space,
+                rng=stream_rng(*components),
+                seed=seed,
+                budget=budget,
+                backend_info=substrate.info,
+                grid=grid,
+            ),
+        )
+        for strat, oc, space, components in jobs
+    ]
     try:
-        strat.prepare(ctx)
-        while True:
-            batch = strat.ask()
-            if batch is None:
-                break
-            requests = [
-                EvalRequest(stencil, oc, s, grid=batch.grid or grid)
-                for s in batch.settings
-            ]
-            results = substrate.evaluate_batch(requests) if requests else []
-            strat.tell(batch, results)
-            if budget is not None and getattr(strat, "cost", 0.0) >= budget:
-                break
-        outcome = strat.finish()
+        outcomes = _drive(prepared, substrate)
     finally:
         if cache is not None:
             cache.flush()
 
-    trials = int(getattr(strat, "observed", len(outcome.trial_log)))
-    cost = float(getattr(strat, "cost", trials))
-    return TuneResult(
-        strategy=strat.name,
-        best_setting=outcome.best_setting,
-        best_time_ms=outcome.best_time_ms,
-        trials=trials,
-        cost=cost,
-        crashed=outcome.crashed,
-        seed=seed,
-        budget=budget,
-        oc=oc.name,
-        stencil=getattr(stencil, "name", None),
-        gpu=substrate.spec.name,
-        cache_hits=(cache.hits - hits0) if cache is not None else 0,
-        cache_misses=(cache.misses - misses0) if cache is not None else 0,
-        trial_log=outcome.trial_log,
-        extras=dict(outcome.extras),
-    )
+    results = []
+    for (strat, ctx), outcome in zip(prepared, outcomes):
+        trials = int(getattr(strat, "observed", len(outcome.trial_log)))
+        results.append(TuneResult(
+            strategy=strat.name,
+            best_setting=outcome.best_setting,
+            best_time_ms=outcome.best_time_ms,
+            trials=trials,
+            cost=float(getattr(strat, "cost", trials)),
+            crashed=outcome.crashed,
+            seed=seed,
+            budget=budget,
+            oc=ctx.oc.name,
+            stencil=getattr(stencil, "name", None),
+            gpu=substrate.spec.name,
+            cache_hits=(cache.hits - hits0) if cache is not None else 0,
+            cache_misses=(cache.misses - misses0) if cache is not None else 0,
+            trial_log=outcome.trial_log,
+            extras=dict(outcome.extras),
+        ))
+    return results
+
+
+def _drive(
+    jobs: "list[tuple[Strategy, StrategyContext]]", substrate: Backend
+) -> "list[StrategyOutcome]":
+    """The ask/evaluate/tell loop over prepared (strategy, context) jobs.
+
+    Each round asks every live job for its next frontier and sends the
+    union to *substrate* as one ``evaluate_batch``; each job is told
+    exactly its own slice.  A job leaves the round robin when its
+    strategy stops asking or its cost reaches its context's budget.
+    """
+    for strat, ctx in jobs:
+        strat.prepare(ctx)
+    live = list(jobs)
+    while live:
+        asked = []
+        for strat, ctx in live:
+            batch = strat.ask()
+            if batch is not None:
+                asked.append((strat, ctx, batch))
+        requests = [
+            EvalRequest(ctx.stencil, ctx.oc, s, grid=batch.grid or ctx.grid)
+            for _, ctx, batch in asked
+            for s in batch.settings
+        ]
+        results = substrate.evaluate_batch(requests) if requests else []
+        live = []
+        lo = 0
+        for strat, ctx, batch in asked:
+            hi = lo + len(batch.settings)
+            strat.tell(batch, results[lo:hi])
+            lo = hi
+            if ctx.budget is None or getattr(strat, "cost", 0.0) < ctx.budget:
+                live.append((strat, ctx))
+    return [strat.finish() for strat, _ in jobs]
