@@ -8,7 +8,7 @@ capabilities.  Concrete backends:
 - :class:`VectorBackend` -- evaluation of whole frontiers through the
   timing model's array pipeline (:mod:`repro.gpu.model`); the default.
 - :class:`ScalarBackend` -- the per-point adapter for ``time``-shaped
-  objects (fault injectors, test stubs); around a
+  objects (test stubs); around a
   :class:`~repro.gpu.simulator.GPUSimulator` it loops batches of one
   through the same pipeline, bit-identical to the vector backend.
 - :class:`CachingBackend` -- content-keyed memoization decorator.

@@ -118,8 +118,9 @@ class Backend(Protocol):
     Implementations expose the GPU they measure (``spec``), their noise
     level (``sigma``), capability metadata (``info``) and the single
     evaluation entry point ``evaluate_batch``.  Decorator backends
-    (caching, fault injection, retry) wrap another backend and may also
-    expose ``begin_unit`` for work-unit-scoped state.
+    (caching, fault injection, retry) wrap another backend; the fault
+    injector and the retry guard around it also expose ``begin_unit``
+    for work-unit-scoped state.
     """
 
     @property
@@ -164,7 +165,7 @@ def as_backend(obj) -> "Backend":
     :class:`~repro.engine.vector.VectorBackend` over the same model, so
     ``RandomSearch(GPUSimulator(...))`` and friends evaluate whole
     frontiers -- or any other simulator-like object (anything exposing
-    ``time``: fault injectors, test stubs), which is wrapped in the
+    ``time``, such as a test stub), which is wrapped in the
     per-point :class:`~repro.engine.scalar.ScalarBackend` adapter.
     """
     if hasattr(obj, "evaluate_batch"):

@@ -1,31 +1,40 @@
-"""Fault injection as a backend decorator.
+"""Deterministic fault injection as a backend decorator.
 
-``FaultBackend`` lifts :class:`~repro.gpu.faults.FaultInjector` onto the
-batched protocol: it draws the *same* deterministic fault decisions from
-the *same* blake2b-keyed streams -- ``(seed, kind, unit, gpu, stencil,
-oc, setting, attempt)`` -- but lets the clean subset of a batch flow to
-a vectorized inner backend in one call.
+``FaultBackend`` is the one fault injector.  Every fault decision is a
+pure function of ``(seed, kind, unit, gpu, stencil, oc, setting,
+attempt)`` hashed through the same blake2b scheme the measurement noise
+uses (:mod:`repro.gpu.noise`).  Determinism buys two properties the
+campaign runner's tests rely on:
 
-Semantics relative to the sequential injector:
+- **Reproducibility** -- the same seed yields the same fault sequence,
+  on any machine, in any execution order.
+- **Retry convergence** -- the per-identity ``attempt`` counter advances
+  once per requested evaluation, so a retried measurement draws fresh
+  fault decisions and (at sub-certainty rates) eventually returns the
+  *true* timing.  A campaign that retries transient faults therefore
+  reproduces the fault-free campaign bit for bit.
+
+Within a batch, requests are taken in order:
 
 - A device loss raises :class:`~repro.errors.DeviceLostError` at the
-  first affected request (in batch order) and voids the whole batch,
-  just as it voided everything in flight before.
+  first affected request and voids the whole batch; attempt counters
+  stay advanced for the requests up to and including the lost one.
 - Timeouts and transient failures are recorded as retryable errors on
   their result (the retry layer absorbs them); the affected request is
-  withheld from the inner backend for that attempt.
+  withheld from the inner backend for that attempt.  A timeout preempts
+  a transient failure.
 - Corruption applies only to successfully measured times -- a
   deterministic :class:`~repro.errors.KernelLaunchError` crash never
-  drew a corruption decision before and still does not.
+  draws a corruption decision.
 
-Per-identity attempt counters advance exactly once per requested
-evaluation, so retry convergence (the property the robustness suite
-leans on: at sub-certainty rates a retried campaign reproduces the
-fault-free one bit for bit) carries over unchanged.
+The clean subset of a batch flows to the inner backend in one call.
+With every rate at zero the decorator is a transparent pass-through: it
+never draws and never perturbs.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence
 
 import numpy as np
@@ -35,7 +44,8 @@ from ..errors import (
     MeasurementTimeout,
     TransientMeasurementError,
 )
-from ..gpu.faults import _CORRUPT_VALUES, FaultConfig, FaultInjector
+from ..gpu.faults import _CORRUPT_VALUES, FaultConfig
+from ..gpu.noise import _hasher
 from .core import BackendBase, BackendInfo, EvalRequest, EvalResult, as_backend
 
 
@@ -52,12 +62,16 @@ class FaultBackend(BackendBase):
         Per-class injection rates; with all rates zero the decorator is
         a transparent pass-through.
     seed:
-        Fault-stream seed, independent of the measurement-noise seed.
+        Fault-stream seed, independent of the measurement-noise seed so
+        fault schedules can vary without moving the underlying timings.
     """
 
     def __init__(self, inner, config: FaultConfig, seed: int = 0):
         self.inner = as_backend(inner)
-        self.injector = FaultInjector(self.inner, config, seed=seed)
+        self.config = config
+        self.seed = int(seed)
+        self._unit_key: object = None
+        self._attempts: dict[tuple, int] = {}
 
     @property
     def spec(self):
@@ -66,10 +80,6 @@ class FaultBackend(BackendBase):
     @property
     def sigma(self) -> float:
         return self.inner.sigma
-
-    @property
-    def config(self) -> FaultConfig:
-        return self.injector.config
 
     @property
     def info(self) -> BackendInfo:
@@ -82,49 +92,107 @@ class FaultBackend(BackendBase):
         )
 
     def begin_unit(self, unit_key: object) -> None:
-        """Scope fault draws to one work unit (see FaultInjector)."""
-        self.injector.begin_unit(unit_key)
-        begin = getattr(self.inner, "begin_unit", None)
-        if begin is not None:
-            begin(unit_key)
+        """Scope subsequent fault draws to one work unit.
 
-    def evaluate_batch(self, requests: Sequence[EvalRequest]) -> list[EvalResult]:
-        """Batched fault injection: draws computed per-batch, not per-request.
-
-        Draw decisions come from :meth:`FaultInjector.batch_uniform`
-        arrays (prefix-cached blake2b, one row per request) compared
-        against the rates with NumPy; the per-request work that remains
-        is building identity keys and materializing the -- rare -- fault
-        rows.  Every draw uses the same ``(seed, kind, unit, gpu,
-        stencil, oc, setting, attempt)`` key and every counter commits
-        exactly as far as the sequential injector would, so the result
-        stream is bit-identical to the scalar path.
+        Called by the campaign runner at the *start* of each (gpu,
+        stencil) unit -- but not on unit retries, so a retried unit keeps
+        advancing its attempt counters instead of replaying the same
+        faults forever.  Scoping draws to the unit makes each unit's
+        fault schedule independent of whatever ran before it, which is
+        what makes checkpoint/resume provably equivalent to an
+        uninterrupted run.
         """
-        inj = self.injector
-        cfg = inj.config
+        self._unit_key = unit_key
+        self._attempts.clear()
+
+    # -- draw primitives -------------------------------------------------
+    # Attempt counters are sequenced through a local overlay, so draws can
+    # be made for a whole batch and committed only as far as the batch got;
+    # the blake2b keying hashes the (seed, kind, unit, gpu, stencil) prefix
+    # once per distinct stencil and pays only the (oc, setting, attempt)
+    # suffix per row.
+
+    def batch_identities(self, requests) -> list[tuple]:
+        """Fault-stream keys ``(unit, gpu, stencil, oc, setting)`` per request."""
+        unit = self._unit_key
+        gpu = self.spec.name
+        keys: dict[int, tuple] = {}
+        out: list[tuple] = []
+        for req in requests:
+            s = req.stencil
+            sk = keys.get(id(s))
+            if sk is None:
+                sk = keys[id(s)] = s.cache_key()
+            out.append((unit, gpu, sk, req.oc.name, req.setting.as_tuple()))
+        return out
+
+    def batch_attempts(self, identities: list[tuple]) -> list[int]:
+        """Provisional attempt numbers, sequenced within the batch.
+
+        A repeated identity gets successive attempts.  Nothing is
+        committed; call :meth:`commit_attempts` with how far the batch
+        actually got.
+        """
+        overlay: dict[tuple, int] = {}
+        base = self._attempts
+        out: list[int] = []
+        for ident in identities:
+            a = overlay.get(ident)
+            if a is None:
+                a = base.get(ident, 0)
+            out.append(a)
+            overlay[ident] = a + 1
+        return out
+
+    def commit_attempts(
+        self, identities: list[tuple], attempts: list[int], upto: int | None = None
+    ) -> None:
+        """Commit provisional attempts for rows ``[0, upto)`` (default all)."""
+        n = len(identities) if upto is None else upto
+        for i in range(n):
+            self._attempts[identities[i]] = attempts[i] + 1
+
+    def batch_uniform(
+        self, kind: str, identities: list[tuple], attempts: list[int]
+    ) -> np.ndarray:
+        """A uniform draw in ``[0, 1)`` per row, keyed ``(seed, kind,
+        *identity, attempt)``: the first 64-bit word of the blake2b
+        digest over ``2**64``."""
+        out = np.empty(len(identities))
+        prefixes: dict[tuple, object] = {}
+        for i, ident in enumerate(identities):
+            pkey = ident[:3]  # (unit, gpu, stencil_key); kind fixed per call
+            h = prefixes.get(pkey)
+            if h is None:
+                h = prefixes[pkey] = _hasher((self.seed, kind) + pkey)
+            d = _hasher((ident[3], ident[4], attempts[i]), h)
+            out[i] = struct.unpack_from("<Q", d.digest())[0] / 2**64
+        return out
+
+    # ------------------------------------------------------------------
+    def evaluate_batch(self, requests: Sequence[EvalRequest]) -> list[EvalResult]:
+        cfg = self.config
         if not cfg.enabled:
             return self.inner.evaluate_batch(requests)
         n = len(requests)
-        gpu = inj.sim.spec.name
-        identities = inj.batch_identities(requests)
-        attempts = inj.batch_attempts(identities)
+        gpu = self.spec.name
+        identities = self.batch_identities(requests)
+        attempts = self.batch_attempts(identities)
         if cfg.device_lost_rate > 0:
-            u = inj.batch_uniform("lost", identities, attempts)
+            u = self.batch_uniform("lost", identities, attempts)
             hit = np.nonzero(u < cfg.device_lost_rate)[0]
             if hit.size:
                 k = int(hit[0])
-                # The scalar loop advanced counters up to and including
-                # the lost request before raising; replicate, then void.
-                inj.commit_attempts(identities, attempts, upto=k + 1)
+                self.commit_attempts(identities, attempts, upto=k + 1)
                 raise DeviceLostError(
-                    f"device {gpu} lost (unit {inj._unit_key!r}, "
+                    f"device {gpu} lost (unit {self._unit_key!r}, "
                     f"attempt {attempts[k]})"
                 )
-        inj.commit_attempts(identities, attempts)
+        self.commit_attempts(identities, attempts)
         out: list[EvalResult | None] = [None] * n
         faulted = np.zeros(n, dtype=bool)
         if cfg.timeout_rate > 0:
-            u = inj.batch_uniform("timeout", identities, attempts)
+            u = self.batch_uniform("timeout", identities, attempts)
             for i in np.nonzero(u < cfg.timeout_rate)[0].tolist():
                 faulted[i] = True
                 out[i] = EvalResult(
@@ -134,8 +202,7 @@ class FaultBackend(BackendBase):
                     )
                 )
         if cfg.transient_rate > 0:
-            u = inj.batch_uniform("transient", identities, attempts)
-            # Timeout preempts transient for the same request.
+            u = self.batch_uniform("transient", identities, attempts)
             for i in np.nonzero(~faulted & (u < cfg.transient_rate))[0].tolist():
                 faulted[i] = True
                 out[i] = EvalResult(
@@ -149,15 +216,14 @@ class FaultBackend(BackendBase):
             results = self.inner.evaluate_batch([requests[i] for i in clean])
             corrupted: dict[int, float] = {}
             if cfg.corrupt_rate > 0:
-                # Corruption only ever applied to successful measurements.
                 ok_idx = [i for i, res in zip(clean, results) if res.ok]
                 if ok_idx:
                     idents = [identities[i] for i in ok_idx]
                     atts = [attempts[i] for i in ok_idx]
-                    u = inj.batch_uniform("corrupt", idents, atts)
+                    u = self.batch_uniform("corrupt", idents, atts)
                     hits = np.nonzero(u < cfg.corrupt_rate)[0].tolist()
                     if hits:
-                        u2 = inj.batch_uniform(
+                        u2 = self.batch_uniform(
                             "corrupt-kind",
                             [idents[j] for j in hits],
                             [atts[j] for j in hits],

@@ -4,9 +4,10 @@
 that splits an :class:`EvalRequest` batch into chunks, ships them to a
 persistent worker pool (:class:`repro.parallel.WorkerPool`), and
 reassembles the per-chunk results in request order.  Each worker builds
-its own inner backend once, from a declarative :class:`BackendSpec`, so
-the vector / cached / fault / retry stacks compose *underneath* the
-process boundary exactly as they do in a single process.
+its own inner backend once, from a declarative :class:`BackendSpec`.
+Fault injection and retries compose *around* a ``ParallelBackend``
+(see :func:`repro.profiling.runner.build_search`), never inside its
+workers, so workers hold no unit-scoped state.
 
 Why this is allowed to exist: results are pure, content-keyed functions
 of (GPU, stencil, OC, setting, grid) -- the measurement noise is keyed
@@ -39,16 +40,6 @@ Two transports move requests across the process boundary:
 Both transports reassemble to bit-identical results; the choice is pure
 throughput plumbing and is therefore *not* part of any checkpoint
 identity.
-
-Composition caveat: fault injection draws are scoped per *work unit*
-(``begin_unit``).  ``ParallelBackend`` forwards the unit key with every
-chunk, so unit scoping is preserved **as long as one unit's requests
-are evaluated under one ``begin_unit`` epoch**, which is how the
-sharded campaign runner uses it (whole (gpu, stencil) units per
-worker).  Splitting a single faulted unit's batch across workers with
-nonzero fault rates would advance per-worker attempt counters
-independently; compose faults under ``ParallelBackend`` only through
-the campaign runner's unit-level sharding.
 """
 
 from __future__ import annotations
@@ -105,52 +96,27 @@ def _maybe_crash() -> None:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class BackendSpec:
-    """A picklable recipe for one worker's measurement stack.
+    """A picklable recipe for one worker's measurement backend.
 
-    ``build()`` composes, innermost first: the base backend
-    (``scalar`` / ``vector`` / ``cached``), then optional deterministic
-    fault injection, then an optional retry guard.  The recipe -- not a
-    live backend -- crosses the process boundary, so every worker owns
-    an isolated stack (its own caches, fault attempt counters, clock)
-    while all stacks are content-identical.
+    The recipe -- not a live backend -- crosses the process boundary, so
+    every worker owns an isolated backend (its own cache, for
+    ``cached``) while all of them are content-identical.
     """
 
     kind: str = "vector"
     gpu: str = "V100"
     sigma: float = 0.03
-    faults: "object | None" = None  # FaultConfig
-    fault_seed: int = 0
-    retry: "object | None" = None  # RetryPolicy
 
     def __post_init__(self) -> None:
         gpu = self.gpu
         if not isinstance(gpu, str):  # accept a GPUSpec for convenience
             object.__setattr__(self, "gpu", gpu.name)
 
-    def build(self, clock=None, health=None):
-        """Construct the backend stack this spec describes.
-
-        *clock* / *health* feed the retry layer when one is requested;
-        fresh worker-local instances are created when omitted (their
-        counters are shipped back to the parent as deltas).
-        """
+    def build(self):
+        """Construct the backend this spec describes."""
         from . import make_backend
-        from .fault import FaultBackend
-        from .retry import RetryBackend
 
-        be = make_backend(self.kind, self.gpu, sigma=self.sigma)
-        if self.faults is not None and getattr(self.faults, "enabled", False):
-            be = FaultBackend(be, self.faults, seed=self.fault_seed)
-        if self.retry is not None:
-            from ..profiling.runner import CampaignHealth, SimClock
-
-            be = RetryBackend(
-                be,
-                self.retry,
-                clock if clock is not None else SimClock(),
-                health if health is not None else CampaignHealth(),
-            )
-        return be
+        return make_backend(self.kind, self.gpu, sigma=self.sigma)
 
 
 # ----------------------------------------------------------------------
@@ -236,7 +202,6 @@ def decode_results(rows: list) -> "list[EvalResult]":
 # worker side
 # ----------------------------------------------------------------------
 _WORKER_BACKEND = None
-_WORKER_UNIT = None
 #: Attached request segments, decoded once per (worker, batch); at most
 #: one batch is live at a time, so a new segment evicts the old views.
 _WORKER_SHM: "dict[str, shm_transport.DecodedBatch]" = {}
@@ -245,53 +210,26 @@ _WORKER_RES: "dict[str, dict]" = {}
 
 def _init_worker(spec: BackendSpec) -> None:
     """Pool initializer: build this worker's backend stack once."""
-    global _WORKER_BACKEND, _WORKER_UNIT
+    global _WORKER_BACKEND
     _WORKER_BACKEND = spec.build()
-    _WORKER_UNIT = None
     _WORKER_SHM.clear()
     _WORKER_RES.clear()
 
 
-def _health_counters(backend) -> "dict | None":
-    health = getattr(backend, "health", None)
-    if health is None:
-        return None
-    doc = health.to_dict()
-    doc.pop("quarantined", None)
-    return doc
-
-
-def _begin_unit(backend, unit_key) -> None:
-    global _WORKER_UNIT
-    if unit_key is not None and unit_key != _WORKER_UNIT:
-        begin = getattr(backend, "begin_unit", None)
-        if begin is not None:
-            begin(unit_key)
-        _WORKER_UNIT = unit_key
-
-
-def _eval_chunk(payload: tuple) -> tuple:
+def _eval_chunk(doc: dict) -> tuple:
     """Evaluate one pickle-encoded chunk through the worker's backend.
 
-    Returns ``("ok", rows, health_delta)`` or ``("err", class, args,
-    health_delta)`` for exceptions the parent must re-raise (device
-    losses, exhausted retries).  Health deltas carry the worker-local
-    retry layer's counters back to the parent.
+    Returns ``("ok", rows)`` or ``("err", class, args)`` for transient
+    exceptions the parent must re-raise.
     """
-    doc, unit_key = payload
     _maybe_crash()
     backend = _WORKER_BACKEND
     assert backend is not None, "worker used before initialization"
-    _begin_unit(backend, unit_key)
-    before = _health_counters(backend)
     try:
         results = backend.evaluate_batch(decode_requests(doc))
     except TransientError as e:
-        after = _health_counters(backend)
-        delta = _delta(before, after)
-        return ("err", type(e).__name__, e.args, delta)
-    after = _health_counters(backend)
-    return ("ok", encode_results(results), _delta(before, after))
+        return ("err", type(e).__name__, e.args)
+    return ("ok", encode_results(results))
 
 
 def _attached_batch(req_name: str) -> "shm_transport.DecodedBatch":
@@ -321,33 +259,23 @@ def _attached_results(res_name: str, n: int) -> dict:
 def _eval_chunk_shm(payload: tuple) -> tuple:
     """Evaluate one shared-memory chunk: attach, slice by index, write back.
 
-    Returns ``("ok", error_rows, health_delta)`` -- times land directly
-    in the shared result array; only ``(index, class, args)`` error rows
-    return over the pipe -- or ``("err", class, args, health_delta)``
-    exactly like :func:`_eval_chunk`.
+    Returns ``("ok", error_rows)`` -- times land directly in the shared
+    result array; only ``(index, class, args)`` error rows return over
+    the pipe -- or ``("err", class, args)`` exactly like
+    :func:`_eval_chunk`.
     """
-    req_name, res_name, n, lo, hi, unit_key = payload
+    req_name, res_name, n, lo, hi = payload
     _maybe_crash()
     backend = _WORKER_BACKEND
     assert backend is not None, "worker used before initialization"
-    _begin_unit(backend, unit_key)
     batch = _attached_batch(req_name)
     res = _attached_results(res_name, n)
-    before = _health_counters(backend)
     try:
         results = backend.evaluate_batch(batch.requests(lo, hi))
     except TransientError as e:
-        after = _health_counters(backend)
-        return ("err", type(e).__name__, e.args, _delta(before, after))
+        return ("err", type(e).__name__, e.args)
     errors = shm_transport.write_results(res["times"], res["status"], lo, results)
-    after = _health_counters(backend)
-    return ("ok", errors, _delta(before, after))
-
-
-def _delta(before: "dict | None", after: "dict | None") -> "dict | None":
-    if before is None or after is None:
-        return None
-    return {k: after[k] - before[k] for k in after if after[k] != before[k]}
+    return ("ok", errors)
 
 
 # ----------------------------------------------------------------------
@@ -380,9 +308,6 @@ class ParallelBackend(BackendBase):
         module docstring; ``"pickle"``: the per-row codec.  Results are
         bit-identical either way; ``shm`` silently falls back to
         ``pickle`` where POSIX shared memory is unavailable.
-    health:
-        Optional health ledger (``CampaignHealth``-shaped); worker-side
-        retry counters and pool restarts are merged into it.
     max_pool_restarts:
         Times a batch survives a worker death (the pool is restarted and
         the batch re-dispatched) before :class:`WorkerLostError`
@@ -399,7 +324,6 @@ class ParallelBackend(BackendBase):
         chunk_size: "int | None" = None,
         context: str = "spawn",
         transport: str = "shm",
-        health=None,
         max_pool_restarts: int = 2,
     ):
         if transport not in TRANSPORTS:
@@ -417,10 +341,8 @@ class ParallelBackend(BackendBase):
         if transport == "shm" and not shm_transport.shm_available():
             transport = "pickle"
         self.transport = transport
-        self.health = health
         self.max_pool_restarts = int(max_pool_restarts)
         self.worker_deaths = 0
-        self._unit_key = None
 
     # -- metadata ------------------------------------------------------
     @property
@@ -454,13 +376,6 @@ class ParallelBackend(BackendBase):
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- unit scoping --------------------------------------------------
-    def begin_unit(self, unit_key: object) -> None:
-        self._unit_key = unit_key
-        begin = getattr(self._local, "begin_unit", None)
-        if begin is not None:
-            begin(unit_key)
-
     # -- evaluation ----------------------------------------------------
     def _chunks(self, n: int) -> "list[tuple[int, int]]":
         size = self.chunk_size
@@ -476,46 +391,26 @@ class ParallelBackend(BackendBase):
                 return self._pool.map(fn, payloads)
             except WorkerLostError:
                 self.worker_deaths += 1
-                if self.health is not None:
-                    self.health.worker_deaths += 1
                 if restart == self.max_pool_restarts:
                     raise
         raise AssertionError("unreachable")
 
-    def _merge_reply_meta(self, replies: list) -> "BaseException | None":
-        """Fold health deltas into the ledger; return the first failure.
-
-        Deterministic propagation: the first failing chunk in request
-        order raises, matching where the sequential path would have
-        stopped.
-        """
-        failure: "BaseException | None" = None
+    @staticmethod
+    def _raise_first_failure(replies: list) -> None:
+        """Re-raise the first failing chunk's error, in request order,
+        matching where the sequential path would have stopped."""
         for reply in replies:
-            if reply[0] == "ok":
-                delta = reply[2]
-            else:
-                cls = getattr(_errors, reply[1], TransientError)
-                if failure is None:
-                    failure = cls(*reply[2])
-                delta = reply[3]
-            if delta and self.health is not None:
-                for name, value in delta.items():
-                    setattr(self.health, name, getattr(self.health, name) + value)
-        return failure
+            if reply[0] == "err":
+                raise getattr(_errors, reply[1], TransientError)(*reply[2])
 
     def _evaluate_pickle(
         self, requests: Sequence[EvalRequest], spans: list
     ) -> "list[EvalResult]":
         doc = encode_requests(requests)  # stencil table built once per batch
         table, rows = doc["stencils"], doc["requests"]
-        payloads = [
-            ({"stencils": table, "requests": rows[a:b]}, self._unit_key)
-            for a, b in spans
-        ]
+        payloads = [{"stencils": table, "requests": rows[a:b]} for a, b in spans]
         replies = self._dispatch(_eval_chunk, payloads)
-        failure = self._merge_reply_meta(replies)
-        if failure is not None:
-            raise failure
+        self._raise_first_failure(replies)
         out: list[EvalResult] = []
         for reply in replies:
             out.extend(decode_results(reply[1]))
@@ -532,14 +427,9 @@ class ParallelBackend(BackendBase):
         times = status = None
         try:
             times, status = shm_transport.result_views(res_seg, n)
-            payloads = [
-                (req_seg.name, res_seg.name, n, a, b, self._unit_key)
-                for a, b in spans
-            ]
+            payloads = [(req_seg.name, res_seg.name, n, a, b) for a, b in spans]
             replies = self._dispatch(_eval_chunk_shm, payloads)
-            failure = self._merge_reply_meta(replies)
-            if failure is not None:
-                raise failure
+            self._raise_first_failure(replies)
             error_rows = [row for reply in replies for row in reply[1]]
             return shm_transport.read_results(times, status, error_rows)
         finally:

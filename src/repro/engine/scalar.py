@@ -1,9 +1,8 @@
 """Per-point adapter: any ``time``-shaped object behind the batched protocol.
 
 ``ScalarBackend`` loops a simulator-shaped object's ``time`` over a
-batch, one request at a time.  It is what lets a
-:class:`~repro.gpu.faults.FaultInjector` or a test stub with a ``time``
-method serve a batched caller.  Wrapped around a
+batch, one request at a time.  It is what lets a test stub with a
+``time`` method serve a batched caller.  Wrapped around a
 :class:`~repro.gpu.simulator.GPUSimulator` it is a per-point reference
 over the same array pipeline as :class:`~repro.engine.VectorBackend`
 (each call a batch of one), so the two agree bit for bit and differ only

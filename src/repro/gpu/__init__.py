@@ -1,7 +1,7 @@
 """Simulated GPU substrate (Tables III/IV plus the timing model)."""
 
-from .faults import FaultConfig, FaultInjector, is_valid_time
-from .noise import noise_factor, uniform01
+from .faults import FaultConfig, is_valid_time
+from .noise import noise_factor
 from .occupancy import Occupancy, compute_occupancy
 from .simulator import GPUSimulator, SimResult, simulate
 from .specs import (
@@ -23,7 +23,6 @@ __all__ = [
     "ALL_GPU_ORDER",
     "AMD_GPU_ORDER",
     "FaultConfig",
-    "FaultInjector",
     "GPU_ORDER",
     "GPUS",
     "GPUSimulator",
@@ -43,6 +42,5 @@ __all__ = [
     "is_valid_time",
     "noise_factor",
     "simulate",
-    "uniform01",
     "vendor_info",
 ]

@@ -55,17 +55,6 @@ def standard_normal(*key: object) -> float:
     return _normal(*_digest(*key))
 
 
-def uniform01(*key: object) -> float:
-    """Deterministic uniform draw in ``[0, 1)`` keyed by *key*.
-
-    Shares the blake2b keying scheme of :func:`standard_normal` so fault
-    injection (:mod:`repro.gpu.faults`) is reproducible across processes
-    and independent of call order.
-    """
-    a, _ = _digest(*key)
-    return a / 2**64
-
-
 def noise_factors(prefix: tuple, keys, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
     """Jitter for the runs keyed ``prefix + (key,)``, one per *keys* entry.
 

@@ -17,7 +17,7 @@ each OC is its own group instead, so one device loss voids one OC's
 tuning point rather than the whole unit's.  The per-(stencil, OC)
 sampling streams are derived from the seed independent of order (see
 :class:`~repro.profiling.search.RandomSearch`), and fault draws are
-scoped per unit (see :meth:`~repro.gpu.faults.FaultInjector.begin_unit`),
+scoped per unit (see :meth:`~repro.engine.fault.FaultBackend.begin_unit`),
 so units are self-contained: a tuning point re-run from scratch -- after
 a device loss, or in a resumed process -- converges to exactly the
 timings the fault-free campaign records.  That is what makes the
@@ -82,6 +82,10 @@ class RetryPolicy:
     measurements) or after a call exhausted its per-call budget.
     Backoff doubles from ``backoff_base_s`` up to ``backoff_max_s`` on
     the simulated clock.
+
+    Budgets that would drop or hang work are rejected: a negative point
+    budget never tries a group, and a negative call budget never runs
+    out.
     """
 
     max_call_retries: int = 8
@@ -89,6 +93,18 @@ class RetryPolicy:
     backoff_base_s: float = 0.05
     backoff_factor: float = 2.0
     backoff_max_s: float = 5.0
+
+    def __post_init__(self) -> None:
+        for name, ok, rule in (
+            ("max_call_retries", self.max_call_retries >= 0, ">= 0"),
+            ("max_point_retries", self.max_point_retries >= 0, ">= 0"),
+            ("backoff_base_s", self.backoff_base_s >= 0, ">= 0"),
+            ("backoff_factor", self.backoff_factor >= 1, ">= 1"),
+            ("backoff_max_s", self.backoff_max_s >= self.backoff_base_s,
+             ">= backoff_base_s"),
+        ):
+            if not ok:
+                raise ValueError(f"{name}={getattr(self, name)} must be {rule}")
 
 
 #: Integer counter fields of :class:`CampaignHealth` (everything but

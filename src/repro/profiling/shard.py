@@ -12,8 +12,8 @@ uses.
 
 Determinism: every unit derives its sampling streams from the campaign
 seed and its own (gpu, stencil_id) identity, and fault draws are scoped
-per unit (:meth:`~repro.gpu.faults.FaultInjector.begin_unit` resets the
-attempt counters), so a unit computes the same profile no matter which
+per unit (:meth:`~repro.engine.fault.FaultBackend.begin_unit` resets
+the attempt counters), so a unit computes the same profile no matter which
 process runs it, in what order, after what history.  That is why the
 parent can merge shard results into a campaign bit-identical to the
 sequential one.

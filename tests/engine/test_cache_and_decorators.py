@@ -12,7 +12,7 @@ from repro.engine import (
     as_backend,
 )
 from repro.errors import DeviceLostError
-from repro.gpu.faults import FaultConfig, FaultInjector
+from repro.gpu.faults import FaultConfig
 from repro.optimizations.combos import ALL_OCS
 from repro.optimizations.params import default_setting, sample_setting
 from repro.profiling.runner import CampaignHealth, RetryPolicy, SimClock
@@ -176,8 +176,14 @@ class TestAsBackend:
         sim = GPUSimulator("A100")
         be = as_backend(sim)
         assert isinstance(be, VectorBackend) and be.sim is sim
-        stub = FaultInjector(sim, FaultConfig())
-        assert isinstance(as_backend(stub), ScalarBackend)
+
+        class Stub:
+            spec, sigma = sim.spec, sim.sigma
+
+            def time(self, stencil, oc, setting, grid=None):
+                return 1.0
+
+        assert isinstance(as_backend(Stub()), ScalarBackend)
 
     def test_rejects_unrelated_objects(self):
         with pytest.raises(TypeError):

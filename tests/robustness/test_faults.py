@@ -1,10 +1,12 @@
-"""Unit tests for the deterministic fault injector."""
+"""Unit tests for the deterministic fault injector (``FaultBackend``)."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from repro.engine import EvalRequest, FaultBackend, VectorBackend
 from repro.errors import (
     DeviceLostError,
     MeasurementTimeout,
@@ -12,38 +14,54 @@ from repro.errors import (
     TransientError,
     TransientMeasurementError,
 )
-from repro.gpu import GPUSimulator
-from repro.gpu.faults import FaultConfig, FaultInjector, is_valid_time
+from repro.gpu.faults import FaultConfig, is_valid_time
 from repro.optimizations.combos import ALL_OCS
 from repro.optimizations.params import sample_setting
 from repro.stencil import star
 
+from .make_golden import GOLDEN_PATH, campaign_case, streams
 
-def _sample_calls(n=40, seed=0):
-    """(stencil, oc, setting) triples covering several OCs."""
+
+def _sample_requests(n=40, seed=0):
+    """Requests covering several OCs."""
     rng = np.random.default_rng(seed)
     stencil = star(2, 1)
     out = []
     for i in range(n):
         oc = ALL_OCS[i % len(ALL_OCS)]
-        out.append((stencil, oc, sample_setting(oc, 2, rng)))
+        out.append(EvalRequest(stencil, oc, sample_setting(oc, 2, rng)))
     return out
 
 
-def _valid_call(seed=0):
-    """One (stencil, oc, setting) that launches cleanly on V100."""
-    sim = GPUSimulator("V100")
+def _valid_request(seed=0):
+    """One request that launches cleanly on V100."""
     rng = np.random.default_rng(seed)
     stencil = star(2, 1)
     oc = ALL_OCS[0]
     for _ in range(64):
-        setting = sample_setting(oc, 2, rng)
-        try:
-            sim.time(stencil, oc, setting)
-        except ReproError:
-            continue
-        return stencil, oc, setting
+        req = EvalRequest(stencil, oc, sample_setting(oc, 2, rng))
+        if VectorBackend("V100").evaluate_batch([req])[0].ok:
+            return req
     raise AssertionError("no launchable setting found")
+
+
+def _faulted(cfg, seed, unit="u"):
+    be = FaultBackend(VectorBackend("V100"), cfg, seed=seed)
+    be.begin_unit(unit)
+    return be
+
+
+def _kinds(be, requests):
+    """One outcome per request, each evaluated in its own call."""
+    out = []
+    for req in requests:
+        try:
+            (res,) = be.evaluate_batch([req])
+        except DeviceLostError:
+            out.append(("DeviceLostError", None))
+            continue
+        out.append(("ok", res.time_ms) if res.ok else (type(res.error).__name__, None))
+    return out
 
 
 class TestFaultConfig:
@@ -75,100 +93,76 @@ class TestFaultConfig:
 
 class TestZeroRatePassThrough:
     def test_identical_times(self):
-        sim = GPUSimulator("V100")
-        inj = FaultInjector(sim, FaultConfig(), seed=1)
-        for stencil, oc, setting in _sample_calls(20):
-            try:
-                expected = sim.time(stencil, oc, setting)
-            except ReproError:
-                continue
-            assert inj.time(stencil, oc, setting) == expected
+        plain = VectorBackend("V100")
+        be = FaultBackend(plain, FaultConfig(), seed=1)
+        reqs = _sample_requests(20)
+        for r, g in zip(be.evaluate_batch(reqs), plain.evaluate_batch(reqs)):
+            assert r.ok == g.ok
+            if g.ok:
+                assert r.time_ms == g.time_ms
+        assert be._attempts == {}  # never drew
 
 
 class TestDeterminism:
     def test_same_seed_same_fault_sequence(self):
         cfg = FaultConfig.uniform(0.2)
-
-        def outcomes(seed):
-            inj = FaultInjector(GPUSimulator("V100"), cfg, seed=seed)
-            inj.begin_unit("u")
-            out = []
-            for stencil, oc, setting in _sample_calls(30):
-                try:
-                    out.append(("ok", inj.time(stencil, oc, setting)))
-                except ReproError as e:
-                    out.append((type(e).__name__, None))
-            return out
-
-        assert outcomes(5) == outcomes(5)
+        reqs = _sample_requests(30)
+        assert _kinds(_faulted(cfg, 5), reqs) == _kinds(_faulted(cfg, 5), reqs)
 
     def test_different_seeds_differ(self):
         cfg = FaultConfig.uniform(0.2)
-
-        def kinds(seed):
-            inj = FaultInjector(GPUSimulator("V100"), cfg, seed=seed)
-            inj.begin_unit("u")
-            out = []
-            for stencil, oc, setting in _sample_calls(40):
-                try:
-                    inj.time(stencil, oc, setting)
-                    out.append("ok")
-                except ReproError as e:
-                    out.append(type(e).__name__)
-            return out
-
-        assert kinds(1) != kinds(2)
+        reqs = _sample_requests(40)
+        assert _kinds(_faulted(cfg, 1), reqs) != _kinds(_faulted(cfg, 2), reqs)
 
     def test_attempt_counter_advances(self):
-        """Retrying the same call eventually yields the true timing."""
-        sim = GPUSimulator("V100")
-        cfg = FaultConfig(timeout_rate=0.5)
-        inj = FaultInjector(sim, cfg, seed=3)
-        inj.begin_unit("u")
-        stencil, oc, setting = _valid_call()
-        expected = sim.time(stencil, oc, setting)
+        """Retrying the same request eventually yields the true timing."""
+        req = _valid_request()
+        (clean,) = VectorBackend("V100").evaluate_batch([req])
+        be = _faulted(FaultConfig(timeout_rate=0.5), 3)
         for _ in range(64):
-            try:
-                assert inj.time(stencil, oc, setting) == expected
+            (res,) = be.evaluate_batch([req])
+            if res.ok:
+                assert res.time_ms == clean.time_ms
                 return
-            except MeasurementTimeout:
-                continue
+            assert isinstance(res.error, MeasurementTimeout)
         pytest.fail("fault never cleared over 64 attempts")
 
     def test_begin_unit_rescopes_draws(self):
-        """The same call faults independently in different units."""
+        """The same request faults independently in different units."""
         cfg = FaultConfig(transient_rate=0.5)
-        stencil, oc, setting = _valid_call()
-
-        def first_outcome(unit):
-            inj = FaultInjector(GPUSimulator("V100"), cfg, seed=9)
-            inj.begin_unit(unit)
-            try:
-                inj.time(stencil, oc, setting)
-                return "ok"
-            except TransientMeasurementError:
-                return "fault"
-
-        outcomes = {first_outcome(u) for u in range(16)}
-        assert outcomes == {"ok", "fault"}
+        req = _valid_request()
+        outcomes = {
+            _kinds(_faulted(cfg, 9, unit=u), [req])[0][0] for u in range(16)
+        }
+        assert outcomes == {"ok", "TransientMeasurementError"}
 
 
 class TestCorruption:
     def test_corrupted_timings_are_detectable(self):
-        cfg = FaultConfig(corrupt_rate=1.0)
-        inj = FaultInjector(GPUSimulator("V100"), cfg, seed=0)
-        inj.begin_unit("u")
-        seen = 0
-        for stencil, oc, setting in _sample_calls(30):
-            try:
-                t = inj.time(stencil, oc, setting)
-            except ReproError:
-                continue
-            assert not is_valid_time(t)
-            seen += 1
-        assert seen > 0
+        be = _faulted(FaultConfig(corrupt_rate=1.0), 0)
+        results = be.evaluate_batch(_sample_requests(30))
+        seen = [r.time_ms for r in results if r.ok]
+        assert seen and not any(is_valid_time(t) for t in seen)
 
     def test_is_valid_time(self):
         assert is_valid_time(1.5)
         for bad in (0.0, -1.0, math.nan, math.inf):
             assert not is_valid_time(bad)
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+class TestGolden:
+    """The fault schedule and a faulted campaign against frozen pins."""
+
+    def test_fault_streams(self, golden):
+        actual, expected = streams(), golden["streams"]
+        assert actual.keys() == expected.keys()
+        for key, calls in expected.items():
+            assert actual[key] == calls, key
+
+    def test_faulted_campaign(self, golden):
+        assert campaign_case(FaultConfig.uniform(0.1)) == golden["campaign"]

@@ -236,3 +236,23 @@ class TestValidation:
 
         with pytest.raises(DatasetError, match="mixed"):
             CampaignRunner(list(population) + [star(3, 1)])
+
+    @pytest.mark.parametrize(
+        "bad, field",
+        [
+            ({"max_point_retries": -1}, "max_point_retries"),
+            ({"max_call_retries": -1}, "max_call_retries"),
+            ({"backoff_base_s": -0.1}, "backoff_base_s"),
+            ({"backoff_factor": 0.5}, "backoff_factor"),
+            ({"backoff_base_s": 2.0, "backoff_max_s": 1.0}, "backoff_max_s"),
+        ],
+    )
+    def test_retry_policy_rejects_bad_budgets(self, bad, field):
+        # A negative point budget would silently drop every OC of a unit;
+        # a negative call budget would retry a certain fault forever.
+        with pytest.raises(ValueError, match=f"^{field}="):
+            RetryPolicy(**bad)
+
+    def test_retry_policy_accepts_edge_budgets(self):
+        RetryPolicy(max_call_retries=0, max_point_retries=0,
+                    backoff_base_s=0.0, backoff_factor=1.0, backoff_max_s=0.0)
