@@ -1,13 +1,17 @@
-"""Analytical performance model: the selection + fidelity bars.
+"""Analytical performance model: the selection and fidelity bars.
 
-The static metric-extraction pipeline's claim (ISSUE 8) is that a
-roofline composition over source-extracted metrics carries real signal:
-statically autotuning candidate OCs with it beats the heuristic ladder
-on held-out stencils, and feeding its metric columns to the GBDT
-regressor (the hybrid method) does not cost runtime correlation.  This
-runs the same benches ``tools/bench_analytical.py`` records into
-``BENCH_analytical.json`` (at the quick shape) and asserts the
-acceptance bars.
+The static metric-extraction pipeline composes source-extracted metrics
+with ``GPUSimulator(spec, sigma=0.0)``.  For generator output those
+metrics equal what ``build_profile`` derives, so the analytical family
+is the measurement substrate's own noise-free time: a *noise ceiling*,
+not a competing predictor.  The bars below say how close the static
+autotuner and the hybrid regressor come to that ceiling: statically
+autotuning candidate OCs beats the heuristic ladder on held-out
+stencils, and feeding the metric columns to the GBDT regressor (the
+hybrid method) does not cost runtime correlation.  They do not measure
+modelling skill.  This runs the same benches ``tools/bench_analytical.py``
+records into ``BENCH_analytical.json`` (at the quick shape) and asserts
+the acceptance bars.
 """
 
 from repro.analysis.bench import (

@@ -27,23 +27,58 @@ from .findings import Baseline, Finding, Report, Severity, Suppressions
 # ----------------------------------------------------------------------
 # content-keyed parse memoization
 # ----------------------------------------------------------------------
-#: Maximum cached translation units; a full library sweep is a few
-#: hundred sources, so this never evicts in practice.
+#: Maximum cached translation units, and separately cached kernel
+#: bodies; a full library sweep is a few hundred sources, so this never
+#: evicts in practice.
 PARSE_CACHE_CAPACITY = 4096
 
 _parse_lock = threading.Lock()
 _parse_cache: "OrderedDict[str, ir.TranslationUnit]" = OrderedDict()
+_body_cache: "OrderedDict[tuple, tuple]" = OrderedDict()
 _parse_hits = 0
 _parse_misses = 0
+_body_hits = 0
+_body_misses = 0
+
+
+def _remember(cache: OrderedDict, key, value):
+    """Store *value* unless another thread stored one first (call under
+    the lock); evicts the oldest entries beyond capacity."""
+    value = cache.setdefault(key, value)
+    cache.move_to_end(key)
+    while len(cache) > PARSE_CACHE_CAPACITY:
+        cache.popitem(last=False)
+    return value
+
+
+def _parse_body_cached(lines: tuple) -> tuple:
+    """:func:`ir.parse_body`, memoized on the body lines."""
+    global _body_hits, _body_misses
+    with _parse_lock:
+        body = _body_cache.get(lines)
+        if body is not None:
+            _body_hits += 1
+            _body_cache.move_to_end(lines)
+            return body
+    parsed = ir.parse_body(lines)  # parse outside the lock: it can raise
+    with _parse_lock:
+        _body_misses += 1
+        return _remember(_body_cache, lines, parsed)
 
 
 def parse_unit_cached(source: str) -> ir.TranslationUnit:
-    """Parse *source*, memoized on a content digest.
+    """Parse *source*, memoized at two levels.
 
     Lint and the performance-model extraction walk the same emitted
     sources; keying on a BLAKE2b digest of the text means each distinct
     unit parses once per process regardless of which pass asks first.
-    Callers treat the returned unit as read-only (every pass does).
+    On a miss only the header (macros and metadata) is read again when
+    the kernel body -- the source minus ``#define`` lines and comments,
+    keyed with its line numbers -- was parsed before: the tuning
+    settings of one (stencil, OC) mostly differ in macros alone, and
+    their units then share the same :class:`~repro.analysis.ir.Kernel`
+    objects.  Callers treat the returned unit as read-only (every pass
+    does); parse errors are never cached.
     """
     global _parse_hits, _parse_misses
     key = hashlib.blake2b(source.encode("utf-8"), digest_size=16).hexdigest()
@@ -53,18 +88,18 @@ def parse_unit_cached(source: str) -> ir.TranslationUnit:
             _parse_hits += 1
             _parse_cache.move_to_end(key)
             return unit
-    parsed = ir.parse_unit(source)  # parse outside the lock: it can raise
+    parsed = ir.parse_unit(source, body_parser=_parse_body_cached)
     with _parse_lock:
         _parse_misses += 1
-        _parse_cache[key] = parsed
-        _parse_cache.move_to_end(key)
-        while len(_parse_cache) > PARSE_CACHE_CAPACITY:
-            _parse_cache.popitem(last=False)
-    return parsed
+        return _remember(_parse_cache, key, parsed)
 
 
 def parse_cache_info() -> dict:
-    """Hit/miss counters, mirroring ``CachingBackend.cache_info``."""
+    """Hit/miss counters, mirroring ``CachingBackend.cache_info``.
+
+    ``hits``/``misses``/``size`` count whole sources; ``body_hits`` and
+    ``body_misses`` count the kernel-body lookups of whole-source misses.
+    """
     with _parse_lock:
         total = _parse_hits + _parse_misses
         return {
@@ -73,16 +108,24 @@ def parse_cache_info() -> dict:
             "size": len(_parse_cache),
             "capacity": PARSE_CACHE_CAPACITY,
             "hit_rate": _parse_hits / total if total else 0.0,
+            "body_hits": _body_hits,
+            "body_misses": _body_misses,
         }
 
 
 def clear_parse_cache() -> None:
-    """Drop every cached unit and reset the counters."""
-    global _parse_hits, _parse_misses
+    """Drop every cached unit, body and expression; reset the counters.
+
+    Structural facts that analyses memoize on a kernel
+    (:attr:`~repro.analysis.ir.Kernel.memo`) go with it: the next parse
+    builds fresh kernels.
+    """
+    global _parse_hits, _parse_misses, _body_hits, _body_misses
     with _parse_lock:
         _parse_cache.clear()
-        _parse_hits = 0
-        _parse_misses = 0
+        _body_cache.clear()
+        ir._parse_expr.cache_clear()
+        _parse_hits = _parse_misses = _body_hits = _body_misses = 0
 
 
 @dataclass(frozen=True)

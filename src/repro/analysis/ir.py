@@ -17,12 +17,19 @@ semicolons so fused lines like ``acc += partial; partial = 0.0;`` parse
 as two statements.  Unknown constructs raise :class:`ParseError` with
 the offending line rather than mis-filing silently: the IR is a
 correctness tool, and a parser that guesses would launder real drift.
+
+Parsing has two halves.  :func:`scan_header` reads the macros and the
+provenance comments of one source; :func:`parse_body` builds kernels and
+host from the remaining lines, which carry no macro value.  Sources that
+differ only in ``#define`` lines therefore share one parsed body, and the
+IR is read-only: no pass may mutate a statement, a kernel or a unit.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from ..errors import ReproError
 from . import expr as E
@@ -103,6 +110,9 @@ class Kernel:
     params: tuple[str, ...]
     body: list
     line: int
+    #: Facts an analysis derives from this body alone, memoized under a
+    #: key it owns.  Not part of the IR: the statements are read-only.
+    memo: dict = field(default_factory=dict, compare=False, repr=False)
 
     def shared_arrays(self) -> dict[str, VarDecl]:
         return {
@@ -161,7 +171,15 @@ _LINE_COMMENT_RE = re.compile(r"//.*$")
 
 
 def strip_comments(line: str) -> str:
+    if "/" not in line:
+        return line.strip()
     return _LINE_COMMENT_RE.sub("", _BLOCK_COMMENT_RE.sub("", line)).strip()
+
+
+#: :func:`expr.parse_expr` memoized on the text.  The statements and
+#: macros of one tuning frontier repeat the same expressions, and ASTs
+#: are immutable, so equal texts share one tree.
+_parse_expr = lru_cache(maxsize=16384)(E.parse_expr)
 
 
 def split_top(text: str, sep: str) -> list[str]:
@@ -214,7 +232,7 @@ def _parse_dims(rest: str):
             j += 1
         if depth != 0:
             raise ParseError(f"unbalanced brackets in {rest!r}")
-        dims.append(E.parse_expr(rest[i + 1:j]))
+        dims.append(_parse_expr(rest[i + 1:j]))
         i = j + 1
         while i < len(rest) and rest[i] == " ":
             i += 1
@@ -232,7 +250,7 @@ def _parse_decl(text: str, line: int) -> VarDecl:
         dims, rest = _parse_dims(rest)
         rest = rest.strip()
     if rest.startswith("="):
-        init = E.parse_expr(rest[1:].strip())
+        init = _parse_expr(rest[1:].strip())
     elif rest:
         raise ParseError(f"line {line}: trailing {rest!r} in declaration {text!r}")
     return VarDecl(
@@ -259,19 +277,19 @@ def _parse_simple(text: str, line: int):
         if len(parts) == 2 and parts[1].startswith("="):
             return Assign(
                 line=line,
-                target=E.parse_expr(parts[0].strip()),
+                target=_parse_expr(parts[0].strip()),
                 op=op,
-                value=E.parse_expr(parts[1][1:].strip()),
+                value=_parse_expr(parts[1][1:].strip()),
             )
     eq = split_top(body, "=")
     if len(eq) == 2 and not body.startswith("=="):
         return Assign(
             line=line,
-            target=E.parse_expr(eq[0].strip()),
+            target=_parse_expr(eq[0].strip()),
             op="=",
-            value=E.parse_expr(eq[1].strip()),
+            value=_parse_expr(eq[1].strip()),
         )
-    node = E.parse_expr(body)
+    node = _parse_expr(body)
     if isinstance(node, E.Call):
         return CallStmt(line=line, call=node)
     raise ParseError(f"line {line}: cannot classify statement {text!r}")
@@ -287,8 +305,8 @@ def _parse_for(header: str, line: int) -> For:
         m = re.match(r"^(?:(?:const\s+)?(?:int|unsigned|long)\s+)?(\w+)\s*=\s*(.+)$", init_text)
         if m is None:
             raise ParseError(f"line {line}: malformed for-init {init_text!r}")
-        var, init = m.group(1), E.parse_expr(m.group(2))
-    cond = E.parse_expr(cond_text) if cond_text else None
+        var, init = m.group(1), _parse_expr(m.group(2))
+    cond = _parse_expr(cond_text) if cond_text else None
     return For(line=line, var=var, init=init, cond=cond, step=step_text, body=[])
 
 
@@ -314,7 +332,7 @@ def _parse_block(lines, i):
             continue
         m = _IF_RE.match(text)
         if m is not None:
-            node = If(line=lineno, cond=E.parse_expr(m.group("cond")), body=[])
+            node = If(line=lineno, cond=_parse_expr(m.group("cond")), body=[])
             node.body, i = _parse_block(lines, i + 1)
             stmts.append(node)
             continue
@@ -330,7 +348,7 @@ def _parse_block(lines, i):
     raise ParseError("unterminated block (missing '}')")
 
 
-def _parse_host(lines, i, macros) -> tuple[Host, int]:
+def _parse_host(lines, i) -> tuple[Host, int]:
     start = lines[i][0]
     block_dims: tuple = (E.Num(1), E.Num(1), E.Num(1))
     grid_dims: tuple = (E.Num(1), E.Num(1), E.Num(1))
@@ -342,7 +360,7 @@ def _parse_host(lines, i, macros) -> tuple[Host, int]:
         depth += text.count("{") - text.count("}")
         m = _DIM3_RE.match(text)
         if m is not None:
-            dims = tuple(E.parse_expr(p.strip()) for p in split_top(m.group(2), ","))
+            dims = tuple(_parse_expr(p.strip()) for p in split_top(m.group(2), ","))
             dims = dims + (E.Num(1),) * (3 - len(dims))
             if m.group(1) == "block":
                 block_dims = dims
@@ -380,35 +398,60 @@ _META_RE = re.compile(
 )
 
 
-def parse_unit(source: str) -> TranslationUnit:
-    """Parse a generated translation unit (or bare kernel) into IR."""
+@dataclass
+class Header:
+    """What one pass over a source finds before any statement is parsed.
+
+    ``body`` holds the comment-stripped lines that are neither blank nor
+    ``#include``/``#define``, with their 1-based line numbers: the input
+    of :func:`parse_body`.  Two sources whose lines differ only in
+    ``#define`` values or in comments have equal bodies.
+    """
+
+    macros: dict[str, float]
+    macro_asts: dict[str, object]
+    meta: dict[str, str]
+    body: tuple
+
+
+def scan_header(source: str) -> Header:
+    """Macros, provenance metadata and body lines of one source."""
     macro_asts: dict[str, object] = {}
     macros: dict[str, float] = {}
     meta: dict[str, str] = {}
-    kernels: list[Kernel] = []
-    host: Host | None = None
-
-    raw = source.splitlines()
-    # First sweep: macros and header metadata (comments carry provenance).
-    for lineno, line in enumerate(raw, 1):
+    body = []
+    for lineno, line in enumerate(source.splitlines(), 1):
         mm = _META_RE.search(line)
         if mm is not None:
-            meta[mm.group(1)] = mm.group(2).strip()
+            meta[mm.group(1)] = mm.group(2).strip()  # comments carry provenance
         text = strip_comments(line)
+        if not text:
+            continue
+        if not text.startswith(("#include", "#define")):
+            body.append((lineno, text))
+            continue
         m = _DEFINE_RE.match(text)
-        if m is not None:
-            try:
-                ast = E.parse_expr(m.group(2).strip())
-            except E.ExprError:
-                continue  # non-arithmetic macro: irrelevant to analysis
-            macro_asts[m.group(1)] = ast
-            value = E.eval_const(ast, macros)
-            if value is not None:
-                macros[m.group(1)] = value
+        if m is None:
+            continue
+        try:
+            ast = _parse_expr(m.group(2).strip())
+        except E.ExprError:
+            continue  # non-arithmetic macro: irrelevant to analysis
+        macro_asts[m.group(1)] = ast
+        value = E.eval_const(ast, macros)
+        if value is not None:
+            macros[m.group(1)] = value
+    return Header(macros=macros, macro_asts=macro_asts, meta=meta, body=tuple(body))
 
-    # Second sweep: kernels and the host launcher.
-    lines = [(n, strip_comments(line)) for n, line in enumerate(raw, 1)]
-    lines = [(n, t) for n, t in lines if t and not t.startswith(("#include", "#define"))]
+
+def parse_body(lines) -> tuple[list[Kernel], Host | None]:
+    """Kernels and host launcher of a :attr:`Header.body`.
+
+    Macro values never enter the statement tree, so the result depends
+    on the body lines alone.
+    """
+    kernels: list[Kernel] = []
+    host: Host | None = None
     i = 0
     while i < len(lines):
         lineno, text = lines[i]
@@ -428,15 +471,25 @@ def parse_unit(source: str) -> TranslationUnit:
             kernels.append(Kernel(name=m.group(1), params=params, body=body, line=lineno))
             continue
         if _HOST_RE.match(text):
-            host, i = _parse_host(lines, i, macros)
+            host, i = _parse_host(lines, i)
             continue
         i += 1
+    return kernels, host
 
+
+def parse_unit(source: str, body_parser=parse_body) -> TranslationUnit:
+    """Parse a generated translation unit (or bare kernel) into IR.
+
+    *body_parser* maps :attr:`Header.body` to ``(kernels, host)``; a
+    caching parser may return the same objects for equal bodies.
+    """
+    header = scan_header(source)
+    kernels, host = body_parser(header.body)
     return TranslationUnit(
         source=source,
-        macros=macros,
-        macro_asts=macro_asts,
+        macros=header.macros,
+        macro_asts=header.macro_asts,
         kernels=kernels,
         host=host,
-        meta=meta,
+        meta=header.meta,
     )

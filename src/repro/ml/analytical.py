@@ -8,6 +8,14 @@ implement the same ``state_dict`` / ``from_state`` contract so they
 serialize through :mod:`repro.ml.serialize` and publish as registry
 artifacts like any trained model.
 
+This family is the **noise ceiling**, not a competing predictor: the
+estimator times the extracted metrics with ``GPUSimulator(spec,
+sigma=0.0)``, and for generator output those metrics equal what
+``build_profile`` derives from the intent.  Its time is the measurement
+substrate's own, minus the noise, so its accuracy against measurements
+bounds what any learned model can reach; it says nothing about
+modelling skill.
+
 - :class:`AnalyticalPredictor` prices raw ``(stencil, OC, setting,
   gpu)`` requests in milliseconds per time step.
 - :class:`AnalyticalSelector` picks the best OC for a stencil by
@@ -61,6 +69,9 @@ def _estimate_ms(stencil, oc, setting, gpu, grid=None) -> float:
 
 class AnalyticalPredictor:
     """Campaign-free runtime predictor backed by the static perfmodel.
+
+    Its predictions are the noise-free substrate times (the noise
+    ceiling of the module docstring).
 
     Unlike the learned regressors it consumes raw requests, not feature
     matrices: the metric extraction needs the actual kernel source, and
@@ -116,7 +127,9 @@ class AnalyticalSelector:
     oracle uses, except every "measurement" is a static estimate.  The
     candidate with the cheapest tuned optimum wins.  Candidates with no
     estimable setting are skipped; ``naive`` is always feasible, so the
-    selector is total on generator stencils.
+    selector is total on generator stencils.  As the estimates are the
+    substrate's noise-free times, its picks are the noise ceiling of OC
+    selection, not a rival to the learned selectors.
 
     ``n_settings`` is the random-walk sample count per candidate (the
     campaign's knob of the same name); ``refine=False`` drops the

@@ -8,11 +8,18 @@ source text: bit-identical across repeated runs and across process
 pools of any size.
 """
 
+import json
 import multiprocessing
+import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.analysis import framework as afw
+from repro.analysis import ir
+from repro.analysis.ir import ParseError
 from repro.analysis.lint import feasible_settings
 from repro.analysis.perfmodel import (
     ANALYTICAL_FEATURE_NAMES,
@@ -20,12 +27,15 @@ from repro.analysis.perfmodel import (
     estimate_kernel,
     estimate_kernels,
     estimate_source,
+    KernelMetrics,
     extract_metrics,
 )
 from repro.codegen.cuda import generate_cuda
 from repro.optimizations.combos import OC
 from repro.optimizations.params import ParamSetting
 from repro.stencil import get
+
+from .make_golden import GOLDEN_PATH, encode, outcome, record, stencils_from_json
 
 WORD = 8
 
@@ -292,7 +302,121 @@ class TestParseCache:
             "size": 0,
             "capacity": afw.PARSE_CACHE_CAPACITY,
             "hit_rate": 0.0,
+            "body_hits": 0,
+            "body_misses": 0,
         }
+
+    def test_define_only_change_shares_body(self):
+        afw.clear_parse_cache()
+        _, _, _, a = _fixture("star2d1r", "ST_RT")
+        b = a.replace("#define NX 8192", "#define NX 4096")
+        assert a != b
+        u1 = afw.parse_unit_cached(a)
+        u2 = afw.parse_unit_cached(b)
+        assert u1.macros["NX"] == 8192 and u2.macros["NX"] == 4096
+        assert u2.kernels[0] is u1.kernels[0] and u2.host is u1.host
+        info = afw.parse_cache_info()
+        assert (info["misses"], info["hits"]) == (2, 0)
+        assert (info["body_misses"], info["body_hits"]) == (1, 1)
+        assert extract_metrics(b).dims == (4096, 8192)
+
+    def test_malformed_body_is_never_cached(self):
+        afw.clear_parse_cache()
+        _, _, _, good = _fixture("star2d1r", "naive")
+        bad = good.replace("double acc = 0.0;", "switch (acc) {", 1)
+        assert bad != good
+        for _ in range(2):
+            with pytest.raises(ParseError):
+                afw.parse_unit_cached(bad)
+        info = afw.parse_cache_info()
+        assert info["size"] == 0 and len(afw._body_cache) == 0
+        assert (info["misses"], info["body_misses"]) == (0, 0)
+
+    def test_clear_empties_body_cache(self):
+        afw.clear_parse_cache()
+        unit = afw.parse_unit_cached(_fixture("star2d1r", "ST_RT")[3])
+        extract_metrics(unit)
+        assert len(afw._body_cache) == 1 and unit.kernel.memo
+        afw.clear_parse_cache()
+        assert len(afw._body_cache) == 0
+        again = afw.parse_unit_cached(unit.source)
+        assert again.kernel is not unit.kernel and not again.kernel.memo
+
+    def test_capacity_evicts_oldest_body(self, monkeypatch):
+        afw.clear_parse_cache()
+        monkeypatch.setattr(afw, "PARSE_CACHE_CAPACITY", 2)
+        sources = [
+            _fixture(name, "naive")[3]
+            for name in ("star2d1r", "box2d1r", "star2d2r")
+        ]
+        first = afw.parse_unit_cached(sources[0])
+        for s in sources[1:]:
+            afw.parse_unit_cached(s)
+        assert len(afw._body_cache) == 2
+        # The oldest body was evicted: a macro variant of it parses anew,
+        # while one of the newest body is a hit.
+        variant = afw.parse_unit_cached(sources[0].replace("#define NX 8192", "#define NX 64"))
+        assert variant.kernels[0] is not first.kernels[0]
+        afw.parse_unit_cached(sources[2].replace("#define NX 8192", "#define NX 64"))
+        info = afw.parse_cache_info()
+        assert (info["body_misses"], info["body_hits"]) == (4, 1)
+
+    def test_concurrent_frontier_parses_agree(self):
+        afw.clear_parse_cache()
+        stencil, oc = get("star2d2r"), OC.parse("ST_RT")
+        sources = [generate_cuda(stencil, oc, s) for s in feasible_settings(stencil, oc, 16, 3)]
+        barrier = threading.Barrier(4, timeout=60)
+
+        def parse_all(k):
+            barrier.wait()
+            order = sources[k:] + sources[:k]
+            units = {s: afw.parse_unit_cached(s) for s in order}
+            return [units[s] for s in sources]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(parse_all, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [ir.parse_unit(s) for s in sources]
+        for units in results:
+            assert units == expected
+        # No lost counter update: every lookup is counted once per level.
+        info = afw.parse_cache_info()
+        assert info["hits"] + info["misses"] == 4 * len(sources)
+        assert info["body_hits"] + info["body_misses"] == info["misses"]
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+class TestExtractionGolden:
+    """Extraction against frozen pins, from a cold and from a warm cache."""
+
+    def _check(self, golden, order, cold):
+        stencils = stencils_from_json(golden["stencils"])
+        for i in order:
+            entry = golden["entries"][i]
+            if cold:
+                afw.clear_parse_cache()
+            got = encode(outcome(entry, stencils), golden["fields"])
+            assert got == json.dumps(entry[4], sort_keys=True), entry[:4]
+
+    def test_fields(self, golden):
+        assert list(record(KernelMetrics())) == golden["fields"]
+
+    def test_cold(self, golden):
+        self._check(golden, range(len(golden["entries"])), cold=True)
+
+    def test_warm_shuffled(self, golden):
+        order = list(range(len(golden["entries"])))
+        random.Random(0).shuffle(order)
+        afw.clear_parse_cache()
+        self._check(golden, order, cold=False)
 
 
 class TestAnalyticalFeatures:
