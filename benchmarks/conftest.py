@@ -12,6 +12,11 @@ or in the pytest-benchmark summary) and asserts the qualitative shape.
 
 from __future__ import annotations
 
+import math
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
 from repro.config import get_scale
@@ -22,6 +27,12 @@ from repro.stencil import benchmark_stencils
 
 
 SCALE = get_scale()
+
+# The throughput gates reset caches with perfbench's helper
+# (``perfbench.common.clear_memo_caches``), imported read-only.
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.insert(0, _ROOT)
 
 
 def pytest_report_header(config):
@@ -71,6 +82,19 @@ def mart_2d():
 def mart_3d():
     """StencilMART over the random 3-D population (Figs. 9-15)."""
     return _mart(3, SCALE.n_stencils_3d)
+
+
+def best_of(reps: int, run, prepare=None) -> float:
+    """Best-of-*reps* wall time of ``run()``; ``prepare()``, if given,
+    runs untimed before every rep (e.g. to reset caches)."""
+    best = math.inf
+    for _ in range(reps):
+        if prepare is not None:
+            prepare()
+        start = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - start)
+    return best
 
 
 def print_table(title: str, header: "list[str]", rows: "list[list]") -> None:

@@ -10,18 +10,27 @@ measures the persistent tuning cache's cold-vs-warm replay speedup over
 the parallel dispatch substrate.
 """
 
+import math
+import multiprocessing
+import shutil
+import tempfile
+
 import numpy as np
 
+from repro.engine import make_backend
 from repro.gpu import GPUSimulator
 from repro.optimizations import OC
 from repro.profiling import RandomSearch
-from repro.tuning import GeneticSearch
-from repro.tuning.bench import run_cache_bench, run_strategy_bench
+from repro.tuning import GeneticSearch, TuningCache, available_strategies, tune
 from repro.stencil import generate_population
 
-from conftest import print_table
+from conftest import best_of, print_table
 
+#: Parameter-heavy OCs spanning the streaming / temporal / merging axes.
 OCS = ("ST", "ST_RT", "ST_CM_RT_TB")
+#: The budget every strategy gets, in full-fidelity evaluations.
+BUDGET = 32
+SEED = 11
 
 
 def test_ablation_search_strategy(scale, benchmark):
@@ -42,7 +51,7 @@ def test_ablation_search_strategy(scale, benchmark):
                 continue
             r_times.append(r.best_time_ms)
             g_times.append(g.best_time_ms)
-            evals.append(g.evaluations)
+            evals.append(g.trials)
         ratio = float(np.mean([g / r for g, r in zip(g_times, r_times)]))
         ratios.append(ratio)
         rows.append([oc_name, float(np.mean(r_times)), float(np.mean(g_times)),
@@ -63,72 +72,144 @@ def test_ablation_search_strategy(scale, benchmark):
     )
 
 
-def test_strategy_zoo_equal_budget(scale, benchmark):
-    quick = scale.name == "small"
-    doc = run_strategy_bench(quick=quick)
+def run_zoo(quick: bool):
+    """Tune random 2-D stencils x ``OCS`` x GPUs with every registered
+    strategy at equal budget through one cached vector backend per GPU.
 
-    rows = [
-        [
-            name,
-            row["geomean_vs_random"],
-            "yes" if row["beats_random"] else "no",
-            row["mean_trials"],
-            row["mean_cost"],
-            row["wall_s"],
-        ]
-        for name, row in sorted(
-            doc["strategies"].items(),
-            key=lambda kv: kv[1]["geomean_vs_random"],
-        )
+    Returns ``(rows, n_cells)``; a row holds a strategy's geometric-mean
+    best-time ratio against random search (< 1: it finds faster
+    configurations at equal spend), the cells it solved and its mean
+    trials per cell.
+    """
+    gpus = ("V100",) if quick else ("V100", "A100", "2080Ti")
+    stencils = generate_population(2, 3 if quick else 6, seed=55)
+    cells = [
+        (gpu, sid, stencil, OC.parse(name))
+        for gpu in gpus
+        for sid, stencil in enumerate(stencils)
+        for name in OCS
     ]
+    backends = {gpu: make_backend("cached", gpu) for gpu in gpus}
+    times, rows = {}, {}
+    for strategy in available_strategies():
+        per_cell = {}
+        trials = 0
+        for gpu, sid, stencil, oc in cells:
+            result = tune(
+                stencil,
+                oc=oc,
+                backend=backends[gpu],
+                strategy=strategy,
+                budget=BUDGET,
+                seed=SEED,
+                stencil_id=sid,
+            )
+            trials += result.trials
+            if result.ok:
+                per_cell[gpu, sid, oc.name] = result.best_time_ms
+        times[strategy] = per_cell
+        rows[strategy] = {
+            "cells_solved": len(per_cell),
+            "mean_trials": trials / len(cells),
+        }
+    base = times["random"]
+    for strategy, per_cell in times.items():
+        logs = [math.log(t / base[k]) for k, t in per_cell.items() if k in base]
+        rows[strategy]["geomean_vs_random"] = (
+            math.exp(sum(logs) / len(logs)) if logs else float("nan")
+        )
+    return rows, len(cells)
+
+
+def test_strategy_zoo_equal_budget(scale, benchmark):
+    rows, n_cells = run_zoo(quick=scale.name == "small")
+
     print_table(
-        f"Strategy zoo at equal budget ({doc['budget']} evals, "
-        f"{doc['n_stencils']} stencils x {len(doc['ocs'])} OCs x "
-        f"{'+'.join(doc['gpus'])})",
-        ["strategy", "geomean vs random", "beats", "trials", "cost", "wall (s)"],
-        rows,
+        f"Strategy zoo at equal budget ({BUDGET} evals, {n_cells} cells)",
+        ["strategy", "geomean vs random", "trials"],
+        [
+            [name, row["geomean_vs_random"], row["mean_trials"]]
+            for name, row in sorted(
+                rows.items(), key=lambda kv: kv[1]["geomean_vs_random"]
+            )
+        ],
     )
 
     # Every strategy solves every cell and respects the budget (halving
     # spends its allowance on cheap low-fidelity trials, so its trial
     # count is the one allowed above the budget).
-    n_cells = doc["n_stencils"] * len(doc["ocs"]) * len(doc["gpus"])
-    for name, row in doc["strategies"].items():
+    for name, row in rows.items():
         assert row["cells_solved"] == n_cells, name
         if name != "halving":
-            assert row["mean_trials"] <= doc["budget"] + 4, name
+            assert row["mean_trials"] <= BUDGET + 4, name
 
     # The point of the zoo: informed search beats random sampling at
     # equal spend.  At least three of the new strategies must win.
     winners = [
         name
-        for name, row in doc["strategies"].items()
-        if name != doc["baseline"] and row["beats_random"]
+        for name, row in rows.items()
+        if name != "random" and row["geomean_vs_random"] < 1.0
     ]
     assert len(winners) >= 3, winners
 
-    benchmark.pedantic(
-        lambda: run_strategy_bench(quick=True), rounds=1, iterations=1
-    )
+    benchmark.pedantic(lambda: run_zoo(quick=True), rounds=1, iterations=1)
 
 
 def test_tuning_cache_replay_speedup(scale):
-    quick = scale.name == "small"
-    doc = run_cache_bench(quick=quick)
+    """Cold-vs-warm wall time of tune() against a persistent cache.
+
+    The substrate is the parallel dispatch backend -- the deployment the
+    cache exists for, where every measurement pays worker-pool dispatch.
+    The cold sweep fills the cache through it; each warm sweep opens a
+    fresh :class:`TuningCache` on the same directory (a new process
+    replaying settled results from disk) and must never touch the pool.
+    """
+    stencils = generate_population(2, 2 if scale.name == "small" else 4, seed=77)
+    root = tempfile.mkdtemp(prefix="tunecache-")
+    context = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    base = make_backend("parallel", "V100", workers=4, context=context)
+    caches = []
+
+    def sweep():
+        cache = TuningCache(base, root)
+        caches.append(cache)
+        for sid, stencil in enumerate(stencils):
+            for name in OCS:
+                tune(
+                    stencil,
+                    oc=OC.parse(name),
+                    backend=cache,
+                    strategy="random",
+                    budget=BUDGET,
+                    seed=SEED,
+                    stencil_id=sid,
+                )
+
+    try:
+        # The cold sweep runs once by construction (it fills the cache);
+        # the warm replay is repeatable, so best-of-3 shields the
+        # speedup ratio from scheduler noise.
+        cold_s = best_of(1, sweep)
+        warm_s = best_of(3, sweep)
+    finally:
+        base.close()
+        shutil.rmtree(root, ignore_errors=True)
+    cold, *warm = caches
 
     print_table(
-        f"Persistent tuning cache ({doc['substrate']}, {doc['cells']} "
-        f"cells, budget {doc['budget']})",
+        f"Persistent tuning cache ({base.info.name}, "
+        f"{len(stencils) * len(OCS)} cells, budget {BUDGET})",
         ["phase", "wall (s)", "hits", "misses"],
         [
-            ["cold", doc["cold_s"], doc["cold"]["hits"], doc["cold"]["misses"]],
-            ["warm", doc["warm_s"], doc["warm"]["hits"], doc["warm"]["misses"]],
+            ["cold", cold_s, cold.hits, cold.misses],
+            ["warm", warm_s, warm[-1].hits, warm[-1].misses],
         ],
     )
 
     # The warm replay never consults the substrate...
-    assert doc["cold"]["hits"] == 0
-    assert doc["warm"]["misses"] == 0
-    assert doc["warm"]["hits"] == doc["cold"]["misses"]
+    assert cold.hits == 0
+    for cache in warm:
+        assert cache.misses == 0
+        assert cache.hits == cold.misses
     # ...and repeated tune() against the warm cache is >= 5x faster.
-    assert doc["speedup"] >= 5.0, doc
+    assert cold_s / warm_s >= 5.0, (cold_s, warm_s)

@@ -19,100 +19,161 @@ import time
 
 import numpy as np
 
-from repro.engine import make_backend
-from repro.engine.bench import (
-    make_workload,
-    run_parallel_bench,
-    run_throughput_bench,
-)
+from perfbench.common import clear_memo_caches
+from repro.engine import BackendSpec, EvalRequest, ParallelBackend, make_backend
 from repro.ml.nn import ConvND
+from repro.optimizations.combos import ALL_OCS
+from repro.optimizations.params import default_setting, sample_setting
+from repro.profiling import CampaignRunner
+from repro.stencil.generator import generate_population
 
-from conftest import print_table
+from conftest import best_of, print_table
 
 _CTX = "fork" if sys.platform.startswith("linux") else "spawn"
+GPU = "V100"
+WORKERS = (1, 2, 4)
+
+
+def make_workload(n_stencils: int, settings_per_oc: int) -> "list[EvalRequest]":
+    """A campaign-shaped request list: random 2-D stencils x every OC x
+    the default setting plus sampled ones."""
+    rng = np.random.default_rng(123)
+    return [
+        EvalRequest(stencil, oc, setting)
+        for stencil in generate_population(2, n_stencils, seed=123)
+        for oc in ALL_OCS
+        for setting in [default_setting()]
+        + [sample_setting(oc, 2, rng) for _ in range(settings_per_oc - 1)]
+    ]
+
+
+def _evaluate(backend, workload) -> None:
+    assert len(backend.evaluate_batch(workload)) == len(workload)
 
 
 def test_engine_throughput(benchmark):
-    doc = run_throughput_bench()
+    workload = make_workload(n_stencils=3, settings_per_oc=32)
+    seconds = {}
+    for kind in ("scalar", "vector", "cached"):
+        backend = make_backend(kind, GPU)
 
-    rows = [
-        [kind, row["seconds"], row["points_per_sec"], row["speedup_vs_scalar"]]
-        for kind, row in doc["backends"].items()
-    ]
-    replay = doc["cached_replay"]
-    rows.append(
-        [
-            "cached (replay)",
-            replay["seconds"],
-            replay["points_per_sec"],
-            replay["speedup_vs_scalar"],
-        ]
-    )
+        def cold():
+            # Each rep measures a fresh campaign start.
+            clear_memo_caches()
+            if kind == "cached":
+                backend.clear()
+
+        seconds[kind] = best_of(3, lambda: _evaluate(backend, workload), cold)
+    # A second pass of the cached backend over its warm memo cache.
+    backend.clear()
+    _evaluate(backend, workload)
+    seconds["cached (replay)"] = best_of(3, lambda: _evaluate(backend, workload))
+
+    speedup = {kind: seconds["scalar"] / s for kind, s in seconds.items()}
     print_table(
-        f"Engine throughput ({doc['gpu']}, {doc['n_points']} points)",
+        f"Engine throughput ({GPU}, {len(workload)} points)",
         ["backend", "seconds", "points/sec", "speedup"],
-        rows,
+        [[k, s, len(workload) / s, speedup[k]] for k, s in seconds.items()],
     )
 
     # The engine's acceptance bar: >=5x points/sec over the scalar path
     # on a representative campaign slice (ISSUE 2), and cache replay far
     # beyond that.
-    assert doc["backends"]["vector"]["speedup_vs_scalar"] >= 5.0
-    assert (
-        replay["speedup_vs_scalar"]
-        > doc["backends"]["vector"]["speedup_vs_scalar"]
-    )
+    assert speedup["vector"] >= 5.0
+    assert speedup["cached (replay)"] > speedup["vector"]
     # A cold cached pass is all misses plus memo bookkeeping; the
     # interned-key miss path keeps that overhead under ~10%.  Shared
     # runners add +-10% timer noise, so gate on the best paired trial
     # (vector and cached timed back to back under the same load).
-    from repro.engine.bench import _clear_model_caches
-
-    workload32 = make_workload(settings_per_oc=32)
-    vec = make_backend("vector", "V100")
-    cac = make_backend("cached", "V100")
+    vec = make_backend("vector", GPU)
+    cac = make_backend("cached", GPU)
     best_ratio = 0.0
     for _ in range(5):
-        _clear_model_caches()
+        clear_memo_caches()
         start = time.perf_counter()
-        vec.evaluate_batch(workload32)
+        vec.evaluate_batch(workload)
         v = time.perf_counter() - start
-        _clear_model_caches()
+        clear_memo_caches()
         cac.clear()
         start = time.perf_counter()
-        cac.evaluate_batch(workload32)
+        cac.evaluate_batch(workload)
         c = time.perf_counter() - start
         best_ratio = max(best_ratio, v / c)
         if best_ratio >= 0.9:
             break
+    print(f"cold cached/vector ratio (best paired trial): {best_ratio:.3f}")
     assert best_ratio >= 0.9
-    # Sanity: all backends saw the same number of points.
-    assert doc["n_points"] == len(make_workload(settings_per_oc=32))
 
     # Representative timing unit: one vectorized batch over a quick slice.
     workload = make_workload(n_stencils=1, settings_per_oc=4)
-    be = make_backend("vector", "V100")
+    be = make_backend("vector", GPU)
     benchmark(be.evaluate_batch, workload)
 
 
 def test_parallel_worker_sweep(benchmark):
-    doc = run_parallel_bench(context=_CTX)
+    """Worker-count sweep per transport, plus sharded campaigns.
 
-    rows = [
-        [f"backend/{t}", w, row["seconds"], row["points_per_sec"],
-         row["speedup_vs_1"]]
-        for t, sweep in doc["backend_sweep"].items()
-        for w, row in sweep.items()
-    ] + [
-        ["campaign", w, row["seconds"], row["measurements_per_sec"],
-         row["speedup_vs_1"]]
-        for w, row in doc["campaign"]["sweep"].items()
-    ]
+    Speedups are relative to ``workers=1`` of the same code path (the
+    pool-free bypass for the backend, the sequential runner for the
+    campaign); ``shm_vs_pickle`` compares the two transports at equal
+    worker counts.  The campaign sweep shards whole (gpu, stencil)
+    units, where only profile rows cross the pipe, so it carries no
+    transport axis.
+    """
+    workload = make_workload(n_stencils=3, settings_per_oc=16)
+    # Untimed warm-up: the first measured configuration must not pay
+    # process-wide one-time costs (imports, stencil interning) the later
+    # ones inherit.  Caches are still reset before every rep.
+    _evaluate(make_backend("vector", GPU), workload)
+
+    backend_s = {}
+    for transport in ("shm", "pickle"):
+        for workers in WORKERS:
+            backend = ParallelBackend(
+                BackendSpec(kind="vector", gpu=GPU),
+                workers=workers,
+                context=_CTX,
+                transport=transport,
+            )
+            try:
+                backend_s[transport, workers] = best_of(
+                    3, lambda: _evaluate(backend, workload), clear_memo_caches
+                )
+            finally:
+                backend.close()
+
+    stencils = generate_population(2, 6, seed=7)
+    campaign_s = {}
+    campaigns = []
+    for workers in WORKERS:
+        campaign_s[workers] = best_of(
+            2,
+            lambda: campaigns.append(
+                CampaignRunner(
+                    stencils,
+                    gpus=(GPU,),
+                    n_settings=4,
+                    seed=7,
+                    backend="vector",
+                    workers=workers,
+                    mp_context=_CTX,
+                ).run()
+            ),
+            clear_memo_caches,
+        )
+    n_meas = len(campaigns[-1].measurements(GPU))
+
     print_table(
-        f"Worker sweep ({doc['gpu']}, {doc['cpu_count']} CPUs, "
-        f"{doc['n_points']} points)",
+        f"Worker sweep ({GPU}, {os.cpu_count()} CPUs, {len(workload)} points)",
         ["path", "workers", "seconds", "throughput", "speedup"],
-        rows,
+        [
+            [f"backend/{t}", w, s, len(workload) / s, backend_s[t, 1] / s]
+            for (t, w), s in backend_s.items()
+        ]
+        + [
+            ["campaign", w, s, n_meas / s, campaign_s[1] / s]
+            for w, s in campaign_s.items()
+        ],
     )
 
     # Multi-core acceptance bars: a 4-worker sharded campaign clears
@@ -121,26 +182,21 @@ def test_parallel_worker_sweep(benchmark):
     # >=1.5x the pickle codec at equal workers.  Only meaningful where
     # the host actually has >=4 CPUs -- a 1-CPU container cannot speed
     # anything up by adding processes, so there the sweep just records
-    # honest ~1x numbers (cpu_count travels in the JSON for readers).
+    # honest ~1x numbers.
     if (os.cpu_count() or 1) >= 4:
-        assert doc["campaign"]["sweep"]["4"]["speedup_vs_1"] >= 2.5
-        assert doc["backend_sweep"]["shm"]["4"]["speedup_vs_1"] >= 2.5
-        assert doc["shm_vs_pickle"]["4"] >= 1.5
+        assert campaign_s[1] / campaign_s[4] >= 2.5
+        assert backend_s["shm", 1] / backend_s["shm", 4] >= 2.5
+        assert backend_s["pickle", 4] / backend_s["shm", 4] >= 1.5
     # Everywhere: sharding must not corrupt anything -- every sweep
-    # point saw the full workload (asserted inside the bench) and
+    # point saw the full workload (asserted by ``_evaluate``) and
     # produced positive throughput.
-    for sweep in doc["backend_sweep"].values():
-        for row in sweep.values():
-            assert row["points_per_sec"] > 0
-    for row in doc["campaign"]["sweep"].values():
-        assert row["measurements_per_sec"] > 0
+    assert all(len(workload) / s > 0 for s in backend_s.values())
+    assert all(n_meas / s > 0 for s in campaign_s.values())
 
     # Timing unit: a sharded batch through a persistent 2-worker pool.
-    from repro.engine import BackendSpec, ParallelBackend
-
     workload = make_workload(n_stencils=1, settings_per_oc=4)
     with ParallelBackend(
-        BackendSpec(kind="vector", gpu="V100"), workers=2, context=_CTX
+        BackendSpec(kind="vector", gpu=GPU), workers=2, context=_CTX
     ) as be:
         be.evaluate_batch(workload)  # warm the pool before timing
         benchmark(be.evaluate_batch, workload)

@@ -3,16 +3,20 @@
 The hardened service's claim (ISSUE 6) is that overload, corrupt
 publishes, torn tags, and poisoned models degrade answers -- they never
 break them. This runs the scripted chaos scenario from
-``repro.serve.chaos`` (the same one ``tools/bench_serve_chaos.py``
-records into ``BENCH_serve.json``) and asserts the acceptance bar:
+``repro.serve.chaos`` (the same one ``repro serve-chaos --report``
+writes out) and asserts the acceptance bar:
 zero non-503 errors, every admitted request answered, the breaker pins
 the last good model and recovers, and the degraded swap rolls back.
 """
 
 import tempfile
 
-from repro.serve.bench import train_bench_artifacts
-from repro.serve.chaos import ChaosConfig, chaos_passed, run_chaos
+from repro.serve.chaos import (
+    ChaosConfig,
+    chaos_passed,
+    run_chaos,
+    train_bench_artifacts,
+)
 
 from conftest import print_table
 

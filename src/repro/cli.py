@@ -1238,8 +1238,7 @@ def cmd_serve_chaos(args) -> int:
     import json
     import tempfile
 
-    from .serve.bench import train_bench_artifacts
-    from .serve.chaos import ChaosConfig, chaos_passed, run_chaos
+    from .serve.chaos import ChaosConfig, chaos_passed, run_chaos, train_bench_artifacts
 
     print("training artifacts for the chaos scenario...", flush=True)
     selector, predictor = train_bench_artifacts(args.quick, args.seed)

@@ -48,6 +48,8 @@ from dataclasses import asdict, dataclass
 from ..config import DEFAULT_SEED, MAX_ORDER
 from ..errors import OverloadError, ReproError
 from ..optimizations.params import ParamSetting
+from ..profiling import run_campaign
+from ..profiling.train import train_predictor_artifact, train_selector_artifact
 from ..store import LATEST, atomic_write_text
 from ..stencil.generator import generate_population
 from .admission import AdmissionPolicy
@@ -247,12 +249,22 @@ def _traffic_until(service, stencils, cfg, out, stop: threading.Event):
     return pool
 
 
+def train_bench_artifacts(quick: bool = False, seed: int = DEFAULT_SEED):
+    """Small real V100 selector and predictor artifacts, trained on a
+    6- (``quick``) or 10-stencil 2-D campaign over V100 and A100."""
+    pop = generate_population(2, 6 if quick else 10, seed=seed)
+    campaign = run_campaign(pop, gpus=("V100", "A100"), n_settings=3, seed=seed)
+    selector = train_selector_artifact(campaign, "V100", seed=seed)
+    predictor = train_predictor_artifact(campaign, seed=seed)
+    return selector, predictor
+
+
 def run_chaos(selector, predictor, cfg: ChaosConfig, workdir) -> dict:
     """Run the scripted chaos scenario; returns the report document.
 
     *selector* and *predictor* are trained :class:`ModelArtifact`
-    objects (see :func:`repro.serve.bench._train_artifacts` for the
-    conventional small ones); *workdir* hosts the scratch registry.
+    objects (see :func:`train_bench_artifacts` for the conventional
+    small ones); *workdir* hosts the scratch registry.
     """
     registry = ChaosRegistry(workdir)
     v1 = registry.publish(selector, SELECTOR_NAME)

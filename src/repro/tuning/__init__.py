@@ -14,7 +14,7 @@ from .anneal import AnnealingStrategy
 from .api import tune, tune_lockstep
 from .bayes import BayesStrategy
 from .cache import TuningCache
-from .genetic import GAResult, GeneticSearch, GeneticStrategy
+from .genetic import GeneticSearch, GeneticStrategy
 from .halving import HalvingStrategy
 from .random_search import CoordinateDescentStrategy, RandomStrategy
 from .result import TrialRecord, TuneResult
@@ -36,7 +36,6 @@ __all__ = [
     "AskBatch",
     "BayesStrategy",
     "CoordinateDescentStrategy",
-    "GAResult",
     "GeneratorStrategy",
     "GeneticSearch",
     "GeneticStrategy",

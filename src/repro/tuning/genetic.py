@@ -23,13 +23,13 @@ from ..engine import as_backend
 from ..optimizations.combos import OC
 from ..optimizations.params import PARAM_NAMES, ParamSetting
 from ..stencil.stencil import Stencil
-from .result import GAResult, TuneResult
+from .result import TuneResult
 from .strategy import AskBatch, GeneratorStrategy, StrategyContext, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     pass
 
-__all__ = ["GAResult", "GeneticSearch", "GeneticStrategy"]
+__all__ = ["GeneticSearch", "GeneticStrategy"]
 
 _INF = float("inf")
 

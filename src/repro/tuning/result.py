@@ -2,11 +2,10 @@
 
 Before the unified front door, each search path invented its own return
 convention: ``RandomSearch.tune_oc`` returned an ``(OCResult,
-measurements)`` pair, ``GeneticSearch`` a ``GAResult``, and the
+measurements)`` pair, ``GeneticSearch`` its own result type, and the
 baselines raw tuples.  :class:`TuneResult` replaces all of them: best
 setting, best time, trials evaluated, cache accounting and strategy
-provenance in one dataclass.  ``GAResult`` survives as a deprecated
-alias so pre-refactor imports keep working.
+provenance in one dataclass.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Any
 
 from ..optimizations.params import ParamSetting
 
-__all__ = ["GAResult", "TuneResult", "TrialRecord"]
+__all__ = ["TuneResult", "TrialRecord"]
 
 
 @dataclass(frozen=True)
@@ -71,12 +70,6 @@ class TuneResult:
         """True when at least one configuration ran without crashing."""
         return self.best_setting is not None
 
-    # -- GAResult compatibility ---------------------------------------
-    @property
-    def evaluations(self) -> int:
-        """Deprecated ``GAResult`` spelling of :attr:`trials`."""
-        return self.trials
-
     @property
     def generations(self) -> "int | None":
         """Generations evolved (genetic strategy only)."""
@@ -96,8 +89,3 @@ class TuneResult:
             f"{self.crashed} crashed, cache {self.cache_hits}h/"
             f"{self.cache_misses}m) via {best}"
         )
-
-
-#: Deprecated alias: the genetic tuner's historical result type.  New
-#: code should use :class:`TuneResult` (all fields are shared).
-GAResult = TuneResult

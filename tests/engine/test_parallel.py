@@ -10,7 +10,6 @@ bit for bit.
 import pytest
 
 from repro.engine import BackendSpec, ParallelBackend, make_backend
-from repro.engine.bench import make_workload
 from repro.engine.parallel import (
     decode_requests,
     decode_results,
@@ -18,11 +17,6 @@ from repro.engine.parallel import (
     encode_results,
 )
 from repro.errors import KernelLaunchError
-
-
-@pytest.fixture(scope="module")
-def workload():
-    return make_workload(ndim=2, n_stencils=2, settings_per_oc=3, seed=5)
 
 
 def _digest(results):

@@ -16,12 +16,6 @@ import pytest
 
 from repro.engine import make_backend
 from repro.engine import shm as shm_transport
-from repro.engine.bench import make_workload
-
-
-@pytest.fixture(scope="module")
-def workload():
-    return make_workload(ndim=2, n_stencils=2, settings_per_oc=3, seed=5)
 
 
 pytestmark = pytest.mark.skipif(

@@ -104,7 +104,7 @@ def main() -> None:
                         "crashed_out": False,
                         "best_setting": list(g.best_setting.as_tuple()),
                         "best_time_ms": repr(g.best_time_ms),
-                        "evaluations": g.evaluations,
+                        "evaluations": g.trials,
                     }
 
     # Whole-campaign digest: random 2-D population on all four GPUs.

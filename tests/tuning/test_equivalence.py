@@ -86,7 +86,7 @@ def test_genetic_search_is_bit_identical(gpu):
         assert got is not None, key
         assert list(got.best_setting.as_tuple()) == want["best_setting"], key
         assert repr(got.best_time_ms) == want["best_time_ms"], key
-        assert got.evaluations == want["evaluations"], key
+        assert got.trials == want["evaluations"], key
 
 
 def test_campaign_digest_is_unchanged():

@@ -20,7 +20,8 @@ class TestGeneticSearch:
         result = ga.tune_oc(get("star2d2r"), OC.parse("ST"))
         assert result is not None
         assert result.best_time_ms > 0
-        assert result.evaluations > 0
+        assert result.trials > 0
+        assert result.generations == 3
         # The returned setting reproduces the reported time.
         assert sim.time(
             get("star2d2r"), OC.parse("ST"), result.best_setting

@@ -202,16 +202,3 @@ class TestFrontDoorValidation:
         with pytest.raises(TuningError, match="Stencil or ParameterSpace"):
             tune({"block_x": (32,)}, oc=ST, gpu="V100")
 
-
-class TestGAResultCompat:
-    def test_alias_and_properties(self):
-        from repro.tuning import GAResult
-
-        assert GAResult is TuneResult
-        result = tune(
-            STENCIL, oc=ST, gpu="V100", strategy="genetic", seed=0,
-            population=8, generations=2,
-        )
-        assert result.evaluations == result.trials
-        assert result.generations == 2
-        assert result.extras["generations"] == 2
