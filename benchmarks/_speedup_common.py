@@ -13,8 +13,8 @@ import numpy as np
 from repro.core import StencilMART
 from repro.ml import ConvNetClassifier, GBDTClassifier
 from repro.optimizations import OC_BY_NAME
-from repro.profiling import RandomSearch
 from repro.gpu import GPUSimulator
+from repro.tuning import RandomStrategy, tune
 
 #: Held-out stencils per dimensionality (kept small: each costs several
 #: tuner invocations per GPU).
@@ -43,19 +43,24 @@ def predicted_oc_times(
         model.fit(ds.tensors[train], ds.labels[train])
         classes = model.predict(ds.tensors[hold])
 
-    search = RandomSearch(
-        GPUSimulator(gpu, sigma=mart.sigma), mart.n_settings, mart.seed
-    )
+    sim = GPUSimulator(gpu, sigma=mart.sigma)
+
+    def tune_oc(stencil, oc):
+        return tune(
+            stencil, oc=oc, backend=sim,
+            strategy=RandomStrategy(mart.n_settings), seed=mart.seed,
+        )
+
     stencils = [mart.campaign.stencils[i] for i in hold]
     times: list[float] = []
     for s, cls in zip(stencils, classes):
         oc = OC_BY_NAME[mart.grouping.representatives[int(cls)]]
-        result, _ = search.tune_oc(s, -1, oc)
-        if result is None:
+        result = tune_oc(s, oc)
+        if not result.ok:
             # Fall back through class representatives until one runs.
             for rep in mart.grouping.representatives:
-                result, _ = search.tune_oc(s, -1, OC_BY_NAME[rep])
-                if result is not None:
+                result = tune_oc(s, OC_BY_NAME[rep])
+                if result.ok:
                     break
         times.append(result.best_time_ms)
     return stencils, times

@@ -10,17 +10,21 @@ import numpy as np
 
 from repro.gpu import GPUSimulator
 from repro.optimizations import ALL_OCS
-from repro.profiling import RandomSearch
 from repro.stencil import generate_population
+from repro.tuning import RandomStrategy, tune, tune_lockstep
 
 from conftest import print_table
 
 
-def _best_oc(search, stencil, sid):
+def _best_oc(sim, n_settings, seed, refine, stencil, sid):
     best = None
-    for oc in ALL_OCS:
-        r, _ = search.tune_oc(stencil, sid, oc)
-        if r is not None and (best is None or r.best_time_ms < best[0]):
+    results = tune_lockstep(
+        stencil,
+        [(oc, RandomStrategy(n_settings, refine=refine)) for oc in ALL_OCS],
+        backend=sim, seed=seed, stencil_id=sid,
+    )
+    for oc, r in zip(ALL_OCS, results):
+        if r.ok and (best is None or r.best_time_ms < best[0]):
             best = (r.best_time_ms, oc.name)
     return best
 
@@ -33,10 +37,9 @@ def test_ablation_refinement(scale, benchmark):
     for refine in (True, False):
         labels_by_seed = []
         for seed in (0, 1):
-            search = RandomSearch(sim, scale.n_settings, seed=seed, refine=refine)
             labels = []
             for sid, s in enumerate(stencils):
-                t, name = _best_oc(search, s, sid)
+                t, name = _best_oc(sim, scale.n_settings, seed, refine, s, sid)
                 labels.append(name)
                 if seed == 0:
                     quality[refine].append(t)
@@ -60,7 +63,10 @@ def test_ablation_refinement(scale, benchmark):
     assert np.mean(ratio) >= 0.999
     assert stability[True] >= stability[False]
 
-    search = RandomSearch(sim, scale.n_settings, seed=0)
     benchmark.pedantic(
-        lambda: search.tune_oc(stencils[0], 0, ALL_OCS[1]), rounds=1, iterations=1
+        lambda: tune(
+            stencils[0], oc=ALL_OCS[1], backend=sim,
+            strategy=RandomStrategy(scale.n_settings), seed=0, stencil_id=0,
+        ),
+        rounds=1, iterations=1,
     )

@@ -2,9 +2,9 @@
 
 The paper's profiling uses random search; the authors' csTuner [25] uses
 a re-designed genetic algorithm.  The first bench compares those two at
-comparable budgets through the legacy interfaces.  The second runs the
-whole ``repro.tuning`` strategy zoo through the unified ``tune()`` front
-door at an equal fidelity-weighted budget and asserts that informed
+comparable budgets.  The second runs the whole ``repro.tuning`` strategy
+zoo through the unified ``tune()`` front door at an equal
+fidelity-weighted budget and asserts that informed
 strategies beat the random baseline on best-time-found.  The third
 measures the persistent tuning cache's cold-vs-warm replay speedup over
 the parallel dispatch substrate.
@@ -20,8 +20,7 @@ import numpy as np
 from repro.engine import make_backend
 from repro.gpu import GPUSimulator
 from repro.optimizations import OC
-from repro.profiling import RandomSearch
-from repro.tuning import GeneticSearch, TuningCache, available_strategies, tune
+from repro.tuning import RandomStrategy, TuningCache, available_strategies, tune
 from repro.stencil import generate_population
 
 from conftest import best_of, print_table
@@ -36,8 +35,10 @@ SEED = 11
 def test_ablation_search_strategy(scale, benchmark):
     stencils = generate_population(2, 8, seed=55)
     sim = GPUSimulator("V100")
-    random_search = RandomSearch(sim, scale.n_settings, seed=0)
-    ga = GeneticSearch(sim, population=10, generations=5, seed=0)
+
+    def ga(s, sid, oc):
+        return tune(s, oc=oc, backend=sim, strategy="genetic", population=10,
+                    generations=5, seed=0, stencil_id=sid)
 
     rows = []
     ratios = []
@@ -45,9 +46,11 @@ def test_ablation_search_strategy(scale, benchmark):
         oc = OC.parse(oc_name)
         r_times, g_times, evals = [], [], []
         for sid, s in enumerate(stencils):
-            r, _ = random_search.tune_oc(s, sid, oc)
-            g = ga.tune_oc(s, oc)
-            if r is None or g is None:
+            r = tune(s, oc=oc, backend=sim,
+                     strategy=RandomStrategy(scale.n_settings), seed=0,
+                     stencil_id=sid)
+            g = ga(s, sid, oc)
+            if not (r.ok and g.ok):
                 continue
             r_times.append(r.best_time_ms)
             g_times.append(g.best_time_ms)
@@ -68,7 +71,7 @@ def test_ablation_search_strategy(scale, benchmark):
     assert all(0.5 < r < 2.0 for r in ratios)
 
     benchmark.pedantic(
-        lambda: ga.tune_oc(stencils[0], OC.parse("ST")), rounds=1, iterations=1
+        lambda: ga(stencils[0], 0, OC.parse("ST")), rounds=1, iterations=1
     )
 
 

@@ -7,10 +7,10 @@ single OC fits all).
 
 from collections import Counter
 
-from repro.profiling import RandomSearch
 from repro.gpu import GPUSimulator
 from repro.optimizations import OC
 from repro.stencil import get
+from repro.tuning import RandomStrategy, tune
 
 from conftest import print_table
 
@@ -49,5 +49,10 @@ def test_fig02_best_oc_distribution(motivation_2d, motivation_3d, benchmark):
         assert len(counter) >= 3, f"{gpu}: best OC should vary across stencils"
 
     # Representative unit: tuning one OC for one stencil.
-    search = RandomSearch(GPUSimulator("V100"), 4, seed=0)
-    benchmark(search.tune_oc, get("star2d1r"), 0, OC.parse("ST"))
+    sim = GPUSimulator("V100")
+    benchmark(
+        lambda: tune(
+            get("star2d1r"), oc=OC.parse("ST"), backend=sim,
+            strategy=RandomStrategy(4), seed=0, stencil_id=0,
+        )
+    )

@@ -15,8 +15,8 @@ from ..engine import make_backend
 from ..errors import DatasetError
 from ..optimizations.combos import OC
 from ..optimizations.params import ParamSetting
-from ..profiling.search import RandomSearch
 from ..stencil.stencil import Stencil
+from ..tuning import RandomStrategy, tune_lockstep
 
 #: Strategy ladder, strongest first.
 _STRATEGIES = ("ST_RT_TB", "ST_RT", "ST")
@@ -29,15 +29,18 @@ class AN5DBaseline:
 
     def __init__(self, gpu: str, n_settings: int, seed: int,
                  sigma: float = 0.03, backend: str = "vector"):
-        self.search = RandomSearch(
-            make_backend(backend, gpu, sigma=sigma), n_settings, seed
-        )
+        self.backend = make_backend(backend, gpu, sigma=sigma)
+        self.n_settings = int(n_settings)
+        self.seed = int(seed)
 
     def tune(self, stencil: Stencil, stencil_id: int = -1) -> tuple[OC, ParamSetting, float]:
         """Best configuration of the AN5D strategy for *stencil*."""
         for name in _STRATEGIES:
             oc = OC.parse(name)
-            result, _ = self.search.tune_oc(stencil, stencil_id, oc)
-            if result is not None:
+            (result,) = tune_lockstep(
+                stencil, [(oc, RandomStrategy(self.n_settings))],
+                backend=self.backend, seed=self.seed, stencil_id=stencil_id,
+            )
+            if result.ok:
                 return oc, result.best_setting, result.best_time_ms
         raise DatasetError("AN5D strategy ladder exhausted (stencil cannot stream)")

@@ -25,8 +25,8 @@ from ..errors import ConstraintViolation, DatasetError
 from ..optimizations.combos import OC
 from ..optimizations.params import ParamSetting
 from ..optimizations.passes import Opt
-from ..profiling.search import RandomSearch
 from ..stencil.stencil import Stencil
+from ..tuning import RandomStrategy, TuneResult, tune_lockstep
 
 #: Stage-1 structural skeletons.
 _SKELETONS = ("naive", "ST", "TB", "ST_TB")
@@ -49,20 +49,29 @@ class ArtemisBaseline:
         n_candidates: int = 2,
         backend: str = "vector",
     ):
-        self.search = RandomSearch(
-            make_backend(backend, gpu, sigma=sigma), n_settings, seed
-        )
+        self.backend = make_backend(backend, gpu, sigma=sigma)
+        self.n_settings = int(n_settings)
+        self.seed = int(seed)
         self.n_candidates = int(n_candidates)
+
+    def _tune_ocs(
+        self, stencil: Stencil, stencil_id: int, ocs: "list[OC]"
+    ) -> "list[TuneResult]":
+        """Random-search every OC of *ocs* in lockstep, one result each."""
+        return tune_lockstep(
+            stencil, [(oc, RandomStrategy(self.n_settings)) for oc in ocs],
+            backend=self.backend, seed=self.seed, stencil_id=stencil_id,
+        )
 
     def tune(self, stencil: Stencil, stencil_id: int = -1) -> tuple[OC, ParamSetting, float]:
         """Best configuration found by the two-stage procedure."""
         skeletons = [OC.parse(name) for name in _SKELETONS]
         stage1: list[tuple[float, OC, ParamSetting]] = [
             (result.best_time_ms, oc, result.best_setting)
-            for oc, (result, _) in zip(
-                skeletons, self.search.tune_oc(stencil, stencil_id, skeletons)
+            for oc, result in zip(
+                skeletons, self._tune_ocs(stencil, stencil_id, skeletons)
             )
-            if result is not None
+            if result.ok
         ]
         if not stage1:
             raise DatasetError("no Artemis skeleton could run")
@@ -76,10 +85,10 @@ class ArtemisBaseline:
                     stage2.append(OC(skeleton.opts | {extra}))
                 except ConstraintViolation:
                     continue
-        for oc, (result, _) in zip(
-            stage2, self.search.tune_oc(stencil, stencil_id, stage2)
+        for oc, result in zip(
+            stage2, self._tune_ocs(stencil, stencil_id, stage2)
         ):
-            if result is not None and result.best_time_ms < best_time:
+            if result.ok and result.best_time_ms < best_time:
                 best_time = result.best_time_ms
                 best_oc = oc
                 best_setting = result.best_setting

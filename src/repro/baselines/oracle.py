@@ -10,8 +10,8 @@ from ..engine import make_backend
 from ..errors import DatasetError
 from ..optimizations.combos import ALL_OCS, OC
 from ..optimizations.params import ParamSetting
-from ..profiling.search import RandomSearch
 from ..stencil.stencil import Stencil
+from ..tuning import RandomStrategy, tune_lockstep
 
 
 class OracleBaseline:
@@ -27,16 +27,20 @@ class OracleBaseline:
 
     def __init__(self, gpu: str, n_settings: int, seed: int,
                  sigma: float = 0.03, backend: str = "vector"):
-        self.search = RandomSearch(
-            make_backend(backend, gpu, sigma=sigma), n_settings, seed
-        )
+        self.backend = make_backend(backend, gpu, sigma=sigma)
+        self.n_settings = int(n_settings)
+        self.seed = int(seed)
 
     def tune(self, stencil: Stencil, stencil_id: int = -1) -> tuple[OC, ParamSetting, float]:
         """Best configuration over the full OC space."""
         best: tuple[float, OC, ParamSetting] | None = None
-        pairs = self.search.tune_oc(stencil, stencil_id, ALL_OCS)
-        for oc, (result, _) in zip(ALL_OCS, pairs):
-            if result is None:
+        results = tune_lockstep(
+            stencil,
+            [(oc, RandomStrategy(self.n_settings)) for oc in ALL_OCS],
+            backend=self.backend, seed=self.seed, stencil_id=stencil_id,
+        )
+        for oc, result in zip(ALL_OCS, results):
+            if not result.ok:
                 continue
             if best is None or result.best_time_ms < best[0]:
                 best = (result.best_time_ms, oc, result.best_setting)

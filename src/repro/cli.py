@@ -640,20 +640,20 @@ def cmd_profile(args) -> int:
         corrupt_rate=base if args.corrupt_rate is None else args.corrupt_rate,
     )
     pop = generate_population(args.ndim, args.count, seed=args.seed)
-    runner = CampaignRunner(
-        pop,
-        gpus=tuple(args.gpus),
-        n_settings=args.n_settings,
-        seed=args.seed,
-        backend=args.backend,
-        faults=faults,
-        checkpoint_path=args.checkpoint,
-        checkpoint_every=args.checkpoint_every,
-        workers=args.workers,
-        chunk_size=args.chunk_size,
-        transport=args.transport,
-    )
     try:
+        runner = CampaignRunner(
+            pop,
+            gpus=tuple(args.gpus),
+            n_settings=args.n_settings,
+            seed=args.seed,
+            backend=args.backend,
+            faults=faults,
+            checkpoint_path=args.checkpoint,
+            checkpoint_every=args.checkpoint_every,
+            workers=args.workers,
+            chunk_size=args.chunk_size,
+            transport=args.transport,
+        )
         campaign = runner.run(resume=args.resume)
     except CampaignInterrupted as e:
         print(f"campaign interrupted: {e}", file=sys.stderr)
@@ -682,20 +682,26 @@ def cmd_evaluate(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        from .errors import DatasetError
         from .profiling import CampaignRunner
         from .stencil import generate_population
 
         pop = generate_population(args.ndim, args.count, seed=args.seed)
-        runner = CampaignRunner(
-            pop,
-            gpus=(args.gpu,),
-            n_settings=args.n_settings,
-            seed=args.seed,
-            backend=args.backend,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-        )
-        mart = _mart_from_campaign(runner.run(), args.seed)
+        try:
+            runner = CampaignRunner(
+                pop,
+                gpus=(args.gpu,),
+                n_settings=args.n_settings,
+                seed=args.seed,
+                backend=args.backend,
+                workers=args.workers,
+                chunk_size=args.chunk_size,
+            )
+            campaign = runner.run()
+        except DatasetError as e:
+            print(f"evaluate: {e}", file=sys.stderr)
+            return 2
+        mart = _mart_from_campaign(campaign, args.seed)
     if args.task == "select":
         method = args.method or "gbdt"
         res = mart.evaluate_selector(

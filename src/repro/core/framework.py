@@ -17,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import tuning
 from ..config import DEFAULT_SEED, MAX_ORDER, N_MERGED_CLASSES
 from ..errors import DatasetError, ModelError, NotFittedError
 from ..gpu.noise import DEFAULT_SIGMA
-from ..gpu.simulator import GPUSimulator
 from ..gpu.specs import GPU_ORDER
 from ..ml import (
     ConvMLPRegressor,
@@ -38,7 +38,6 @@ from ..optimizations.params import ParamSetting
 from ..profiling import (
     ClassificationDataset,
     OCGrouping,
-    RandomSearch,
     RegressionDataset,
     build_classification_dataset,
     build_regression_dataset,
@@ -363,35 +362,28 @@ class StencilMART:
         ``strategy`` picks a member of the tuning zoo (see
         :func:`repro.tuning.available_strategies`), with ``budget`` and
         ``**strategy_options`` forwarded to :func:`repro.tuning.tune`.
-        The default (``"random"`` with no options) is the paper's tuner
-        and reproduces the pre-front-door results bit for bit.
+        The default (``"random"`` with no options) is the paper's tuner,
+        the same :class:`~repro.tuning.RandomStrategy` a campaign runs.
         """
         oc = self.predict_best_oc(stencil, gpu, method)
-        if strategy == "random" and budget is None and not strategy_options:
-            # The paper's path, via the legacy-pinned wrapper.
-            search = RandomSearch(
-                GPUSimulator(gpu, sigma=self.sigma), self.n_settings, self.seed
+        # The paper's tuner gets a fresh strategy per OC (strategies are
+        # stateful) and no budget, which would cap its refinement.
+        paper = strategy == "random" and budget is None and not strategy_options
+        if budget is None and not paper:
+            budget = self.n_settings
+
+        def run_oc(oc: OC):
+            result = tuning.tune(
+                stencil,
+                oc=oc,
+                gpu=gpu,
+                sigma=self.sigma,
+                strategy=tuning.RandomStrategy(self.n_settings) if paper else strategy,
+                budget=budget,
+                seed=self.seed,
+                **strategy_options,
             )
-
-            def run_oc(oc: OC):
-                result, _ = search.tune_oc(stencil, -1, oc)
-                return result
-
-        else:
-            from .. import tuning
-
-            def run_oc(oc: OC):
-                result = tuning.tune(
-                    stencil,
-                    oc=oc,
-                    gpu=gpu,
-                    sigma=self.sigma,
-                    strategy=strategy,
-                    budget=budget if budget is not None else self.n_settings,
-                    seed=self.seed,
-                    **strategy_options,
-                )
-                return result if result.ok else None
+            return result if result.ok else None
 
         result = run_oc(oc)
         if result is None:

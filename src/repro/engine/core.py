@@ -163,8 +163,8 @@ def as_backend(obj) -> "Backend":
     Accepts an existing backend (anything exposing ``evaluate_batch``), a
     :class:`~repro.gpu.simulator.GPUSimulator` -- wrapped in the batched
     :class:`~repro.engine.vector.VectorBackend` over the same model, so
-    ``RandomSearch(GPUSimulator(...))`` and friends evaluate whole
-    frontiers -- or any other simulator-like object (anything exposing
+    ``tune(..., backend=GPUSimulator(...))`` evaluates whole frontiers
+    -- or any other simulator-like object (anything exposing
     ``time``, such as a test stub), which is wrapped in the
     per-point :class:`~repro.engine.scalar.ScalarBackend` adapter.
     """

@@ -1,4 +1,4 @@
-"""Profiling campaigns, random search, PCC merging and dataset assembly."""
+"""Profiling campaigns, PCC merging and dataset assembly."""
 
 from .crossval import cross_validate, kfold_indices, stratified_kfold_indices
 from .dataset import (
@@ -21,7 +21,6 @@ from .profiler import ProfileCampaign, run_campaign
 from .records import Measurement, OCResult, StencilProfile
 from .registry import DatasetRegistry, resolve_dataset_path
 from .runner import CampaignHealth, CampaignRunner, RetryPolicy, SimClock
-from .search import RandomSearch
 from .storage import load_campaign, save_campaign
 from .train import train_predictor_artifact, train_selector_artifact
 
@@ -36,7 +35,6 @@ __all__ = [
     "OCGrouping",
     "OCResult",
     "ProfileCampaign",
-    "RandomSearch",
     "RegressionDataset",
     "RetryPolicy",
     "SimClock",

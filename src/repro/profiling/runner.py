@@ -16,9 +16,9 @@ for its next frontier and the union goes to the engine as one batch
 each OC is its own group instead, so one device loss voids one OC's
 tuning point rather than the whole unit's.  The per-(stencil, OC)
 sampling streams are derived from the seed independent of order (see
-:class:`~repro.profiling.search.RandomSearch`), and fault draws are
-scoped per unit (see :meth:`~repro.engine.fault.FaultBackend.begin_unit`),
-so units are self-contained: a tuning point re-run from scratch -- after
+:class:`UnitTuner`), and fault draws are scoped per unit (see
+:meth:`~repro.engine.fault.FaultBackend.begin_unit`), so units are
+self-contained: a tuning point re-run from scratch -- after
 a device loss, or in a resumed process -- converges to exactly the
 timings the fault-free campaign records.  That is what makes the
 determinism and kill--resume equivalence properties testable instead of
@@ -35,6 +35,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 from ..config import DEFAULT_SEED
 from ..engine import FaultBackend, RetryBackend, make_backend
@@ -50,9 +51,9 @@ from ..gpu.specs import GPU_ORDER
 from ..optimizations.combos import ALL_OCS, OC
 from ..stencil.stencil import Stencil
 from ..store import atomic_write_text, check_format, read_document
+from ..tuning import RandomStrategy, tune_lockstep
 from .profiler import ProfileCampaign
-from .records import StencilProfile
-from .search import RandomSearch
+from .records import Measurement, OCResult, StencilProfile
 from .storage import (
     FORMAT_VERSION,
     profile_from_row,
@@ -191,6 +192,55 @@ class CampaignHealth:
         return "\n".join(lines)
 
 
+class UnitTuner:
+    """The paper's per-OC random search (Section IV-A) on one backend:
+    a :class:`~repro.tuning.RandomStrategy` of ``n_settings`` per OC,
+    whose stream ``(seed, stencil_id, oc.name)`` is keyed by content,
+    never by evaluation order."""
+
+    def __init__(self, backend, n_settings: int, seed: int):
+        self.backend = backend
+        self.n_settings = int(n_settings)
+        self.seed = int(seed)
+
+    def tune_oc(
+        self, stencil: Stencil, stencil_id: int, ocs: "Sequence[OC]"
+    ) -> "list[tuple[OCResult | None, list[Measurement]]]":
+        """Tune every OC of *ocs* in lockstep (see
+        :func:`~repro.tuning.tune_lockstep`).
+
+        Returns one ``(OCResult, measurements)`` pair per OC, in OC
+        order; an OC whose every attempted setting crashes yields
+        ``(None, [])``.
+        """
+        jobs = [(oc, RandomStrategy(self.n_settings)) for oc in ocs]
+        results = tune_lockstep(
+            stencil, jobs, backend=self.backend, seed=self.seed,
+            stencil_id=stencil_id,
+        )
+        gpu = self.backend.spec.name
+        pairs = []
+        for (_, strategy), result in zip(jobs, results):
+            if not result.ok:
+                pairs.append((None, []))
+                continue
+            measurements = [
+                Measurement(stencil_id, result.oc, setting, gpu, time_ms)
+                for setting, time_ms in strategy.measurements
+            ]
+            pairs.append((
+                OCResult(
+                    oc=result.oc,
+                    best_setting=result.best_setting,
+                    best_time_ms=result.best_time_ms,
+                    n_settings=len(measurements),
+                    crashed=strategy.walk_crashed,
+                ),
+                measurements,
+            ))
+        return pairs
+
+
 def build_search(
     backend_kind: str,
     gpu: str,
@@ -202,8 +252,8 @@ def build_search(
     clock: SimClock,
     health: CampaignHealth,
     transport: str = "shm",
-) -> RandomSearch:
-    """One GPU's measurement stack, wrapped in a :class:`RandomSearch`.
+) -> UnitTuner:
+    """One GPU's measurement stack, wrapped in a :class:`UnitTuner`.
 
     Module-level (rather than a runner method) so shard worker processes
     build the *same* stack from the same code path: backend, then --
@@ -218,11 +268,11 @@ def build_search(
         be = RetryBackend(
             FaultBackend(be, faults, seed=seed), policy, clock, health
         )
-    return RandomSearch(be, n_settings, seed)
+    return UnitTuner(be, n_settings, seed)
 
 
 def run_unit(
-    search: RandomSearch,
+    search: UnitTuner,
     gpu: str,
     stencil: Stencil,
     sid: int,
@@ -299,7 +349,9 @@ class CampaignRunner:
     ----------
     stencils, gpus, ocs, n_settings, seed, sigma:
         Campaign definition, identical in meaning to
-        :func:`~repro.profiling.profiler.run_campaign`.
+        :func:`~repro.profiling.profiler.run_campaign`.  One that can
+        measure nothing (no stencils, GPUs or OCs, or ``n_settings < 1``)
+        is a :class:`DatasetError`.
     backend:
         Measurement backend kind (``"vector"``, ``"cached"`` or
         ``"parallel"``, see :func:`repro.engine.make_backend`).  All
@@ -380,6 +432,12 @@ class CampaignRunner:
             raise DatasetError(
                 f"mixed dimensionalities in campaign: {sorted(ndims)}"
             )
+        if not gpus:
+            raise DatasetError("no GPUs to profile on")
+        if not ocs:
+            raise DatasetError("no OCs to profile")
+        if int(n_settings) < 1:
+            raise DatasetError(f"n_settings must be >= 1, got {n_settings}")
         self.stencils = list(stencils)
         self.gpus = tuple(gpus)
         self.ocs = tuple(ocs)
@@ -550,24 +608,6 @@ class CampaignRunner:
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
-    def _make_search(self) -> "dict[str, RandomSearch]":
-        return {
-            gpu: build_search(
-                self.backend, gpu, self.sigma, self.faults, self.seed,
-                self.n_settings, self.policy, self.clock, self.health,
-                transport=self.transport,
-            )
-            for gpu in self.gpus
-        }
-
-    def _run_unit(
-        self, search: RandomSearch, gpu: str, stencil: Stencil, sid: int
-    ) -> StencilProfile:
-        return run_unit(
-            search, gpu, stencil, sid, self.ocs, self.faults,
-            self.policy, self.clock, self.health,
-        )
-
     def _pending_units(
         self, completed: dict[str, dict[int, StencilProfile]]
     ) -> "list[tuple[str, int]]":
@@ -594,14 +634,22 @@ class CampaignRunner:
     def _run_sequential(
         self, completed: dict[str, dict[int, StencilProfile]]
     ) -> None:
-        searches = self._make_search()
+        searches = {
+            gpu: build_search(
+                self.backend, gpu, self.sigma, self.faults, self.seed,
+                self.n_settings, self.policy, self.clock, self.health,
+                transport=self.transport,
+            )
+            for gpu in self.gpus
+        }
         processed = 0
         since_checkpoint = 0
         for gpu, sid in self._pending_units(completed):
             if self.max_units is not None and processed >= self.max_units:
                 raise self._interrupt(completed, processed)
-            completed[gpu][sid] = self._run_unit(
-                searches[gpu], gpu, self.stencils[sid], sid
+            completed[gpu][sid] = run_unit(
+                searches[gpu], gpu, self.stencils[sid], sid, self.ocs,
+                self.faults, self.policy, self.clock, self.health,
             )
             self.health.units_completed += 1
             processed += 1

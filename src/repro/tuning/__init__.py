@@ -14,7 +14,7 @@ from .anneal import AnnealingStrategy
 from .api import tune, tune_lockstep
 from .bayes import BayesStrategy
 from .cache import TuningCache
-from .genetic import GeneticSearch, GeneticStrategy
+from .genetic import GeneticStrategy
 from .halving import HalvingStrategy
 from .random_search import CoordinateDescentStrategy, RandomStrategy
 from .result import TrialRecord, TuneResult
@@ -37,7 +37,6 @@ __all__ = [
     "BayesStrategy",
     "CoordinateDescentStrategy",
     "GeneratorStrategy",
-    "GeneticSearch",
     "GeneticStrategy",
     "HalvingStrategy",
     "ParameterSpace",

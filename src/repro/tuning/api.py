@@ -111,7 +111,6 @@ def tune(
     grid: "tuple[int, ...] | None" = None,
     cache_dir: "str | Path | None" = None,
     sigma: float = 0.03,
-    rng_streams: "tuple | None" = None,
     **strategy_options,
 ) -> TuneResult:
     """Tune one (stencil, OC) pair and return the best setting found.
@@ -139,12 +138,10 @@ def tune(
         hard cap between frontiers; reduced-grid evaluations of the
         multi-fidelity strategies charge their grid-cell fraction.
         ``None`` (default) lets the strategy use its own defaults.
-    seed / stencil_id / rng_streams:
+    seed / stencil_id:
         Entropy: the strategy's RNG stream is keyed by
         ``strategy.stream_components(seed, stencil_id, oc)`` (the named
-        stream convention), or by ``rng_streams`` verbatim when given --
-        the escape hatch legacy wrappers use to pin pre-refactor
-        streams.
+        stream convention).
     grid:
         Evaluation grid override (``None``: the paper default for the
         stencil's dimensionality).
@@ -165,14 +162,9 @@ def tune(
         raise TuningError(f"budget must be positive, got {budget!r}")
 
     strat = _resolve_strategy(strategy, strategy_options)
-    components = (
-        rng_streams
-        if rng_streams is not None
-        else strat.stream_components(seed, stencil_id, oc)
-    )
     (result,) = _tune_jobs(
         stencil,
-        [(strat, oc, space, components)],
+        [(strat, oc, space, strat.stream_components(seed, stencil_id, oc))],
         _resolve_backend(backend, gpu, sigma),
         seed=seed,
         stencil_id=stencil_id,

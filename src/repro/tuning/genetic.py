@@ -5,31 +5,15 @@ re-designs a genetic algorithm over stencil parameter settings.
 :class:`GeneticStrategy` provides that search as a zoo member: tournament
 selection, uniform crossover and per-gene mutation, with whole
 generations evaluated as single engine batches and crashing individuals
-scored ``inf``.
-
-:class:`GeneticSearch` is the pre-refactor class, now a thin wrapper
-over :func:`repro.tuning.tune`.  It pins the legacy RNG stream --
-``(seed, crc32(oc.name))``, *without* a stencil component -- so results
-are bit-identical to the pre-front-door tuner; ``tune(...,
-strategy="genetic")`` uses the unified stream convention instead (and
-therefore draws differently, by design).
+scored ``inf``.  Run it with ``tune(..., strategy="genetic")``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from ..engine import as_backend
-from ..optimizations.combos import OC
 from ..optimizations.params import PARAM_NAMES, ParamSetting
-from ..stencil.stencil import Stencil
-from .result import TuneResult
 from .strategy import AskBatch, GeneratorStrategy, StrategyContext, register_strategy
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
-
-__all__ = ["GeneticSearch", "GeneticStrategy"]
+__all__ = ["GeneticStrategy"]
 
 _INF = float("inf")
 
@@ -160,56 +144,3 @@ class GeneticStrategy(GeneratorStrategy):
                 choices = space.choices(n)
                 values[n] = int(choices[rng.integers(len(choices))])
         return ParamSetting(**values)
-
-
-class GeneticSearch:
-    """Pre-front-door genetic tuner: a compatibility wrapper.
-
-    Routes through :func:`repro.tuning.tune` with the legacy RNG stream
-    ``(seed, oc.name)`` pinned, so ``tune_oc`` results are bit-identical
-    to the pre-refactor implementation.  New code should call
-    ``tune(..., strategy="genetic")`` directly.
-    """
-
-    def __init__(
-        self,
-        simulator,
-        population: int = 12,
-        generations: int = 6,
-        mutation_rate: float = 0.2,
-        elite: int = 2,
-        seed: int = 0,
-    ):
-        self.backend = as_backend(simulator)
-        self.sim = self.backend
-        self.population = int(population)
-        self.generations = int(generations)
-        self.mutation_rate = float(mutation_rate)
-        self.elite = max(1, min(int(elite), self.population // 2))
-        self.seed = int(seed)
-        # Validate eagerly, as the legacy constructor did.
-        GeneticStrategy(
-            population=population,
-            generations=generations,
-            mutation_rate=mutation_rate,
-            elite=elite,
-        )
-
-    def tune_oc(self, stencil: Stencil, oc: OC) -> "TuneResult | None":
-        """Evolve parameter settings for *oc*; None if nothing ever ran."""
-        from .api import tune
-
-        result = tune(
-            stencil,
-            oc=oc,
-            backend=self.backend,
-            strategy=GeneticStrategy(
-                population=self.population,
-                generations=self.generations,
-                mutation_rate=self.mutation_rate,
-                elite=self.elite,
-            ),
-            seed=self.seed,
-            rng_streams=(self.seed, oc.name),  # legacy stream, pre-zoo
-        )
-        return result if result.ok else None

@@ -1,13 +1,12 @@
 """The paper's random search and coordinate descent as strategies.
 
-``RandomStrategy`` is a *bit-identical* port of the pre-refactor
-``RandomSearch.tune_oc`` (Section IV-A: best-of-N random sampling with
-crash resampling, optionally polished by basin-covering coordinate
-descent).  Its RNG stream, draw sequence, walk order, chunked frontier
-sizes, ``seen``-set discipline and measurement log all match the legacy
-code exactly -- profiling campaign digests are pinned to this strategy,
-so any behavioral change here is a format break (see
-``tests/tuning/test_equivalence.py``).
+``RandomStrategy`` is the paper's tuner (Section IV-A: best-of-N random
+sampling with crash resampling, optionally polished by basin-covering
+coordinate descent); every profiling campaign and baseline runs it.  Its
+RNG stream, draw sequence, walk order, chunked frontier sizes,
+``seen``-set discipline and measurement log are pinned by the tuning
+goldens and the campaign digests, so any behavioral change here is a
+format break (see ``tests/tuning/test_equivalence.py``).
 
 ``CoordinateDescentStrategy`` exposes the same descent loop as a
 standalone zoo member: multi-start greedy descent over one parameter at
@@ -19,6 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from ..errors import TuningError
 from .strategy import AskBatch, GeneratorStrategy, StrategyContext, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -26,10 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["CoordinateDescentStrategy", "RandomStrategy", "coordinate_descent"]
 
-#: Sampling attempts allowed per requested valid setting (legacy value).
+#: Sampling attempts allowed per requested valid setting.
 ATTEMPTS_PER_SETTING = 12
 
-#: Coordinate-descent passes after random sampling (legacy value).
+#: Coordinate-descent passes after random sampling.
 REFINE_PASSES = 3
 
 
@@ -48,8 +48,7 @@ def coordinate_descent(
     :class:`CoordinateDescentStrategy` (standalone): yields one
     :class:`AskBatch` per parameter frontier and walks the results in
     choice order, so the descent trajectory is identical to evaluating
-    candidates one by one -- the exact legacy
-    ``RandomSearch._coordinate_descent`` loop.
+    candidates one by one.
     """
     for _ in range(passes):
         improved = False
@@ -84,12 +83,12 @@ class RandomStrategy(GeneratorStrategy):
         Valid (non-crashing) settings to measure before refinement.
         Defaults to the tune() budget when one is set (so plain
         ``tune(..., strategy="random", budget=B)`` spends B observations
-        sampling), else 8.
+        sampling), else 8.  :class:`TuningError` when it resolves to
+        fewer than one, before any measurement.
     refine:
         Polish the best sample of each (use_smem, stream_dim,
-        temporal_steps) basin by coordinate descent -- the legacy
-        default, which makes per-OC optima nearly independent of
-        sampling luck.
+        temporal_steps) basin by coordinate descent -- the default,
+        which makes per-OC optima nearly independent of sampling luck.
     """
 
     name = "random"
@@ -98,19 +97,15 @@ class RandomStrategy(GeneratorStrategy):
         self,
         n_settings: "int | None" = None,
         refine: bool = True,
-        attempts_per_setting: int = ATTEMPTS_PER_SETTING,
-        refine_passes: int = REFINE_PASSES,
     ):
         super().__init__()
         self.n_settings = None if n_settings is None else int(n_settings)
         self.refine = bool(refine)
-        self.attempts_per_setting = int(attempts_per_setting)
-        self.refine_passes = int(refine_passes)
-        #: Walk-phase crash count (the legacy ``OCResult.crashed`` field;
-        #: refinement crashes are *not* counted here, matching history).
+        #: Walk-phase crash count (a campaign's ``OCResult.crashed``;
+        #: refinement crashes are *not* counted here).
         self.walk_crashed = 0
-        #: Legacy measurement log: walk acceptances then per-descent
-        #: extras, in exactly the pre-refactor order.
+        #: Measurement log, as a campaign records it: walk acceptances
+        #: then per-descent extras, in order.
         self.measurements: list[tuple["ParamSetting", float]] = []
 
     def stream_components(self, seed: int, stencil_id: int, oc) -> tuple:
@@ -134,8 +129,12 @@ class RandomStrategy(GeneratorStrategy):
         n_settings = self.n_settings
         if n_settings is None:
             n_settings = int(ctx.budget) if ctx.budget else 8
+        if n_settings < 1:
+            raise TuningError(
+                f"random search needs n_settings >= 1, got {n_settings}"
+            )
         rng = ctx.rng
-        max_attempts = n_settings * self.attempts_per_setting
+        max_attempts = n_settings * ATTEMPTS_PER_SETTING
         # The whole tuning batch's randomness is drawn here, once; draws
         # past the stopping point are discarded unobserved, which is
         # exactly what the incremental sampler did.  sample_block is
@@ -214,7 +213,6 @@ class RandomStrategy(GeneratorStrategy):
                 start_time,
                 seen,
                 measurements,
-                self.refine_passes,
             )
 
 

@@ -1,11 +1,7 @@
 """The one result type every tuning path returns.
 
-Before the unified front door, each search path invented its own return
-convention: ``RandomSearch.tune_oc`` returned an ``(OCResult,
-measurements)`` pair, ``GeneticSearch`` its own result type, and the
-baselines raw tuples.  :class:`TuneResult` replaces all of them: best
-setting, best time, trials evaluated, cache accounting and strategy
-provenance in one dataclass.
+:class:`TuneResult` holds best setting, best time, trials evaluated,
+cache accounting and strategy provenance in one dataclass.
 """
 
 from __future__ import annotations

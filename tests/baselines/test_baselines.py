@@ -36,12 +36,16 @@ class TestArtemis:
         _, _, final = base.tune(s)
         # Stage-1 best is one of the skeletons with the same search.
         from repro.optimizations import OC
+        from repro.tuning import RandomStrategy, tune_lockstep
 
         skeleton_best = min(
             r.best_time_ms
             for name in ("naive", "ST", "TB", "ST_TB")
-            for r, _ in [base.search.tune_oc(s, -1, OC.parse(name))]
-            if r is not None
+            for r in tune_lockstep(
+                s, [(OC.parse(name), RandomStrategy(base.n_settings))],
+                backend=base.backend, seed=base.seed,
+            )
+            if r.ok
         )
         assert final <= skeleton_best
 

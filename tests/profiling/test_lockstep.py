@@ -6,9 +6,14 @@ from repro.engine import BackendBase, VectorBackend
 from repro.errors import DeviceLostError
 from repro.gpu.faults import FaultConfig
 from repro.optimizations import ALL_OCS
-from repro.profiling import RandomSearch
 from repro.profiling.records import StencilProfile
-from repro.profiling.runner import CampaignHealth, RetryPolicy, SimClock, run_unit
+from repro.profiling.runner import (
+    CampaignHealth,
+    RetryPolicy,
+    SimClock,
+    UnitTuner,
+    run_unit,
+)
 from repro.profiling.storage import profile_to_row
 from repro.stencil import generate_population
 
@@ -55,7 +60,7 @@ def solo(stencil):
     calls, pairs = [], []
     for oc in ALL_OCS:
         backend = CountingBackend(VectorBackend("V100"))
-        pairs.append(RandomSearch(backend, N_SETTINGS, SEED).tune_oc(stencil, 0, oc))
+        pairs += UnitTuner(backend, N_SETTINGS, SEED).tune_oc(stencil, 0, [oc])
         calls.append(backend.calls)
     return calls, pairs
 
@@ -63,7 +68,7 @@ def solo(stencil):
 def _unit(stencil, backend, faults=FaultConfig(), policy=RetryPolicy()):
     health = CampaignHealth()
     profile = run_unit(
-        RandomSearch(backend, N_SETTINGS, SEED), "V100", stencil, 0, ALL_OCS,
+        UnitTuner(backend, N_SETTINGS, SEED), "V100", stencil, 0, ALL_OCS,
         faults, policy, SimClock(), health,
     )
     return profile, health

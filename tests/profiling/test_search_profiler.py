@@ -1,20 +1,31 @@
-"""Tests for random search and profiling campaigns."""
+"""Tests for the campaign's random search and profiling campaigns."""
 
 import math
 
 import pytest
 
+from repro.engine import VectorBackend
 from repro.errors import DatasetError
-from repro.gpu import GPUSimulator
 from repro.optimizations import ALL_OCS, OC
-from repro.profiling import RandomSearch, run_campaign
+from repro.profiling import CampaignRunner, run_campaign
+from repro.profiling.runner import UnitTuner
 from repro.stencil import box, generate_population, star
+from repro.tuning import RandomStrategy, tune
+
+
+def _tune_oc(gpu, n_settings, seed, stencil, oc):
+    """One OC through the campaign's unit tuner: ``(OCResult, ms)``."""
+    (pair,) = UnitTuner(VectorBackend(gpu), n_settings, seed).tune_oc(
+        stencil, 0, [oc]
+    )
+    return pair
 
 
 class TestRandomSearch:
+    """The paper's random search, as the campaign's unit tuner runs it."""
+
     def test_best_is_min_of_measurements(self):
-        search = RandomSearch(GPUSimulator("V100"), n_settings=6, seed=0)
-        result, ms = search.tune_oc(star(2, 1), 0, OC.parse("ST"))
+        result, ms = _tune_oc("V100", 6, 0, star(2, 1), OC.parse("ST"))
         assert result is not None
         assert result.best_time_ms == min(m.time_ms for m in ms)
         # Refinement appends its evaluations, so the measurement count
@@ -22,56 +33,49 @@ class TestRandomSearch:
         assert result.n_settings == len(ms) >= 6
 
     def test_refinement_improves_or_matches_sampling(self):
-        refined = RandomSearch(GPUSimulator("V100"), 6, seed=0)
-        raw = RandomSearch(GPUSimulator("V100"), 6, seed=0, refine=False)
-        s = star(3, 2)
-        r_ref, _ = refined.tune_oc(s, 0, OC.parse("ST_RT"))
-        r_raw, _ = raw.tune_oc(s, 0, OC.parse("ST_RT"))
+        s, oc = star(3, 2), OC.parse("ST_RT")
+        r_ref, _ = _tune_oc("V100", 6, 0, s, oc)
+        r_raw = tune(
+            s, oc=oc, backend=VectorBackend("V100"),
+            strategy=RandomStrategy(6, refine=False), seed=0, stencil_id=0,
+        )
         assert r_ref.best_time_ms <= r_raw.best_time_ms
 
     def test_refined_optimum_stable_across_seeds(self):
         s = star(2, 2)
         times = []
         for seed in (0, 1, 2):
-            search = RandomSearch(GPUSimulator("V100"), 8, seed=seed)
-            r, _ = search.tune_oc(s, 0, OC.parse("ST_RT"))
+            r, _ = _tune_oc("V100", 8, seed, s, OC.parse("ST_RT"))
             times.append(r.best_time_ms)
         spread = (max(times) - min(times)) / min(times)
         assert spread < 0.10
 
     def test_deterministic(self):
-        a = RandomSearch(GPUSimulator("V100"), 5, seed=1).tune_oc(
-            star(2, 2), 0, OC.parse("BM")
-        )
-        b = RandomSearch(GPUSimulator("V100"), 5, seed=1).tune_oc(
-            star(2, 2), 0, OC.parse("BM")
-        )
+        a = _tune_oc("V100", 5, 1, star(2, 2), OC.parse("BM"))
+        b = _tune_oc("V100", 5, 1, star(2, 2), OC.parse("BM"))
         assert a[0].best_time_ms == b[0].best_time_ms
         assert a[0].best_setting == b[0].best_setting
 
     def test_crashing_oc_returns_none(self):
         # TB without ST cannot run on 3-D order-4 stencils (temporal halo).
-        search = RandomSearch(GPUSimulator("V100"), n_settings=6, seed=0)
-        result, ms = search.tune_oc(box(3, 4), 0, OC.parse("TB"))
+        result, ms = _tune_oc("V100", 6, 0, box(3, 4), OC.parse("TB"))
         assert result is None and ms == []
 
     def test_crash_counter(self):
-        search = RandomSearch(GPUSimulator("P100"), n_settings=8, seed=0)
-        result, _ = search.tune_oc(box(3, 3), 0, OC.parse("ST_TB"))
+        result, _ = _tune_oc("P100", 8, 0, box(3, 3), OC.parse("ST_TB"))
         # P100's 48 KB/block limit rejects many plane-queue settings.
         assert result is None or result.crashed > 0
 
     def test_profile_stencil_covers_valid_ocs(self):
-        search = RandomSearch(GPUSimulator("V100"), n_settings=4, seed=0)
-        p = search.profile_stencil(star(2, 1), 0)
+        campaign = run_campaign([star(2, 1)], gpus=("V100",), n_settings=4, seed=0)
+        p = campaign.profile("V100", 0)
         assert len(p.oc_results) >= 25
         assert p.best_oc in p.oc_results
         assert p.best_time_ms == min(r.best_time_ms for r in p.oc_results.values())
 
     def test_time_of_missing_oc_is_inf(self):
-        search = RandomSearch(GPUSimulator("V100"), n_settings=4, seed=0)
-        p = search.profile_stencil(box(3, 4), 0)
-        assert math.isinf(p.time_of("TB"))
+        p = run_campaign([box(3, 4)], gpus=("V100",), n_settings=4, seed=0)
+        assert math.isinf(p.profile("V100", 0).time_of("TB"))
 
 
 class TestCampaign:
@@ -93,6 +97,15 @@ class TestCampaign:
     def test_rejects_empty_population(self):
         with pytest.raises(DatasetError):
             run_campaign([], gpus=("V100",))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"gpus": ()}, {"ocs": ()}, {"n_settings": 0}, {"n_settings": -3}],
+        ids=["no-gpus", "no-ocs", "zero-settings", "negative-settings"],
+    )
+    def test_rejects_a_campaign_that_measures_nothing(self, kwargs):
+        with pytest.raises(DatasetError):
+            CampaignRunner([star(2, 1)], **{"gpus": ("V100",), **kwargs})
 
     def test_rejects_mixed_ndim(self):
         pop = generate_population(2, 2, seed=0) + generate_population(3, 2, seed=0)

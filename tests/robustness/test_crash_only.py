@@ -7,13 +7,21 @@ must keep working off the reduced data.
 
 import pytest
 
+from repro.engine import as_backend
 from repro.errors import DatasetError, KernelLaunchError
 from repro.gpu import GPUSimulator
+from repro.gpu.faults import FaultConfig
 from repro.profiling import (
-    RandomSearch,
     build_classification_dataset,
     build_regression_dataset,
     merge_ocs,
+)
+from repro.profiling.runner import (
+    CampaignHealth,
+    RetryPolicy,
+    SimClock,
+    UnitTuner,
+    run_unit,
 )
 from repro.stencil import star
 
@@ -40,14 +48,17 @@ class _AlwaysCrashSim:
 
 class TestCrashOnlyOC:
     def test_tune_oc_returns_none(self):
-        search = RandomSearch(_AlwaysCrashSim(), n_settings=3, seed=0)
-        result, measurements = search.tune_oc(star(2, 1), 0, OCS[0])
+        search = UnitTuner(as_backend(_AlwaysCrashSim()), n_settings=3, seed=0)
+        [(result, measurements)] = search.tune_oc(star(2, 1), 0, OCS[:1])
         assert result is None
         assert measurements == []
 
     def test_profile_stencil_is_empty(self):
-        search = RandomSearch(_AlwaysCrashSim(), n_settings=3, seed=0)
-        profile = search.profile_stencil(star(2, 1), 0, OCS)
+        search = UnitTuner(as_backend(_AlwaysCrashSim()), n_settings=3, seed=0)
+        profile = run_unit(
+            search, "V100", star(2, 1), 0, OCS, FaultConfig(), RetryPolicy(),
+            SimClock(), CampaignHealth(),
+        )
         assert profile.oc_results == {}
         assert profile.measurements == []
         with pytest.raises(DatasetError, match="no valid OC"):

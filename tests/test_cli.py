@@ -93,6 +93,26 @@ class TestCommands:
         assert "select/gbdt on V100" in out
         assert "mean accuracy:" in out
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["profile", "--ndim", "2", "--count", "2", "--gpus", "V100",
+              "--n-settings", "0"], "profile: n_settings must be >= 1, got 0"),
+            (["evaluate", "--gpu", "V100", "--ndim", "2", "--count", "2",
+              "--n-settings", "0"], "evaluate: n_settings must be >= 1, got 0"),
+            (["tune", "--stencil", "star2d1r", "--oc", "ST", "--gpu", "V100",
+              "--budget", "0.5"],
+             "tune: random search needs n_settings >= 1, got 0"),
+        ],
+        ids=["profile", "evaluate", "tune"],
+    )
+    def test_nothing_to_measure_exits_2(self, tmp_path, capsys, argv, error):
+        rc = main(argv + (["-o", str(tmp_path / "c.json")]
+                          if argv[0] == "profile" else []))
+        assert rc == 2
+        assert error in capsys.readouterr().err
+        assert not (tmp_path / "c.json").exists()
+
     def test_predict_unknown_oc(self, tmp_path, capsys):
         campaign = tmp_path / "c.json"
         main(

@@ -2,9 +2,10 @@
 
 The equivalence suite (``test_equivalence.py``) pins the unified
 ``repro.tuning.tune()`` front door to the behavior of the three legacy
-search paths -- ``RandomSearch`` (with and without coordinate-descent
-refinement), ``GeneticSearch`` and whole profiling campaigns -- as they
-stood *before* the refactor.  This script produced
+search paths -- the paper's random search (with and without
+coordinate-descent refinement), the genetic search on its pre-zoo
+stream (see ``legacy_stream.py``) and whole profiling campaigns -- as
+they stood *before* the refactor.  This script produced
 ``golden_pre_refactor.json`` by running the pre-refactor code on the
 4-GPU slice; it is kept so the fixture can be regenerated from any
 commit known to reproduce the legacy behavior::
@@ -34,10 +35,12 @@ from pathlib import Path
 from repro.gpu.specs import GPU_ORDER
 from repro.engine import VectorBackend
 from repro.optimizations import OC
-from repro.profiling import RandomSearch, run_campaign
+from repro.profiling import run_campaign
 from repro.profiling.storage import campaign_to_dict
 from repro.stencil import generate_population, get
-from repro.tuning import GeneticSearch
+from repro.tuning import RandomStrategy, tune
+
+from legacy_stream import LegacyGeneticStrategy
 
 #: The slice: named stencils x OCs exercising every parameter family.
 STENCILS = ("star2d2r", "box2d1r", "star3d1r", "box3d2r")
@@ -47,27 +50,32 @@ N_SETTINGS = 6
 SEED = 7
 
 
-def _digest_measurements(measurements) -> str:
+def _digest_measurements(gpu, sid, oc, measurements) -> str:
     h = hashlib.blake2b(digest_size=16)
-    for m in measurements:
+    for setting, time_ms in measurements:
         h.update(
-            repr(
-                (m.stencil_id, m.oc, m.setting.as_tuple(), m.gpu, m.time_ms)
-            ).encode()
+            repr((sid, oc.name, setting.as_tuple(), gpu, time_ms)).encode()
         )
     return h.hexdigest()
 
 
-def _oc_result_row(result, measurements) -> dict:
-    if result is None:
+def _random_row(backend, stencil, sid, oc, refine) -> dict:
+    strategy = RandomStrategy(N_SETTINGS, refine=refine)
+    result = tune(
+        stencil, oc=oc, backend=backend, strategy=strategy, seed=SEED,
+        stencil_id=sid,
+    )
+    if not result.ok:
         return {"crashed_out": True}
     return {
         "crashed_out": False,
         "best_setting": list(result.best_setting.as_tuple()),
         "best_time_ms": repr(result.best_time_ms),
-        "n_settings": result.n_settings,
-        "crashed": result.crashed,
-        "measurements": _digest_measurements(measurements),
+        "n_settings": len(strategy.measurements),
+        "crashed": strategy.walk_crashed,
+        "measurements": _digest_measurements(
+            result.gpu, sid, oc, strategy.measurements
+        ),
     }
 
 
@@ -83,21 +91,21 @@ def main() -> None:
     }
     for gpu in GPU_ORDER:
         sim = VectorBackend(gpu)
-        refined = RandomSearch(sim, N_SETTINGS, seed=SEED)
-        raw = RandomSearch(sim, N_SETTINGS, seed=SEED, refine=False)
-        ga = GeneticSearch(sim, population=8, generations=4, seed=SEED)
         for name in STENCILS:
             stencil = get(name)
             sid = STENCILS.index(name)
             for oc_name in OCS:
                 oc = OC.parse(oc_name)
                 key = f"{gpu}/{name}/{oc_name}"
-                r, ms = refined.tune_oc(stencil, sid, oc)
-                golden["random"][key] = _oc_result_row(r, ms)
-                r, ms = raw.tune_oc(stencil, sid, oc)
-                golden["random_unrefined"][key] = _oc_result_row(r, ms)
-                g = ga.tune_oc(stencil, oc)
-                if g is None:
+                golden["random"][key] = _random_row(sim, stencil, sid, oc, True)
+                golden["random_unrefined"][key] = _random_row(
+                    sim, stencil, sid, oc, False
+                )
+                g = tune(
+                    stencil, oc=oc, backend=sim, seed=SEED,
+                    strategy=LegacyGeneticStrategy(population=8, generations=4),
+                )
+                if not g.ok:
                     golden["genetic"][key] = {"crashed_out": True}
                 else:
                     golden["genetic"][key] = {

@@ -150,6 +150,23 @@ class TestBudgetAccounting:
         with pytest.raises(TuningError, match="budget"):
             tune(STENCIL, oc=ST, gpu="V100", budget=0)
 
+    @pytest.mark.parametrize(
+        "inputs", [{"n_settings": 0}, {"budget": 0.5}],
+        ids=["n_settings-0", "budget-0.5"],
+    )
+    def test_random_search_without_samples_fails_before_measuring(self, inputs):
+        vector = make_backend("vector", "V100")
+
+        class NoMeasurements:
+            spec, info = vector.spec, vector.info
+
+            def evaluate_batch(self, requests):
+                raise AssertionError("an empty search reached the engine")
+
+        with pytest.raises(TuningError, match="n_settings >= 1, got 0"):
+            tune(STENCIL, oc=ST, backend=NoMeasurements(), strategy="random",
+                 **inputs)
+
 
 class TestFrontDoorValidation:
     def test_stencil_needs_oc(self):
