@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from perfbench.common import clear_memo_caches
-from repro.engine import BackendSpec, EvalRequest, ParallelBackend, make_backend
+from repro.engine import EvalRequest, make_backend
 from repro.ml.nn import ConvND
 from repro.optimizations.combos import ALL_OCS
 from repro.optimizations.params import default_setting, sample_setting
@@ -111,95 +111,60 @@ def test_engine_throughput(benchmark):
 
 
 def test_parallel_worker_sweep(benchmark):
-    """Worker-count sweep per transport, plus sharded campaigns.
+    """Worker-count sweep of sharded campaigns.
 
-    Speedups are relative to ``workers=1`` of the same code path (the
-    pool-free bypass for the backend, the sequential runner for the
-    campaign); ``shm_vs_pickle`` compares the two transports at equal
-    worker counts.  The campaign sweep shards whole (gpu, stencil)
-    units, where only profile rows cross the pipe, so it carries no
-    transport axis.
+    Speedups are relative to ``workers=1``, the sequential runner.  The
+    sweep shards whole (gpu, stencil) units, so only profile rows cross
+    the pipe.
     """
-    workload = make_workload(n_stencils=3, settings_per_oc=16)
+    stencils = generate_population(2, 6, seed=7)
+
+    def run(workers):
+        return CampaignRunner(
+            stencils,
+            gpus=(GPU,),
+            n_settings=4,
+            seed=7,
+            backend="vector",
+            workers=workers,
+            mp_context=_CTX,
+        ).run()
+
     # Untimed warm-up: the first measured configuration must not pay
     # process-wide one-time costs (imports, stencil interning) the later
     # ones inherit.  Caches are still reset before every rep.
-    _evaluate(make_backend("vector", GPU), workload)
+    run(1)
 
-    backend_s = {}
-    for transport in ("shm", "pickle"):
-        for workers in WORKERS:
-            backend = ParallelBackend(
-                BackendSpec(kind="vector", gpu=GPU),
-                workers=workers,
-                context=_CTX,
-                transport=transport,
-            )
-            try:
-                backend_s[transport, workers] = best_of(
-                    3, lambda: _evaluate(backend, workload), clear_memo_caches
-                )
-            finally:
-                backend.close()
-
-    stencils = generate_population(2, 6, seed=7)
     campaign_s = {}
     campaigns = []
     for workers in WORKERS:
         campaign_s[workers] = best_of(
-            2,
-            lambda: campaigns.append(
-                CampaignRunner(
-                    stencils,
-                    gpus=(GPU,),
-                    n_settings=4,
-                    seed=7,
-                    backend="vector",
-                    workers=workers,
-                    mp_context=_CTX,
-                ).run()
-            ),
-            clear_memo_caches,
+            2, lambda: campaigns.append(run(workers)), clear_memo_caches
         )
     n_meas = len(campaigns[-1].measurements(GPU))
 
     print_table(
-        f"Worker sweep ({GPU}, {os.cpu_count()} CPUs, {len(workload)} points)",
+        f"Worker sweep ({GPU}, {os.cpu_count()} CPUs, {n_meas} measurements)",
         ["path", "workers", "seconds", "throughput", "speedup"],
         [
-            [f"backend/{t}", w, s, len(workload) / s, backend_s[t, 1] / s]
-            for (t, w), s in backend_s.items()
-        ]
-        + [
             ["campaign", w, s, n_meas / s, campaign_s[1] / s]
             for w, s in campaign_s.items()
         ],
     )
 
-    # Multi-core acceptance bars: a 4-worker sharded campaign clears
-    # >=2.5x the single-process vector runner, the shared-memory
-    # transport clears >=2.5x its own 1-worker bypass at 4 workers and
-    # >=1.5x the pickle codec at equal workers.  Only meaningful where
+    # Multi-core acceptance bar: a 4-worker sharded campaign clears
+    # >=2.5x the single-process vector runner.  Only meaningful where
     # the host actually has >=4 CPUs -- a 1-CPU container cannot speed
     # anything up by adding processes, so there the sweep just records
     # honest ~1x numbers.
     if (os.cpu_count() or 1) >= 4:
         assert campaign_s[1] / campaign_s[4] >= 2.5
-        assert backend_s["shm", 1] / backend_s["shm", 4] >= 2.5
-        assert backend_s["pickle", 4] / backend_s["shm", 4] >= 1.5
     # Everywhere: sharding must not corrupt anything -- every sweep
-    # point saw the full workload (asserted by ``_evaluate``) and
-    # produced positive throughput.
-    assert all(len(workload) / s > 0 for s in backend_s.values())
+    # point produced positive throughput.
     assert all(n_meas / s > 0 for s in campaign_s.values())
 
-    # Timing unit: a sharded batch through a persistent 2-worker pool.
-    workload = make_workload(n_stencils=1, settings_per_oc=4)
-    with ParallelBackend(
-        BackendSpec(kind="vector", gpu=GPU), workers=2, context=_CTX
-    ) as be:
-        be.evaluate_batch(workload)  # warm the pool before timing
-        benchmark(be.evaluate_batch, workload)
+    # Timing unit: a campaign sharded across 2 workers.
+    benchmark(run, 2)
 
 
 def test_convnd_index_build(benchmark):

@@ -36,7 +36,12 @@ import argparse
 import sys
 
 from .config import DEFAULT_SEED
+from .engine import BACKEND_KINDS
 from .gpu.specs import ALL_GPU_ORDER, GPU_ORDER
+
+#: ``--backend`` choices: every engine kind except the per-point
+#: ``scalar`` reference.
+BACKEND_CHOICES = tuple(k for k in BACKEND_KINDS if k != "scalar")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -63,10 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--backend",
         default="vector",
-        choices=("vector", "cached", "parallel"),
-        help="measurement backend: NumPy-vectorized batches (default), "
-        "vectorized with content-keyed memoization, or batches sharded "
-        "across a process pool (identical results)",
+        choices=BACKEND_CHOICES,
+        help="measurement backend: NumPy-vectorized batches (default) "
+        "or vectorized with content-keyed memoization (identical results)",
     )
     p.add_argument(
         "--workers",
@@ -82,15 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="units per shard in parallel runs (default: split pending "
         "work evenly across workers)",
-    )
-    p.add_argument(
-        "--transport",
-        default="shm",
-        choices=("shm", "pickle"),
-        help="request transport for the parallel backend kind: "
-        "shared-memory arrays (default; falls back to pickle where "
-        "unavailable) or the per-row pickle codec -- results are "
-        "bit-identical and checkpoints resume across transports",
     )
     p.add_argument("-o", "--output", required=True, help="campaign JSON path")
     p.add_argument(
@@ -195,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     tu.add_argument(
         "--backend",
         default="vector",
-        choices=("vector", "cached", "parallel"),
+        choices=BACKEND_CHOICES,
         help="measurement backend (results are identical; vector is "
         "the default)",
     )
@@ -246,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument(
         "--backend",
         default="vector",
-        choices=("vector", "cached", "parallel"),
+        choices=BACKEND_CHOICES,
         help="measurement backend for on-the-fly profiling (same choices "
         "and semantics as `repro profile`)",
     )
@@ -652,7 +647,6 @@ def cmd_profile(args) -> int:
             checkpoint_every=args.checkpoint_every,
             workers=args.workers,
             chunk_size=args.chunk_size,
-            transport=args.transport,
         )
         campaign = runner.run(resume=args.resume)
     except CampaignInterrupted as e:

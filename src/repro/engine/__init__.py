@@ -21,6 +21,7 @@ See ``docs/engine.md`` for the protocol contract and composition rules.
 
 from __future__ import annotations
 
+from ..errors import UnknownBackendError
 from .cache import CachingBackend
 from .core import (
     Backend,
@@ -29,39 +30,25 @@ from .core import (
     EvalRequest,
     EvalResult,
     as_backend,
-    iter_chunks,
 )
 from .fault import FaultBackend
-from .parallel import BackendSpec, ParallelBackend
 from .retry import RetryBackend
 from .scalar import ScalarBackend
 from .vector import VectorBackend
 
 #: Backend kinds selectable from the CLI / campaign runner.
-BACKEND_KINDS = ("scalar", "vector", "cached", "parallel")
+BACKEND_KINDS = ("scalar", "vector", "cached")
 
 
-def make_backend(
-    kind: str,
-    gpu,
-    sigma: float = 0.03,
-    workers: "int | None" = None,
-    chunk_size: "int | None" = None,
-    context: str = "spawn",
-    transport: str = "shm",
-) -> Backend:
+def make_backend(kind: str, gpu, sigma: float = 0.03) -> Backend:
     """Construct a measurement backend by name.
 
     ``vector`` evaluates batches through the array pipeline; ``scalar``
     loops the same pipeline one point at a time (a per-point reference,
-    bit-identical and much slower); ``cached`` memoizes on top of ``vector``;
-    ``parallel`` shards batches across a worker pool of ``workers``
-    processes, each running its own vector backend (see
-    :class:`~repro.engine.parallel.ParallelBackend`; results are
-    bit-identical for every worker count, chunk size and *transport* --
-    ``"shm"`` shared-memory arrays by default, ``"pickle"`` the codec
-    fallback).  *gpu* may be a GPU name, a
-    :class:`~repro.gpu.specs.GPUSpec` or an existing simulator.
+    bit-identical and much slower); ``cached`` memoizes on top of
+    ``vector``.  *gpu* may be a GPU name, a
+    :class:`~repro.gpu.specs.GPUSpec` or an existing simulator.  Any
+    other *kind* is an :class:`~repro.errors.UnknownBackendError`.
     """
     if kind == "scalar":
         return ScalarBackend(gpu, sigma=sigma)
@@ -69,18 +56,9 @@ def make_backend(
         return VectorBackend(gpu, sigma=sigma)
     if kind == "cached":
         return CachingBackend(VectorBackend(gpu, sigma=sigma))
-    if kind == "parallel":
-        from .parallel import BackendSpec, ParallelBackend
-
-        name = gpu if isinstance(gpu, str) else getattr(gpu, "name", None) or gpu.spec.name
-        return ParallelBackend(
-            BackendSpec(kind="vector", gpu=name, sigma=sigma),
-            workers=workers,
-            chunk_size=chunk_size,
-            context=context,
-            transport=transport,
-        )
-    raise ValueError(f"unknown backend kind {kind!r} (choose from {BACKEND_KINDS})")
+    raise UnknownBackendError(
+        f"unknown backend kind {kind!r} (choose from {BACKEND_KINDS})"
+    )
 
 
 __all__ = [
@@ -88,16 +66,13 @@ __all__ = [
     "BackendBase",
     "BackendInfo",
     "BACKEND_KINDS",
-    "BackendSpec",
     "CachingBackend",
     "EvalRequest",
     "EvalResult",
     "FaultBackend",
-    "ParallelBackend",
     "RetryBackend",
     "ScalarBackend",
     "VectorBackend",
     "as_backend",
-    "iter_chunks",
     "make_backend",
 ]

@@ -85,7 +85,6 @@ class CachingBackend(BackendBase):
             name=f"cached({inner.name})",
             vectorized=inner.vectorized,
             caching=True,
-            batch_limit=inner.batch_limit,
         )
 
     def cache_info(self) -> dict:

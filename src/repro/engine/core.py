@@ -5,7 +5,7 @@ strategies (random search, coordinate descent, genetic tuning), campaign
 runners and baselines all describe work as batches of
 :class:`EvalRequest` and hand them to a :class:`Backend`, the pluggable
 measurement substrate.  Today's backends evaluate the analytical timing
-model (batched, memoizing, sharded, or per point through an adapter);
+model (batched, memoizing, or per point through an adapter);
 the same seam is where a real-GPU or remote profiling backend plugs in
 later.
 
@@ -27,7 +27,7 @@ Design rules every backend follows:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from ..errors import KernelLaunchError
 
@@ -101,14 +101,11 @@ class BackendInfo:
     ``caching``
         Repeated identical requests are served from memory; callers need
         not deduplicate across batches.
-    ``batch_limit``
-        Largest batch the backend accepts per call (``None``: unbounded).
     """
 
     name: str
     vectorized: bool = False
     caching: bool = False
-    batch_limit: "int | None" = None
 
 
 @runtime_checkable
@@ -185,11 +182,3 @@ def as_backend(obj) -> "Backend":
         "nor a simulator (time)"
     )
 
-
-def iter_chunks(requests: Sequence[EvalRequest], limit: "int | None") -> Iterable:
-    """Split *requests* into backend-sized chunks (identity when unbounded)."""
-    if limit is None or len(requests) <= limit:
-        yield requests
-        return
-    for i in range(0, len(requests), limit):
-        yield requests[i : i + limit]

@@ -88,7 +88,6 @@ class FaultBackend(BackendBase):
             name=f"faulted({inner.name})",
             vectorized=inner.vectorized,
             caching=inner.caching,
-            batch_limit=inner.batch_limit,
         )
 
     def begin_unit(self, unit_key: object) -> None:

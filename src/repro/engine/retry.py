@@ -76,7 +76,6 @@ class RetryBackend(BackendBase):
             name=f"retry({inner.name})",
             vectorized=inner.vectorized,
             caching=inner.caching,
-            batch_limit=inner.batch_limit,
         )
 
     def begin_unit(self, unit_key: object) -> None:

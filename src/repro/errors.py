@@ -108,6 +108,15 @@ class UnknownGPUError(ReproError, KeyError):
         return Exception.__str__(self)
 
 
+class UnknownBackendError(ReproError, ValueError):
+    """A backend kind is not in :data:`repro.engine.BACKEND_KINDS`.
+
+    Subclasses :class:`ValueError` so call sites that catch a bad
+    argument to :func:`repro.engine.make_backend` as a ``ValueError``
+    keep working.
+    """
+
+
 class DatasetError(ReproError):
     """Malformed or inconsistent profiling dataset."""
 

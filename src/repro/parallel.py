@@ -1,9 +1,8 @@
 """Shared multi-core worker-pool utility.
 
 Everything in this repo that fans work out across processes -- the
-:class:`~repro.engine.parallel.ParallelBackend`, the sharded
-:class:`~repro.profiling.runner.CampaignRunner`, per-class GBDT tree
-fitting and fold-parallel cross-validation -- goes through one
+sharded :class:`~repro.profiling.runner.CampaignRunner`, per-class GBDT
+tree fitting and fold-parallel cross-validation -- goes through one
 :class:`WorkerPool` so process lifecycle, context selection and
 worker-death reporting behave identically everywhere.
 

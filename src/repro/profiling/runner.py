@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..config import DEFAULT_SEED
-from ..engine import FaultBackend, RetryBackend, make_backend
+from ..engine import BACKEND_KINDS, FaultBackend, RetryBackend, make_backend
 from ..errors import (
     CampaignInterrupted,
     DatasetError,
@@ -251,7 +251,6 @@ def build_search(
     policy: RetryPolicy,
     clock: SimClock,
     health: CampaignHealth,
-    transport: str = "shm",
 ) -> UnitTuner:
     """One GPU's measurement stack, wrapped in a :class:`UnitTuner`.
 
@@ -259,11 +258,9 @@ def build_search(
     build the *same* stack from the same code path: backend, then --
     when injection is enabled -- faults wrapped *around* any cache
     (transients must not be memoized) and the retry guard wrapped around
-    the faults.  *transport* only matters to the ``parallel`` backend
-    kind and never changes results (see
-    :class:`~repro.engine.parallel.ParallelBackend`).
+    the faults.
     """
-    be: object = make_backend(backend_kind, gpu, sigma=sigma, transport=transport)
+    be: object = make_backend(backend_kind, gpu, sigma=sigma)
     if faults.enabled:
         be = RetryBackend(
             FaultBackend(be, faults, seed=seed), policy, clock, health
@@ -353,11 +350,12 @@ class CampaignRunner:
         measure nothing (no stencils, GPUs or OCs, or ``n_settings < 1``)
         is a :class:`DatasetError`.
     backend:
-        Measurement backend kind (``"vector"``, ``"cached"`` or
-        ``"parallel"``, see :func:`repro.engine.make_backend`).  All
-        kinds evaluate the same array pipeline and produce identical
-        campaigns; ``cached`` trades memory for repeat throughput.  Part
-        of the checkpoint identity.
+        Measurement backend kind, one of
+        :data:`repro.engine.BACKEND_KINDS` (any other is a
+        :class:`DatasetError` at construction).  All kinds evaluate the
+        same array pipeline and produce identical campaigns; ``cached``
+        trades memory for repeat throughput.  Part of the checkpoint
+        identity.
     faults:
         Optional :class:`FaultConfig`; ``None`` or an all-zero config
         runs the bare simulator with no injection layer at all.
@@ -388,12 +386,8 @@ class CampaignRunner:
         ``"spawn"`` (portable default) or ``"fork"`` (fast startup,
         POSIX only).
     transport:
-        Request transport for the ``parallel`` backend kind (``"shm"``
-        shared-memory arrays by default, ``"pickle"`` the codec
-        fallback).  Pure plumbing: results are bit-identical either
-        way, so -- like ``workers``/``chunk_size`` -- it is *not* part
-        of the checkpoint identity; a campaign checkpointed under one
-        transport resumes under the other.
+        Ignored.  Accepted only so existing callers that still pass it
+        keep working; campaigns parallelize by sharding units alone.
     max_shard_retries:
         How many worker-death recovery rounds to attempt before giving
         up and re-raising :class:`~repro.errors.WorkerLostError`.
@@ -438,6 +432,11 @@ class CampaignRunner:
             raise DatasetError("no OCs to profile")
         if int(n_settings) < 1:
             raise DatasetError(f"n_settings must be >= 1, got {n_settings}")
+        if backend not in BACKEND_KINDS:
+            raise DatasetError(
+                f"unknown backend kind {backend!r} "
+                f"(choose from {BACKEND_KINDS})"
+            )
         self.stencils = list(stencils)
         self.gpus = tuple(gpus)
         self.ocs = tuple(ocs)
@@ -455,7 +454,6 @@ class CampaignRunner:
         self.workers = resolve_workers(workers)
         self.chunk_size = chunk_size
         self.mp_context = mp_context
-        self.transport = str(transport)
         self.max_shard_retries = int(max_shard_retries)
         self.worker_crash_units = tuple(
             (str(g), int(s)) for g, s in (worker_crash_units or ())
@@ -638,7 +636,6 @@ class CampaignRunner:
             gpu: build_search(
                 self.backend, gpu, self.sigma, self.faults, self.seed,
                 self.n_settings, self.policy, self.clock, self.health,
-                transport=self.transport,
             )
             for gpu in self.gpus
         }
@@ -709,10 +706,7 @@ class CampaignRunner:
             self.workers,
             context=self.mp_context,
             initializer=_init_shard_worker,
-            initargs=(
-                self._config_doc(), self.policy, self.checkpoint_every,
-                self.transport,
-            ),
+            initargs=(self._config_doc(), self.policy, self.checkpoint_every),
         )
         deaths = 0
         try:

@@ -46,18 +46,12 @@ _CFG: "dict | None" = None
 CRASH_EXIT_CODE = 17
 
 
-def _init_shard_worker(
-    config_doc: dict, policy, checkpoint_every: int, transport: str = "shm"
-) -> None:
+def _init_shard_worker(config_doc: dict, policy, checkpoint_every: int) -> None:
     """Pool initializer: decode the campaign config once per worker.
 
     *config_doc* is the runner's ``_config_doc()`` -- already a plain
     JSON document, so it ships cheaply; stencils, OCs and the fault
     schedule are rebuilt here so tasks only need to carry unit ids.
-    *transport* arrives as a separate initarg, deliberately outside the
-    config doc: like workers/chunk_size it is execution plumbing, not
-    campaign identity, so checkpoints written under one transport resume
-    under the other.
     """
     global _CFG
     _CFG = {
@@ -69,7 +63,6 @@ def _init_shard_worker(
         "sigma": float(config_doc["sigma"]),
         "seed": int(config_doc["seed"]),
         "n_settings": int(config_doc["n_settings"]),
-        "transport": str(transport),
         "policy": policy,
         "checkpoint_every": int(checkpoint_every),
     }
@@ -121,7 +114,7 @@ def run_shard(task: tuple) -> dict:
             search = build_search(
                 cfg["backend"], gpu, cfg["sigma"], cfg["faults"],
                 cfg["seed"], cfg["n_settings"], cfg["policy"],
-                clock, health, transport=cfg["transport"],
+                clock, health,
             )
             searches[gpu] = search
         profile = run_unit(

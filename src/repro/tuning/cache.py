@@ -74,7 +74,6 @@ class TuningCache(BackendBase):
             name=f"tuning-cache({inner.name})",
             vectorized=inner.vectorized,
             caching=True,
-            batch_limit=inner.batch_limit,
         )
 
     def cache_info(self) -> dict:

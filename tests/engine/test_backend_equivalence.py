@@ -21,7 +21,11 @@ from repro.engine import (
     VectorBackend,
     make_backend,
 )
-from repro.errors import KernelLaunchError, OptimizationError
+from repro.errors import (
+    KernelLaunchError,
+    OptimizationError,
+    UnknownBackendError,
+)
 from repro.gpu.simulator import GPUSimulator
 from repro.gpu.specs import GPU_ORDER
 from repro.optimizations import OC
@@ -192,6 +196,8 @@ def test_make_backend_kinds():
         assert be.info.caching == caching
     with pytest.raises(ValueError):
         make_backend("quantum", "V100")
+    with pytest.raises(UnknownBackendError, match="'parallel'"):
+        make_backend("parallel", "V100")
 
 
 def test_scalar_backend_time_matches_simulator():

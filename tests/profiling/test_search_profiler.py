@@ -100,12 +100,19 @@ class TestCampaign:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"gpus": ()}, {"ocs": ()}, {"n_settings": 0}, {"n_settings": -3}],
-        ids=["no-gpus", "no-ocs", "zero-settings", "negative-settings"],
+        [{"gpus": ()}, {"ocs": ()}, {"n_settings": 0}, {"n_settings": -3},
+         {"backend": "parallel"}, {"backend": "bogus"}],
+        ids=["no-gpus", "no-ocs", "zero-settings", "negative-settings",
+             "removed-backend", "unknown-backend"],
     )
-    def test_rejects_a_campaign_that_measures_nothing(self, kwargs):
+    def test_rejects_a_campaign_that_measures_nothing(self, kwargs, tmp_path):
+        # Rejected at construction: no worker spawns, no checkpoint.
         with pytest.raises(DatasetError):
-            CampaignRunner([star(2, 1)], **{"gpus": ("V100",), **kwargs})
+            CampaignRunner([star(2, 1)], **{
+                "gpus": ("V100",), "checkpoint_path": tmp_path / "ck.json",
+                "workers": 2, **kwargs,
+            })
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_mixed_ndim(self):
         pop = generate_population(2, 2, seed=0) + generate_population(3, 2, seed=0)

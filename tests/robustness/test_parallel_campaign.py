@@ -178,87 +178,6 @@ class TestResumeAcrossWorkerCounts:
         assert a._config_doc() == b._config_doc()
 
 
-@pytest.fixture(scope="module")
-def vector_baseline(population):
-    """Single-process vector campaign: the reference for ``parallel``.
-
-    ``backend="parallel"`` wraps a vector backend in every worker, so
-    its contract is bit-identity with the *vector* campaign (scalar and
-    vector raw times differ in the last ulp on a few rows, so the
-    scalar ``baseline_campaign`` is the wrong reference here).
-    """
-    from repro.profiling import run_campaign
-
-    return run_campaign(
-        population, gpus=("V100", "P100"), ocs=OCS, n_settings=3, seed=7,
-        backend="vector",
-    )
-
-
-class TestTransport:
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    def test_parallel_backend_campaign_matches_vector(
-        self, population, vector_baseline, tmp_path, transport
-    ):
-        """Fault-injected campaign over the in-batch parallel backend is
-        bit-identical to the sequential vector campaign under either
-        transport (fault draws happen in the parent, outside the
-        transport, so the two compose without interaction)."""
-        runner = _runner(
-            population, tmp_path / "ck.json",
-            backend="parallel", transport=transport,
-        )
-        campaign = runner.run()
-        assert campaign_to_dict(campaign) == campaign_to_dict(
-            vector_baseline
-        )
-
-    def test_transport_not_part_of_checkpoint_identity(self, population,
-                                                       tmp_path):
-        ck = tmp_path / "ck.json"
-        a = _runner(population, ck, transport="shm")
-        b = _runner(population, ck, transport="pickle")
-        assert a._config_doc() == b._config_doc()
-
-    @pytest.mark.parametrize("first,second", [("pickle", "shm"),
-                                              ("shm", "pickle")])
-    def test_interrupt_then_resume_with_other_transport(
-        self, population, vector_baseline, tmp_path, first, second
-    ):
-        """A campaign checkpointed under one transport resumes under the
-        other bit-identically: transport rides outside the checkpoint's
-        config document."""
-        ck = tmp_path / "ck.json"
-        with pytest.raises(CampaignInterrupted):
-            _runner(
-                population, ck, backend="parallel", transport=first,
-                max_units=5,
-            ).run()
-        resumed = _runner(
-            population, ck, backend="parallel", transport=second
-        )
-        campaign = resumed.run(resume=True)
-        assert resumed.health.units_resumed == 5
-        assert campaign_to_dict(campaign) == campaign_to_dict(
-            vector_baseline
-        )
-
-    def test_sharded_campaign_accepts_transport(
-        self, population, baseline_campaign, tmp_path
-    ):
-        """Unit-sharded campaigns thread the transport to shard workers
-        (it only matters when shards build parallel backends, but the
-        plumbing must not perturb results)."""
-        runner = _runner(
-            population, tmp_path / "ck.json", workers=2,
-            transport="pickle",
-        )
-        campaign = runner.run()
-        assert campaign_to_dict(campaign) == campaign_to_dict(
-            baseline_campaign
-        )
-
-
 class TestHealthMerge:
     def test_worker_deaths_round_trips(self):
         health = CampaignHealth(worker_deaths=3, timeouts=2)

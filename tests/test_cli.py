@@ -384,9 +384,9 @@ class TestEvaluateParity:
     def test_parser_accepts_parity_flags(self):
         args = build_parser().parse_args(
             ["evaluate", "--gpu", "V100", "--ndim", "2", "--backend",
-             "parallel", "--workers", "2", "--chunk-size", "3"]
+             "cached", "--workers", "2", "--chunk-size", "3"]
         )
-        assert args.backend == "parallel"
+        assert args.backend == "cached"
         assert args.chunk_size == 3
 
 

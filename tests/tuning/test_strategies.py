@@ -9,7 +9,7 @@ front-door misuse surfacing as TuningError.
 import pytest
 
 from repro.engine import make_backend
-from repro.errors import TuningError
+from repro.errors import TuningError, UnknownBackendError
 from repro.gpu import GPUSimulator
 from repro.optimizations import OC
 from repro.stencil import box, get
@@ -108,11 +108,9 @@ class TestBackendIndependence:
             assert other.best_setting == ref.best_setting
             assert other.trials == ref.trials
             assert other.cost == ref.cost
-            # Scalar vs vector times agree to 1e-9 relative (the engine
-            # contract); vector vs cached are bit-identical.
-            assert other.best_time_ms == pytest.approx(
-                ref.best_time_ms, rel=1e-9
-            )
+            # Every kind evaluates the one array pipeline, so times are
+            # bit-identical (the engine contract).
+            assert other.best_time_ms == ref.best_time_ms
         assert results[1].best_time_ms == results[2].best_time_ms
 
 
@@ -169,6 +167,11 @@ class TestBudgetAccounting:
 
 
 class TestFrontDoorValidation:
+    @pytest.mark.parametrize("kind", ("parallel", "bogus"))
+    def test_unknown_backend_kind_is_named(self, kind):
+        with pytest.raises(UnknownBackendError, match=repr(kind)):
+            tune(STENCIL, oc=ST, gpu="V100", backend=kind, budget=4)
+
     def test_stencil_needs_oc(self):
         with pytest.raises(TuningError, match="oc="):
             tune(STENCIL, gpu="V100")

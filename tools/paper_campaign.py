@@ -2,10 +2,9 @@
 
 Runs the paper's headline data collection -- 500 stencils x all OCs x
 sampled settings per GPU (~65k usable instances per GPU after crashes)
--- through the sharded campaign runner with the shared-memory
-transport, then publishes it as a checksummed, versioned dataset
-artifact (``repro.profiling.registry``) that ``repro train --campaign
-<registry dir>`` consumes directly.
+-- through the sharded campaign runner, then publishes it as a
+checksummed, versioned dataset artifact (``repro.profiling.registry``)
+that ``repro train --campaign <registry dir>`` consumes directly.
 
 Run: python tools/paper_campaign.py [--registry DIR] [--name NAME]
          [--stencils N] [--n-settings K] [--workers N] [--gpus GPU ...]
@@ -18,7 +17,6 @@ import time
 
 
 def run_paper_scale(args) -> int:
-    from repro.engine import shm as shm_transport
     from repro.profiling import CampaignRunner, DatasetRegistry
     from repro.stencil import generate_population
 
@@ -31,7 +29,6 @@ def run_paper_scale(args) -> int:
         backend=args.backend,
         workers=args.workers,
         mp_context=args.context,
-        transport=args.transport,
     )
     start = time.perf_counter()
     campaign = runner.run()
@@ -47,10 +44,6 @@ def run_paper_scale(args) -> int:
     )
     for gpu, n in per_gpu.items():
         print(f"  {gpu}: {n} measurements")
-    leaked = shm_transport.list_host_segments()
-    if leaked:
-        print(f"leaked shared-memory segments: {leaked}", file=sys.stderr)
-        return 1
 
     registry = DatasetRegistry(args.registry)
     meta = {
@@ -60,7 +53,6 @@ def run_paper_scale(args) -> int:
         "cpu_count": os.cpu_count() or 1,
         "workers": runner.workers,
         "backend": args.backend,
-        "transport": args.transport,
     }
     version = registry.publish(campaign, args.name, meta=meta)
     path = registry.path(args.name, version)
@@ -116,14 +108,8 @@ def main(argv=None) -> int:
     ap.add_argument(
         "--backend",
         default="vector",
-        choices=("scalar", "vector", "cached", "parallel"),
+        choices=("scalar", "vector", "cached"),
         help="measurement backend",
-    )
-    ap.add_argument(
-        "--transport",
-        default="shm",
-        choices=("shm", "pickle"),
-        help="parallel-engine transport",
     )
     ap.add_argument("--seed", type=int, default=2022)
     args = ap.parse_args(argv)
