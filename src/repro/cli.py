@@ -28,6 +28,24 @@ control (bounded queue, 503 load shedding), optional hot model reload,
 and telemetry, and ``query`` is the matching client.  ``serve-chaos``
 runs the scripted fault-injection scenario against the whole serving
 stack and exits nonzero if any robustness invariant is violated.
+
+Options that several subcommands share (``--stencil``, ``--oc``,
+``--gpu``, ``--workers``, ...) are specified once in :data:`_OPTIONS`.
+Their converters resolve names and check ranges while argparse parses,
+so bad input is rejected before any campaign loads or model trains.
+
+Exit status:
+
+* 0 -- success;
+* 1 -- no result: ``tune`` found no feasible setting, ``codegen`` or
+  ``estimate`` produced nothing, ``lint`` findings at or above
+  ``--fail-on``, ``serve-chaos`` invariant violations, or ``query``
+  could not reach the server;
+* 2 -- bad input or unusable data: argparse rejects the arguments, or a
+  command raises a :class:`~repro.errors.ReproError` (printed as one
+  ``<command>: <message>`` line on stderr);
+* 3 -- ``profile`` stopped before completing every unit; resume from
+  its ``--checkpoint``.
 """
 
 from __future__ import annotations
@@ -37,56 +55,187 @@ import sys
 
 from .config import DEFAULT_SEED
 from .engine import BACKEND_KINDS
+from .errors import ReproError, UnknownStencilError
 from .gpu.specs import ALL_GPU_ORDER, GPU_ORDER
 
-#: ``--backend`` choices: every engine kind except the per-point
-#: ``scalar`` reference.
-BACKEND_CHOICES = tuple(k for k in BACKEND_KINDS if k != "scalar")
+
+# ----------------------------------------------------------------------
+# parse-time converters: bad values fail in argparse, before any work
+# ----------------------------------------------------------------------
+def _stencil(name: str):
+    """``--stencil``: a stencil from the named library."""
+    from .stencil import get
+
+    try:
+        return get(name)
+    except UnknownStencilError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
+def _oc(name: str):
+    """``--oc``: an optimization combination by name."""
+    from .optimizations import OC_BY_NAME
+
+    try:
+        return OC_BY_NAME[name]
+    except KeyError:
+        raise argparse.ArgumentTypeError(
+            f"unknown OC {name!r} (available: {', '.join(sorted(OC_BY_NAME))})"
+        ) from None
+
+
+def _oc_or_all(name: str) -> tuple:
+    """``codegen --oc``: one OC, or ``all`` for every valid combination."""
+    from .optimizations import ALL_OCS
+
+    return tuple(ALL_OCS) if name == "all" else (_oc(name),)
+
+
+def _setting(pair: str) -> "tuple[str, int]":
+    """``--set NAME=INT``: one pinned parameter value."""
+    name, sep, value = pair.partition("=")
+    try:
+        if sep and name:
+            return name, int(value)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"bad --set {pair!r}; expected NAME=INT")
+
+
+def _rate(text: str) -> float:
+    """A fault-injection rate: a probability in [0, 1]."""
+    try:
+        rate = float(text)
+    except ValueError:
+        rate = float("nan")
+    if not 0.0 <= rate <= 1.0:
+        raise argparse.ArgumentTypeError(f"rate {text!r} is not in [0, 1]")
+    return rate
+
+
+def _workers(text: str) -> int:
+    """``--workers``: a process count, 0 meaning one per CPU."""
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = -1
+    if workers < 0:
+        raise argparse.ArgumentTypeError(
+            f"worker count {text!r} is not an integer >= 0"
+        )
+    return workers
+
+
+#: Options several subcommands share, each specified once as
+#: ``name -> add_argument keywords`` for the flag ``--<name>``.  A
+#: subcommand takes them by name through :func:`_add`, overriding at
+#: most ``required``, ``default`` and ``action``/``dest`` (and
+#: ``codegen --oc`` its type, to accept ``all``).
+_OPTIONS: "dict[str, dict]" = {
+    "ndim": dict(
+        type=int, choices=(2, 3),
+        help="stencil dimensionality (evaluate: for on-the-fly profiling, "
+        "required without --campaign)",
+    ),
+    "count": dict(
+        type=int, default=20, help="stencil population size",
+    ),
+    "n-settings": dict(
+        type=int, default=6,
+        help="random parameter settings per (stencil, OC)",
+    ),
+    "backend": dict(
+        default="vector",
+        choices=tuple(k for k in BACKEND_KINDS if k != "scalar"),
+        help="measurement backend: NumPy-vectorized batches (default) "
+        "or vectorized with content-keyed memoization (identical results)",
+    ),
+    "workers": dict(
+        type=_workers, default=1,
+        help="worker processes for (gpu, stencil) shards, cross-validation "
+        "folds or GBDT training (0 = one per CPU; results are identical "
+        "for every count, and checkpoints resume across counts)",
+    ),
+    "chunk-size": dict(
+        type=int, default=None,
+        help="units per shard in parallel profiling (default: split "
+        "pending work evenly across workers)",
+    ),
+    "campaign": dict(
+        help="campaign JSON path (train also takes a published "
+        "campaign-dataset document or a dataset-registry directory)",
+    ),
+    "stencil": dict(
+        type=_stencil, metavar="NAME",
+        help="named library stencil, e.g. star2d2r",
+    ),
+    "oc": dict(
+        type=_oc, metavar="NAME",
+        help="optimization combination, e.g. ST_RT (codegen: or 'all' "
+        "for every valid combination)",
+    ),
+    "gpu": dict(
+        choices=list(ALL_GPU_ORDER),
+        help="target GPU; for codegen and lint it also picks the dialect "
+        "and warp width of its vendor",
+    ),
+    "task": dict(
+        default="select", choices=("select", "predict"),
+        help="OC selection (per GPU) or cross-architecture time prediction",
+    ),
+    "model": dict(
+        metavar="PATH",
+        help="model artifact JSON (see `repro train`); skips retraining",
+    ),
+    "set": dict(
+        type=_setting, action="append", default=[], metavar="NAME=INT",
+        dest="overrides",
+        help="pin an integer parameter (repeatable), e.g. --set block_x=64",
+    ),
+    "dialect": dict(
+        choices=("cuda", "hip"),
+        help="source dialect (default: the target GPU's vendor dialect, "
+        "or cuda)",
+    ),
+    "format": dict(
+        default="text", choices=("text", "json"), dest="fmt",
+    ),
+    "seed": dict(
+        type=int, default=DEFAULT_SEED, help="master seed",
+    ),
+}
+
+
+def _add(parser: argparse.ArgumentParser, *options) -> None:
+    """Add shared options by name, or as ``(name, overrides)`` pairs."""
+    for option in options:
+        name, overrides = (option, {}) if isinstance(option, str) else option
+        parser.add_argument(f"--{name}", **{**_OPTIONS[name], **overrides})
+
+
+_REQUIRED = {"required": True}
+_APPEND = {"action": "append"}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .tuning import available_strategies
+
     parser = argparse.ArgumentParser(
         prog="repro", description="StencilMART reproduction pipeline"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate random stencils (Algorithm 1)")
-    g.add_argument("--ndim", type=int, choices=(2, 3), required=True)
-    g.add_argument("--count", type=int, default=10)
+    _add(g, ("ndim", _REQUIRED), ("count", {"default": 10}))
     g.add_argument("--max-order", type=int, default=4)
-    _add_common(g)
 
     p = sub.add_parser("profile", help="profile a population across GPUs")
-    p.add_argument("--ndim", type=int, choices=(2, 3), required=True)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--gpus", nargs="+", default=list(GPU_ORDER))
-    p.add_argument("--n-settings", type=int, default=6)
+    _add(p, ("ndim", _REQUIRED), "count")
     p.add_argument(
-        "--backend",
-        default="vector",
-        choices=BACKEND_CHOICES,
-        help="measurement backend: NumPy-vectorized batches (default) "
-        "or vectorized with content-keyed memoization (identical results)",
+        "--gpus", nargs="+", default=list(GPU_ORDER),
+        choices=list(ALL_GPU_ORDER),
     )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="shard (gpu, stencil) units across this many worker "
-        "processes (0 = one per CPU; results are bit-identical for "
-        "every worker count, and checkpoints resume across counts)",
-    )
-    p.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="units per shard in parallel runs (default: split pending "
-        "work evenly across workers)",
-    )
+    _add(p, "n-settings", "backend", "workers", "chunk-size")
     p.add_argument("-o", "--output", required=True, help="campaign JSON path")
     p.add_argument(
         "--checkpoint",
@@ -106,65 +255,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--fault-rate",
-        type=float,
+        type=_rate,
         default=0.0,
         help="base transient-fault injection rate per measurement "
         "(timeouts, sporadic errors, corrupted timings at this rate; "
         "device losses at a hundredth of it); 0 disables injection",
     )
     p.add_argument(
-        "--timeout-rate", type=float, default=None,
+        "--timeout-rate", type=_rate, default=None,
         help="override the kernel-hang rate (default: --fault-rate)",
     )
     p.add_argument(
-        "--transient-rate", type=float, default=None,
+        "--transient-rate", type=_rate, default=None,
         help="override the sporadic-failure rate (default: --fault-rate)",
     )
     p.add_argument(
-        "--device-lost-rate", type=float, default=None,
+        "--device-lost-rate", type=_rate, default=None,
         help="override the device-loss rate (default: --fault-rate / 100)",
     )
     p.add_argument(
-        "--corrupt-rate", type=float, default=None,
+        "--corrupt-rate", type=_rate, default=None,
         help="override the corrupted-timing rate (default: --fault-rate)",
     )
-    _add_common(p)
 
     s = sub.add_parser("select", help="predict the best OC for a stencil")
-    s.add_argument(
-        "--campaign",
-        help="campaign JSON path (optional when --model is given)",
-    )
-    s.add_argument("--stencil", required=True, help="named stencil, e.g. star2d2r")
-    s.add_argument("--gpu", required=True, choices=list(ALL_GPU_ORDER))
+    _add(s, "campaign", ("stencil", _REQUIRED), ("gpu", _REQUIRED))
     s.add_argument("--method", default="gbdt", choices=("gbdt", "convnet", "fcnet"))
-    s.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallelize model training across this many processes "
-        "(0 = one per CPU; currently the GBDT classifier fits its "
-        "per-class trees in parallel, other methods train sequentially)",
-    )
-    s.add_argument(
-        "--model",
-        help="selector artifact JSON (see `repro train`); skips retraining "
-        "and uses the stored model (its method/GPU must match)",
-    )
-    _add_common(s)
+    _add(s, "workers", "model")
 
     tu = sub.add_parser(
         "tune",
         help="tune one (stencil, OC) pair through the unified front door",
     )
-    tu.add_argument("--stencil", required=True, help="named stencil, e.g. star2d2r")
-    tu.add_argument("--oc", required=True, help="optimization combination, e.g. ST_RT")
-    tu.add_argument("--gpu", required=True, choices=list(ALL_GPU_ORDER))
+    _add(tu, ("stencil", _REQUIRED), ("oc", _REQUIRED), ("gpu", _REQUIRED))
     tu.add_argument(
         "--strategy",
         default="random",
-        help="zoo member: random, coordinate, genetic, annealing, bayes, "
-        "halving (see docs/tuning.md)",
+        choices=available_strategies(),
+        help="zoo member (see docs/tuning.md)",
     )
     tu.add_argument(
         "--budget",
@@ -187,163 +315,63 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent tuning cache directory (settled results are "
         "replayed across runs; see docs/tuning.md)",
     )
-    tu.add_argument(
-        "--backend",
-        default="vector",
-        choices=BACKEND_CHOICES,
-        help="measurement backend (results are identical; vector is "
-        "the default)",
-    )
+    _add(tu, "backend")
     tu.add_argument(
         "--trials",
         action="store_true",
         help="also print every observed trial in consumption order",
     )
-    _add_common(tu)
 
     e = sub.add_parser(
         "evaluate",
-        help="cross-validate selection/prediction mechanisms (Figs. 9, 12)",
+        help="cross-validate selection/prediction mechanisms (Figs. 9, 12); "
+        "without --campaign, profiles on the fly",
     )
-    e.add_argument(
-        "--campaign",
-        help="campaign JSON path; omit to profile on the fly "
-        "(requires --ndim, honors --backend/--workers/--chunk-size)",
-    )
-    e.add_argument(
-        "--task",
-        default="select",
-        choices=("select", "predict"),
-        help="evaluate OC selection (fold accuracy) or time prediction "
-        "(fold MAPE)",
-    )
+    _add(e, "campaign", "task")
     e.add_argument(
         "--method",
         default=None,
         help="mechanism to evaluate (default: gbdt for select, gbr for "
         "predict)",
     )
-    e.add_argument("--gpu", required=True, choices=list(ALL_GPU_ORDER))
+    _add(e, ("gpu", _REQUIRED))
     e.add_argument("--folds", type=int, default=5)
-    e.add_argument(
-        "--ndim", type=int, choices=(2, 3),
-        help="stencil dimensionality for on-the-fly profiling "
-        "(required without --campaign)",
-    )
-    e.add_argument(
-        "--count", type=int, default=20,
-        help="stencil population size for on-the-fly profiling",
-    )
-    e.add_argument(
-        "--n-settings", type=int, default=6,
-        help="random settings per OC for on-the-fly profiling",
-    )
-    e.add_argument(
-        "--backend",
-        default="vector",
-        choices=BACKEND_CHOICES,
-        help="measurement backend for on-the-fly profiling (same choices "
-        "and semantics as `repro profile`)",
-    )
-    e.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes: shards on-the-fly profiling and fits "
-        "cross-validation folds concurrently (0 = one per CPU; results "
-        "are identical for any count)",
-    )
-    e.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help="units per shard for on-the-fly parallel profiling "
-        "(default: split pending work evenly across workers)",
-    )
-    _add_common(e)
+    _add(e, "ndim", "count", "n-settings", "backend", "workers", "chunk-size")
 
     t = sub.add_parser("predict", help="predict execution time cross-architecture")
-    t.add_argument(
-        "--campaign",
-        help="campaign JSON path to train on (optional with --model)",
-    )
-    t.add_argument("--stencil", required=True)
-    t.add_argument("--oc", required=True, help="OC name, e.g. ST_RT")
-    t.add_argument("--gpu", required=True, choices=list(ALL_GPU_ORDER))
+    _add(t, "campaign", ("stencil", _REQUIRED), ("oc", _REQUIRED))
+    _add(t, ("gpu", _REQUIRED))
     t.add_argument(
         "--method", default="gbr", choices=("gbr", "mlp", "convmlp", "hybrid")
     )
-    t.add_argument(
-        "--model",
-        help="predictor artifact JSON (see `repro train`); skips "
-        "retraining and uses the stored model",
-    )
-    _add_common(t)
+    _add(t, "model")
 
     c = sub.add_parser(
         "codegen", help="emit CUDA/HIP source for a kernel variant"
     )
-    c.add_argument("--stencil", required=True, help="named stencil, e.g. star2d2r")
-    c.add_argument(
-        "--oc",
-        default="naive",
-        help="OC name (e.g. ST_RT) or 'all' for every valid combination",
-    )
-    c.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        dest="overrides",
-        help="pin a parameter (repeatable), e.g. --set block_x=64",
+    _add(
+        c, ("stencil", _REQUIRED),
+        ("oc", {"default": "naive", "type": _oc_or_all}), "set",
     )
     c.add_argument(
         "--sample",
         action="store_true",
         help="sample a feasible setting instead of starting from defaults",
     )
-    c.add_argument(
-        "--gpu",
-        choices=list(ALL_GPU_ORDER),
-        help="target device; selects the dialect via its vendor unless "
-        "--dialect overrides it",
-    )
-    c.add_argument(
-        "--dialect",
-        choices=("cuda", "hip"),
-        help="source dialect (default: the target GPU's vendor dialect, "
-        "or cuda)",
-    )
+    _add(c, "gpu", "dialect")
     c.add_argument(
         "-o",
         "--output-dir",
         help="write <stencil>__<oc>.<ext> files here instead of stdout",
     )
-    _add_common(c)
 
     lint = sub.add_parser(
         "lint", help="statically analyze generated kernels (nonzero exit on errors)"
     )
-    lint.add_argument(
-        "--stencil",
-        action="append",
-        dest="stencils",
-        metavar="NAME",
-        help="restrict to named stencils (repeatable; default: whole library)",
-    )
-    lint.add_argument(
-        "--oc",
-        action="append",
-        dest="ocs",
-        metavar="NAME",
-        help="restrict to OCs (repeatable; default: all 30)",
-    )
-    lint.add_argument(
-        "--n-settings", type=int, default=1,
-        help="sampled parameter settings per (stencil, OC)",
-    )
-    lint.add_argument(
-        "--format", default="text", choices=("text", "json"), dest="fmt"
+    _add(
+        lint, ("stencil", {**_APPEND, "dest": "stencils"}),
+        ("oc", {**_APPEND, "dest": "ocs"}), ("n-settings", {"default": 1}),
+        "format",
     )
     lint.add_argument(
         "--fail-on",
@@ -364,96 +392,37 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--rules", action="store_true", help="print the rule catalog and exit"
     )
-    lint.add_argument(
-        "--gpu",
-        choices=list(ALL_GPU_ORDER),
-        help="target device; warp-sensitive rules use its scheduling "
-        "width and the dialect defaults to its vendor's",
-    )
-    lint.add_argument(
-        "--dialect",
-        choices=("cuda", "hip"),
-        help="source dialect to emit and lint (default: the target GPU's "
-        "vendor dialect, or cuda)",
-    )
-    _add_common(lint)
+    _add(lint, "gpu", "dialect")
 
     est = sub.add_parser(
         "estimate",
         help="statically estimate kernel execution time from generated "
         "source (analytical performance model; no campaign, no training)",
     )
-    est.add_argument(
-        "--stencil",
-        action="append",
-        dest="stencils",
-        metavar="NAME",
-        help="named stencil (repeatable; default: star2d1r)",
-    )
-    est.add_argument(
-        "--oc",
-        action="append",
-        dest="ocs",
-        metavar="NAME",
-        help="restrict to OCs (repeatable; default: the analytical "
-        "selector's candidate set)",
-    )
-    est.add_argument(
-        "--gpu",
-        action="append",
-        dest="gpus",
-        choices=list(ALL_GPU_ORDER),
-        help="target GPUs (repeatable; default: all)",
-    )
-    est.add_argument(
-        "--n-settings", type=int, default=1,
-        help="sampled feasible parameter settings per (stencil, OC)",
-    )
-    est.add_argument(
-        "--format", default="text", choices=("text", "json"), dest="fmt"
+    _add(
+        est, ("stencil", {**_APPEND, "dest": "stencils"}),
+        ("oc", {**_APPEND, "dest": "ocs"}),
+        ("gpu", {**_APPEND, "dest": "gpus"}), ("n-settings", {"default": 1}),
+        "format",
     )
     est.add_argument(
         "--metrics",
         action="store_true",
         help="include the full extracted kernel metrics (JSON only)",
     )
-    _add_common(est)
 
     tr = sub.add_parser(
         "train",
         help="train a model from a campaign and save it as a serve artifact",
     )
-    tr.add_argument(
-        "--campaign",
-        required=True,
-        help="campaign JSON path, a published campaign-dataset document, "
-        "or a dataset-registry directory (latest version is used)",
-    )
-    tr.add_argument(
-        "--task",
-        default="select",
-        choices=("select", "predict"),
-        help="train an OC selector (per GPU) or a cross-architecture "
-        "time predictor",
-    )
+    _add(tr, ("campaign", _REQUIRED), "task")
     tr.add_argument(
         "--method",
         default=None,
         help="gbdt/convnet/fcnet/analytical for select, "
         "gbr/mlp/convmlp/hybrid for predict (defaults: gbdt / gbr)",
     )
-    tr.add_argument(
-        "--gpu",
-        choices=list(ALL_GPU_ORDER),
-        help="target GPU (required for --task select)",
-    )
-    tr.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="parallelize selector training (0 = one per CPU; reaches "
-        "methods that fit in parallel, currently GBDT)",
-    )
+    _add(tr, "gpu", "workers")
     tr.add_argument(
         "--max-rows",
         type=int,
@@ -471,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="registry name to publish under (default: derived, e.g. "
         "select-gbdt-V100-2d)",
     )
-    _add_common(tr)
 
     sv = sub.add_parser(
         "serve", help="serve model artifacts over HTTP (stdlib only)"
@@ -481,15 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="registry directory; the latest version of every artifact "
         "is loaded (unreadable ones degrade to the heuristic fallback)",
     )
-    sv.add_argument(
-        "--model",
-        action="append",
-        default=[],
-        dest="models",
-        metavar="PATH",
-        help="artifact JSON to load directly (repeatable; later installs "
-        "win per (kind, ndim, GPU) slot)",
-    )
+    _add(sv, ("model", {"action": "append", "default": [], "dest": "models"}))
     sv.add_argument("--host", default="127.0.0.1")
     sv.add_argument("--port", type=int, default=8340, help="0 = ephemeral")
     sv.add_argument(
@@ -537,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "-v", "--verbose", action="store_true", help="log every request"
     )
-    _add_common(sv)
 
     ch = sub.add_parser(
         "serve-chaos",
@@ -550,32 +509,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="smaller artifacts and traffic mix (the CI smoke setting)",
     )
     ch.add_argument("--report", help="write the full JSON report here")
-    _add_common(ch)
 
-    q = sub.add_parser("query", help="query a running serve endpoint")
+    q = sub.add_parser(
+        "query",
+        help="query a running serve endpoint (/v1/select, or /v1/predict "
+        "with --oc)",
+    )
     q.add_argument(
         "--url", default="http://127.0.0.1:8340", help="serve base URL"
     )
     q.add_argument(
         "--stats", action="store_true", help="print /stats JSON and exit"
     )
-    q.add_argument("--stencil", help="named stencil, e.g. star2d2r")
-    q.add_argument("--gpu", choices=list(ALL_GPU_ORDER))
-    q.add_argument(
-        "--oc",
-        help="ask /v1/predict for this OC's execution time instead of "
-        "/v1/select",
-    )
-    q.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="NAME=VALUE",
-        dest="overrides",
-        help="parameter setting for --oc predictions (repeatable)",
-    )
-    _add_common(q)
+    _add(q, "stencil", "gpu", "oc", "set")
 
+    for command in sub.choices.values():
+        _add(command, "seed")
     return parser
 
 
@@ -615,51 +564,52 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    from .errors import CampaignInterrupted, DatasetError
-    from .gpu.faults import FaultConfig
-    from .profiling import CampaignRunner, save_campaign
+def _campaign_runner(args, gpus: tuple, **options):
+    """The runner ``profile`` and ``evaluate`` build from their shared flags."""
+    from .profiling import CampaignRunner
     from .stencil import generate_population
 
-    base = args.fault_rate
-    faults = FaultConfig(
-        timeout_rate=base if args.timeout_rate is None else args.timeout_rate,
-        transient_rate=(
-            base if args.transient_rate is None else args.transient_rate
-        ),
-        device_lost_rate=(
-            base / 100.0
-            if args.device_lost_rate is None
-            else args.device_lost_rate
-        ),
-        corrupt_rate=base if args.corrupt_rate is None else args.corrupt_rate,
+    return CampaignRunner(
+        generate_population(args.ndim, args.count, seed=args.seed),
+        gpus=gpus,
+        n_settings=args.n_settings,
+        seed=args.seed,
+        backend=args.backend,
+        workers=args.workers,
+        chunk_size=args.chunk_size,
+        **options,
     )
-    pop = generate_population(args.ndim, args.count, seed=args.seed)
+
+
+def cmd_profile(args) -> int:
+    import dataclasses
+
+    from .errors import CampaignInterrupted
+    from .gpu.faults import FaultConfig
+    from .profiling import save_campaign
+
+    rates = ("timeout_rate", "transient_rate", "device_lost_rate", "corrupt_rate")
+    faults = dataclasses.replace(
+        FaultConfig.uniform(args.fault_rate),
+        **{r: getattr(args, r) for r in rates if getattr(args, r) is not None},
+    )
+    runner = _campaign_runner(
+        args,
+        tuple(args.gpus),
+        faults=faults,
+        checkpoint_path=args.checkpoint,
+        checkpoint_every=args.checkpoint_every,
+    )
     try:
-        runner = CampaignRunner(
-            pop,
-            gpus=tuple(args.gpus),
-            n_settings=args.n_settings,
-            seed=args.seed,
-            backend=args.backend,
-            faults=faults,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            workers=args.workers,
-            chunk_size=args.chunk_size,
-        )
         campaign = runner.run(resume=args.resume)
     except CampaignInterrupted as e:
         print(f"campaign interrupted: {e}", file=sys.stderr)
         print(runner.health.summary(), file=sys.stderr)
         return 3
-    except DatasetError as e:
-        print(f"profile: {e}", file=sys.stderr)
-        return 2
     save_campaign(campaign, args.output)
     n_meas = sum(len(campaign.measurements(g)) for g in campaign.gpus)
     print(
-        f"profiled {len(pop)} stencils x {len(campaign.ocs)} OCs on "
+        f"profiled {len(runner.stencils)} stencils x {len(campaign.ocs)} OCs on "
         f"{len(campaign.gpus)} GPUs ({n_meas} measurements) -> {args.output}"
     )
     print(runner.health.summary())
@@ -669,32 +619,14 @@ def cmd_profile(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.campaign:
         mart = _load_mart_from_campaign(args.campaign, args.seed)
+    elif args.ndim is None:
+        print(
+            "evaluate: --ndim is required when no --campaign is given",
+            file=sys.stderr,
+        )
+        return 2
     else:
-        if args.ndim is None:
-            print(
-                "evaluate: --ndim is required when no --campaign is given",
-                file=sys.stderr,
-            )
-            return 2
-        from .errors import DatasetError
-        from .profiling import CampaignRunner
-        from .stencil import generate_population
-
-        pop = generate_population(args.ndim, args.count, seed=args.seed)
-        try:
-            runner = CampaignRunner(
-                pop,
-                gpus=(args.gpu,),
-                n_settings=args.n_settings,
-                seed=args.seed,
-                backend=args.backend,
-                workers=args.workers,
-                chunk_size=args.chunk_size,
-            )
-            campaign = runner.run()
-        except DatasetError as e:
-            print(f"evaluate: {e}", file=sys.stderr)
-            return 2
+        campaign = _campaign_runner(args, (args.gpu,)).run()
         mart = _mart_from_campaign(campaign, args.seed)
     if args.task == "select":
         method = args.method or "gbdt"
@@ -715,13 +647,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_select(args) -> int:
-    from .stencil import get
+    from .errors import ArtifactError
 
-    art = None
-    if args.model:
-        art = _load_cli_artifact(args.model, "selector")
-        if art is None:
-            return 2
+    art = _load_cli_artifact(args.model, "selector") if args.model else None
     if args.campaign:
         mart = _load_mart_from_campaign(args.campaign, args.seed)
     elif art is not None:
@@ -736,19 +664,17 @@ def cmd_select(args) -> int:
     method = args.method
     if art is not None:
         if art.gpu != args.gpu or art.ndim != mart.ndim:
-            print(
+            raise ArtifactError(
                 f"artifact {args.model} was trained for "
-                f"{art.ndim}d/{art.gpu}, not {mart.ndim}d/{args.gpu}",
-                file=sys.stderr,
+                f"{art.ndim}d/{art.gpu}, not {mart.ndim}d/{args.gpu}"
             )
-            return 2
         method = art.method
         mart.install_selector(
             method, args.gpu, art.model, representatives=art.representatives
         )
     else:
         mart.fit_selector(method, args.gpu, workers=args.workers)
-    stencil = get(args.stencil)
+    stencil = args.stencil
     oc = mart.predict_best_oc(stencil, args.gpu, method=method)
     print(f"predicted best OC for {stencil.name} on {args.gpu}: {oc.name}")
     oc, setting, t = mart.tune(stencil, args.gpu, method=method)
@@ -758,41 +684,20 @@ def cmd_select(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    from .errors import TuningError
-    from .optimizations import OC_BY_NAME
-    from .stencil import get
-    from .tuning import available_strategies, tune
+    from .tuning import tune
 
-    if args.strategy not in available_strategies():
-        print(
-            f"unknown strategy {args.strategy!r} "
-            f"(available: {', '.join(available_strategies())})",
-            file=sys.stderr,
-        )
-        return 2
-    if args.oc not in OC_BY_NAME:
-        print(
-            f"unknown OC {args.oc!r} "
-            f"(available: {', '.join(sorted(OC_BY_NAME))})",
-            file=sys.stderr,
-        )
-        return 2
-    stencil = get(args.stencil)
-    try:
-        result = tune(
-            stencil,
-            oc=OC_BY_NAME[args.oc],
-            gpu=args.gpu,
-            backend=args.backend,
-            strategy=args.strategy,
-            budget=args.budget,
-            seed=args.seed,
-            restrictions=tuple(args.restrictions),
-            cache_dir=args.cache_dir,
-        )
-    except TuningError as e:
-        print(f"tune: {e}", file=sys.stderr)
-        return 2
+    stencil = args.stencil
+    result = tune(
+        stencil,
+        oc=args.oc,
+        gpu=args.gpu,
+        backend=args.backend,
+        strategy=args.strategy,
+        budget=args.budget,
+        seed=args.seed,
+        restrictions=tuple(args.restrictions),
+        cache_dir=args.cache_dir,
+    )
     if args.trials:
         for i, rec in enumerate(result.trial_log):
             t = "crash" if rec.crashed else f"{rec.time_ms:.4f} ms"
@@ -805,44 +710,38 @@ def cmd_tune(args) -> int:
 
 
 def _load_cli_artifact(path: str, kind: str):
-    """Load a serve artifact for --model flags; None + message on failure."""
+    """Load the *kind* serve artifact a --model flag names.
+
+    Raises :class:`~repro.errors.ArtifactError` when the file is
+    unusable or holds another kind of model.
+    """
     from .errors import ArtifactError
     from .serve import load_artifact
 
     try:
         art = load_artifact(path)
     except ArtifactError as e:
-        print(f"cannot use --model {path}: {e}", file=sys.stderr)
-        return None
+        raise ArtifactError(f"cannot use --model {path}: {e}") from None
     if art.kind != kind:
-        print(
-            f"artifact {path} is a {art.kind}, expected a {kind}",
-            file=sys.stderr,
-        )
-        return None
+        raise ArtifactError(f"artifact {path} is a {art.kind}, expected a {kind}")
     return art
 
 
 def cmd_predict(args) -> int:
+    from .errors import ArtifactError
     from .gpu import GPUSimulator
-    from .optimizations import OC_BY_NAME, sample_setting
-    from .stencil import get
+    from .optimizations import sample_setting
 
     import numpy as np
 
-    stencil = get(args.stencil)
-    method = args.method
+    stencil, oc, method = args.stencil, args.oc, args.method
     if args.model:
         art = _load_cli_artifact(args.model, "predictor")
-        if art is None:
-            return 2
         if art.ndim != stencil.ndim:
-            print(
+            raise ArtifactError(
                 f"artifact {args.model} predicts {art.ndim}d stencils, "
-                f"but {stencil.name} is {stencil.ndim}d",
-                file=sys.stderr,
+                f"but {stencil.name} is {stencil.ndim}d"
             )
-            return 2
         from .core import StencilMART
 
         method = art.method
@@ -856,10 +755,6 @@ def cmd_predict(args) -> int:
     else:
         print("predict: need --campaign and/or --model", file=sys.stderr)
         return 2
-    oc = OC_BY_NAME.get(args.oc)
-    if oc is None:
-        print(f"unknown OC {args.oc!r}", file=sys.stderr)
-        return 2
     rng = np.random.default_rng(args.seed)
     setting = sample_setting(oc, stencil.ndim, rng)
     pred = mart.predict_time(stencil, oc, setting, args.gpu, method=method)
@@ -871,23 +766,13 @@ def cmd_predict(args) -> int:
     return 0
 
 
-def _parse_overrides(pairs: "list[str]") -> dict:
-    out: dict = {}
-    for pair in pairs:
-        name, sep, value = pair.partition("=")
-        if not sep or not name or not value:
-            raise SystemExit(f"bad --set {pair!r}; expected NAME=VALUE")
-        out[name] = int(value)
-    return out
-
-
 def _resolve_dialect(args):
     """The codegen dialect from ``--dialect`` / ``--gpu`` (cuda default)."""
     from .codegen import dialect_for_gpu, get_dialect
 
-    if getattr(args, "dialect", None):
+    if args.dialect:
         return get_dialect(args.dialect)
-    if getattr(args, "gpu", None):
+    if args.gpu:
         return dialect_for_gpu(args.gpu)
     return get_dialect("cuda")
 
@@ -897,24 +782,13 @@ def cmd_codegen(args) -> int:
 
     from .analysis.lint import feasible_settings
     from .codegen import generate_source
-    from .optimizations import ALL_OCS, OC_BY_NAME
     from .optimizations.params import ParamSetting
-    from .stencil import get
 
-    stencil = get(args.stencil)
+    stencil = args.stencil
     dialect = _resolve_dialect(args)
-    if args.oc == "all":
-        ocs = list(ALL_OCS)
-    else:
-        oc = OC_BY_NAME.get(args.oc)
-        if oc is None:
-            print(f"unknown OC {args.oc!r}", file=sys.stderr)
-            return 2
-        ocs = [oc]
-
-    overrides = _parse_overrides(args.overrides)
+    overrides = dict(args.overrides)
     emitted = 0
-    for oc in ocs:
+    for oc in args.oc:
         if args.sample:
             sampled = feasible_settings(stencil, oc, 1, args.seed)
             if not sampled:
@@ -947,8 +821,6 @@ def cmd_lint(args) -> int:
 
     from .analysis import Baseline, Severity, all_rules, lint_sweep
     from .analysis.lint import worst_severity
-    from .optimizations import OC_BY_NAME
-    from .stencil import get
 
     if args.rules:
         for info in all_rules():
@@ -956,28 +828,15 @@ def cmd_lint(args) -> int:
             print(f"    {info.rationale}")
         return 0
 
-    stencils = None
-    if args.stencils:
-        stencils = [get(n) for n in args.stencils]
-    ocs = None
-    if args.ocs:
-        ocs = []
-        for name in args.ocs:
-            oc = OC_BY_NAME.get(name)
-            if oc is None:
-                print(f"unknown OC {name!r}", file=sys.stderr)
-                return 2
-            ocs.append(oc)
-
     baseline = Baseline.load(args.baseline) if args.baseline else None
     summary = lint_sweep(
-        stencils=stencils,
-        ocs=ocs,
+        stencils=args.stencils,
+        ocs=args.ocs,
         n_settings=args.n_settings,
         seed=args.seed,
         baseline=baseline,
         dialect=_resolve_dialect(args).name,
-        gpu=getattr(args, "gpu", None),
+        gpu=args.gpu,
     )
 
     if args.write_baseline:
@@ -1014,15 +873,8 @@ def cmd_estimate(args) -> int:
     from .optimizations import OC_BY_NAME
     from .stencil import get
 
-    stencils = [get(n) for n in (args.stencils or ["star2d1r"])]
-    oc_names = args.ocs or list(DEFAULT_CANDIDATES)
-    ocs = []
-    for name in oc_names:
-        oc = OC_BY_NAME.get(name)
-        if oc is None:
-            print(f"unknown OC {name!r}", file=sys.stderr)
-            return 2
-        ocs.append(oc)
+    stencils = args.stencils or [get("star2d1r")]
+    ocs = args.ocs or [OC_BY_NAME[name] for name in DEFAULT_CANDIDATES]
     gpus = args.gpus or list(GPU_ORDER)
 
     estimates: "list[dict]" = []
@@ -1087,7 +939,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .errors import DatasetError
     from .profiling import (
         load_campaign,
         resolve_dataset_path,
@@ -1100,11 +951,7 @@ def cmd_train(args) -> int:
     if not args.out and not args.registry:
         print("train: need --out and/or --registry", file=sys.stderr)
         return 2
-    try:
-        campaign = load_campaign(resolve_dataset_path(args.campaign))
-    except DatasetError as e:
-        print(f"train: {e}", file=sys.stderr)
-        return 2
+    campaign = load_campaign(resolve_dataset_path(args.campaign))
     if args.task == "select":
         if not args.gpu:
             print("train --task select requires --gpu", file=sys.stderr)
@@ -1284,24 +1131,26 @@ def cmd_query(args) -> int:
         if args.stats:
             print(json.dumps(client.stats(), indent=2, sort_keys=True))
             return 0
-        if not args.stencil or not args.gpu:
+        if args.stencil is None or args.gpu is None:
             print(
                 "query: need --stats, or --stencil and --gpu",
                 file=sys.stderr,
             )
             return 2
-        if args.oc:
-            setting = _parse_overrides(args.overrides)
-            t = client.predict(args.stencil, args.oc, args.gpu, setting)
+        stencil = args.stencil.name
+        if args.oc is not None:  # the naive OC is falsy (no opts)
+            t = client.predict(
+                stencil, args.oc.name, args.gpu, dict(args.overrides)
+            )
             print(
-                f"{args.stencil} under {args.oc} on {args.gpu}: "
+                f"{stencil} under {args.oc.name} on {args.gpu}: "
                 f"{t:.3f} ms/step (predicted)"
             )
         else:
-            r = client.select(args.stencil, args.gpu)
+            r = client.select(stencil, args.gpu)
             via = r["artifact"] or r.get("rung") or "fallback ladder"
             print(
-                f"best OC for {args.stencil} on {args.gpu}: {r['oc']} "
+                f"best OC for {stencil} on {args.gpu}: {r['oc']} "
                 f"({r['source']} via {via})"
             )
         return 0
@@ -1328,8 +1177,21 @@ _COMMANDS = {
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    """Run one subcommand; returns the process exit status.
+
+    Bad arguments return argparse's status 2, and so does any
+    :class:`~repro.errors.ReproError` a command lets escape, reported
+    as one ``<command>: <message>`` line on stderr.
+    """
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        return e.code
+    try:
+        return _COMMANDS[args.command](args)
+    except ReproError as e:
+        print(f"{args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -108,6 +108,17 @@ class UnknownGPUError(ReproError, KeyError):
         return Exception.__str__(self)
 
 
+class UnknownStencilError(ReproError, KeyError):
+    """A stencil name is not in the named benchmark library.
+
+    Subclasses :class:`KeyError` for the same reason as
+    :class:`UnknownGPUError`; the message lists every known name.
+    """
+
+    def __str__(self) -> str:
+        return Exception.__str__(self)
+
+
 class UnknownBackendError(ReproError, ValueError):
     """A backend kind is not in :data:`repro.engine.BACKEND_KINDS`.
 

@@ -62,6 +62,26 @@ from .storage import (
 )
 
 
+def write_checkpoint(
+    path: Path, kind: str, config: dict, rows_by_gpu: dict, health
+) -> None:
+    """Atomically write a campaign checkpoint document.
+
+    The main checkpoint (``kind="campaign-checkpoint"``) and per-shard
+    checkpoints (``kind="campaign-shard"``) share this one layout:
+    the campaign config, completed :func:`profile_to_row` rows per GPU
+    (GPUs without rows left out) and the health counters.
+    """
+    doc = {
+        "format": FORMAT_VERSION,
+        "kind": kind,
+        "config": config,
+        "completed": {gpu: list(r) for gpu, r in rows_by_gpu.items() if r},
+        "health": health.to_dict(),
+    }
+    atomic_write_text(path, json.dumps(doc))
+
+
 class SimClock:
     """A monotonically advancing simulated clock for backoff waits."""
 
@@ -481,18 +501,38 @@ class CampaignRunner:
     ) -> None:
         if self.checkpoint_path is None:
             return
-        doc = {
-            "format": FORMAT_VERSION,
-            "kind": "campaign-checkpoint",
-            "config": self._config_doc(),
-            "completed": {
+        write_checkpoint(
+            self.checkpoint_path,
+            "campaign-checkpoint",
+            self._config_doc(),
+            {
                 gpu: [profile_to_row(units[sid]) for sid in sorted(units)]
                 for gpu, units in completed.items()
-                if units
             },
-            "health": self.health.to_dict(),
-        }
-        atomic_write_text(self.checkpoint_path, json.dumps(doc))
+            self.health,
+        )
+
+    def _fold_rows(
+        self, completed: dict[str, dict[int, StencilProfile]], rows_by_gpu: dict
+    ) -> int:
+        """Fold storage rows into *completed*; returns the units added.
+
+        Rows for GPUs outside *completed* and stencils already present
+        are skipped, so folding the same rows twice adds nothing.
+        """
+        added = 0
+        for gpu, rows in rows_by_gpu.items():
+            if gpu not in completed:
+                continue
+            for row in rows:
+                sid = int(row["stencil_id"])
+                if sid in completed[gpu]:
+                    continue
+                completed[gpu][sid] = profile_from_row(
+                    row, self.stencils[sid], gpu
+                )
+                added += 1
+        return added
 
     def _load_checkpoint(self) -> dict[str, dict[int, StencilProfile]]:
         """Load completed units from the checkpoint, validating identity.
@@ -519,14 +559,9 @@ class CampaignRunner:
         completed: dict[str, dict[int, StencilProfile]] = {
             gpu: {} for gpu in self.gpus
         }
-        for gpu, rows in doc.get("completed", {}).items():
-            for row in rows:
-                sid = int(row["stencil_id"])
-                completed[gpu][sid] = profile_from_row(
-                    row, self.stencils[sid], gpu
-                )
-        n = sum(len(units) for units in completed.values())
-        self.health.units_resumed += n
+        self.health.units_resumed += self._fold_rows(
+            completed, doc.get("completed", {})
+        )
         # A killed parallel run may have shard progress the main
         # checkpoint never saw; fold it in (workers-count independent).
         self._merge_shard_files(completed, resumed=True)
@@ -581,18 +616,7 @@ class CampaignRunner:
             if doc.get("kind") != "campaign-shard" \
                     or doc.get("config") != config:
                 continue
-            new_units = 0
-            for gpu, rows in doc.get("completed", {}).items():
-                if gpu not in completed:
-                    continue
-                for row in rows:
-                    sid = int(row["stencil_id"])
-                    if sid in completed[gpu]:
-                        continue
-                    completed[gpu][sid] = profile_from_row(
-                        row, self.stencils[sid], gpu
-                    )
-                    new_units += 1
+            new_units = self._fold_rows(completed, doc.get("completed", {}))
             if new_units:
                 self.health.merge_dict(doc.get("health", {}))
                 if resumed:
@@ -667,15 +691,7 @@ class CampaignRunner:
     def _merge_shard_result(
         self, completed: dict[str, dict[int, StencilProfile]], result: dict
     ) -> int:
-        n = 0
-        for gpu, rows in result.get("completed", {}).items():
-            for row in rows:
-                sid = int(row["stencil_id"])
-                if sid not in completed[gpu]:
-                    completed[gpu][sid] = profile_from_row(
-                        row, self.stencils[sid], gpu
-                    )
-                    n += 1
+        n = self._fold_rows(completed, result.get("completed", {}))
         self.health.merge_dict(result.get("health", {}))
         self.health.units_completed += n
         return n

@@ -29,14 +29,12 @@ the main checkpoint uses -- so merge and resume share one codec.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
 from ..gpu.faults import FaultConfig
 from ..optimizations.combos import OC_BY_NAME
-from ..store import atomic_write_text
-from .storage import FORMAT_VERSION, profile_to_row, stencil_from_dict
+from .storage import profile_to_row, stencil_from_dict
 
 #: Per-process campaign context, populated once by the pool initializer.
 _CFG: "dict | None" = None
@@ -68,19 +66,6 @@ def _init_shard_worker(config_doc: dict, policy, checkpoint_every: int) -> None:
     }
 
 
-def _write_shard_checkpoint(
-    path: str, cfg: dict, rows: "dict[str, list]", health
-) -> None:
-    doc = {
-        "format": FORMAT_VERSION,
-        "kind": "campaign-shard",
-        "config": cfg["config_doc"],
-        "completed": {gpu: list(r) for gpu, r in rows.items() if r},
-        "health": health.to_dict(),
-    }
-    atomic_write_text(Path(path), json.dumps(doc))
-
-
 def run_shard(task: tuple) -> dict:
     """Execute one shard; the pool task function.
 
@@ -95,7 +80,13 @@ def run_shard(task: tuple) -> dict:
     """
     # Late import: runner imports this module inside _run_sharded, so a
     # top-level back-import would be circular in the parent process.
-    from .runner import CampaignHealth, SimClock, build_search, run_unit
+    from .runner import (
+        CampaignHealth,
+        SimClock,
+        build_search,
+        run_unit,
+        write_checkpoint,
+    )
 
     assert _CFG is not None, "shard worker used before initialization"
     cfg = _CFG
@@ -124,8 +115,13 @@ def run_shard(task: tuple) -> dict:
         rows.setdefault(gpu, []).append(profile_to_row(profile))
         since += 1
         if ckpt_path is not None and since >= cfg["checkpoint_every"]:
-            _write_shard_checkpoint(ckpt_path, cfg, rows, health)
+            write_checkpoint(
+                Path(ckpt_path), "campaign-shard", cfg["config_doc"], rows,
+                health,
+            )
             since = 0
     if ckpt_path is not None and since:
-        _write_shard_checkpoint(ckpt_path, cfg, rows, health)
+        write_checkpoint(
+            Path(ckpt_path), "campaign-shard", cfg["config_doc"], rows, health
+        )
     return {"shard": shard_idx, "completed": rows, "health": health.to_dict()}

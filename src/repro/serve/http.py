@@ -80,7 +80,7 @@ def parse_stencil(doc) -> Stencil:
     if isinstance(doc, str):
         try:
             return library.get(doc)
-        except (KeyError, ReproError):
+        except ReproError:
             raise ServiceError(f"unknown stencil name {doc!r}") from None
     if isinstance(doc, dict):
         try:

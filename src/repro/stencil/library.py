@@ -9,6 +9,7 @@ name (``cross2d1r``, ``box3d4r``, ...).
 from __future__ import annotations
 
 from ..config import MAX_ORDER
+from ..errors import UnknownStencilError
 from . import shapes
 from .stencil import Stencil
 
@@ -34,12 +35,18 @@ LIBRARY: dict[str, Stencil] = _build_library()
 
 
 def get(name: str) -> Stencil:
-    """Look up a named benchmark stencil (e.g. ``"box3d3r"``)."""
+    """Look up a named benchmark stencil (e.g. ``"box3d3r"``).
+
+    Raises :class:`~repro.errors.UnknownStencilError` (a ``KeyError``)
+    naming every known stencil.
+    """
     try:
         return LIBRARY[name]
     except KeyError:
         known = ", ".join(sorted(LIBRARY))
-        raise KeyError(f"unknown stencil {name!r}; known: {known}") from None
+        raise UnknownStencilError(
+            f"unknown stencil {name!r}; known: {known}"
+        ) from None
 
 
 def names(ndim: int | None = None) -> list[str]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import ReproError, UnknownStencilError
 from repro.stencil import LIBRARY, benchmark_stencils, get, names
 
 
@@ -21,6 +22,14 @@ class TestLibrary:
     def test_get_unknown_raises(self):
         with pytest.raises(KeyError):
             get("hex2d1r")
+
+    def test_get_unknown_raises_named_error(self):
+        with pytest.raises(UnknownStencilError) as info:
+            get("nope")
+        assert isinstance(info.value, ReproError)
+        message = str(info.value)
+        assert message.startswith("unknown stencil 'nope'; known: ")
+        assert all(name in message for name in LIBRARY)
 
     def test_names_filter_by_ndim(self):
         n2 = names(2)

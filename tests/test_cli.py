@@ -113,22 +113,96 @@ class TestCommands:
         assert error in capsys.readouterr().err
         assert not (tmp_path / "c.json").exists()
 
-    def test_predict_unknown_oc(self, tmp_path, capsys):
-        campaign = tmp_path / "c.json"
-        main(
-            [
-                "profile", "--ndim", "2", "--count", "4", "--gpus", "V100",
-                "--n-settings", "3", "-o", str(campaign), "--seed", "3",
-            ]
-        )
-        capsys.readouterr()
-        rc = main(
-            [
-                "predict", "--campaign", str(campaign), "--stencil", "star2d1r",
-                "--oc", "WARP", "--gpu", "V100",
-            ]
-        )
+
+class TestFailClosed:
+    """Bad input exits 2 with a one-line message naming the bad value,
+    before any campaign loads, model trains or file is written."""
+
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fail_closed") / "c.json"
+        assert main(
+            ["profile", "--ndim", "2", "--count", "4", "--gpus", "V100",
+             "--n-settings", "2", "-o", str(path), "--seed", "3"]
+        ) == 0
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv, bad",
+        [
+            (["codegen", "--stencil", "nope", "-o", "gen"], "nope"),
+            (["tune", "--stencil", "nope", "--oc", "ST", "--gpu", "V100"],
+             "nope"),
+            (["estimate", "--stencil", "nope"], "nope"),
+            (["lint", "--stencil", "nope"], "nope"),
+            (["select", "--campaign", "{c}", "--stencil", "nope",
+              "--gpu", "V100"], "nope"),
+            (["profile", "--ndim", "2", "--count", "2", "--gpus", "NOPE",
+              "-o", "out.json"], "NOPE"),
+            (["profile", "--ndim", "2", "--count", "2", "--gpus", "V100",
+              "--fault-rate", "1.5", "-o", "out.json"], "1.5"),
+            (["profile", "--ndim", "2", "--count", "2", "--gpus", "V100",
+              "--workers", "-3", "-o", "out.json"], "-3"),
+            (["codegen", "--stencil", "star2d1r", "--set", "block_x=abc",
+              "-o", "gen"], "block_x=abc"),
+            (["select", "--campaign", "missing.json", "--stencil",
+              "star2d1r", "--gpu", "V100"], "missing.json"),
+            (["evaluate", "--campaign", "{c}", "--gpu", "A100"], "A100"),
+            (["train", "--campaign", "{c}", "--gpu", "V100", "--method",
+              "bogus", "--out", "out.json"], "bogus"),
+            (["tune", "--stencil", "star2d1r", "--oc", "WARP",
+              "--gpu", "V100"], "WARP"),
+            (["predict", "--campaign", "{c}", "--stencil", "star2d1r",
+              "--oc", "WARP", "--gpu", "V100"], "WARP"),
+            (["codegen", "--stencil", "star2d1r", "--oc", "WARP",
+              "-o", "gen"], "WARP"),
+            (["lint", "--oc", "WARP"], "WARP"),
+            (["estimate", "--stencil", "star2d1r", "--oc", "WARP"], "WARP"),
+        ],
+        ids=[
+            "codegen-stencil", "tune-stencil", "estimate-stencil",
+            "lint-stencil", "select-stencil", "profile-gpus",
+            "profile-fault-rate", "profile-workers", "codegen-set",
+            "select-missing-campaign", "evaluate-gpu-not-in-campaign",
+            "train-method", "tune-oc", "predict-oc", "codegen-oc",
+            "lint-oc", "estimate-oc",
+        ],
+    )
+    def test_bad_input_exits_2(
+        self, campaign, tmp_path, monkeypatch, capsys, argv, bad
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc = main([a.replace("{c}", campaign) for a in argv])
+        err = capsys.readouterr().err
         assert rc == 2
+        assert "Traceback" not in err
+        assert bad in err
+        if bad == "WARP":
+            assert f"unknown OC {bad!r}" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "--campaign", "{c}", "--stencil", "star2d1r",
+             "--oc", "WARP", "--gpu", "V100"],
+            ["select", "--campaign", "{c}", "--stencil", "nope",
+             "--gpu", "V100"],
+        ],
+        ids=["predict-oc", "select-stencil"],
+    )
+    def test_no_training_before_validation(
+        self, campaign, monkeypatch, capsys, argv
+    ):
+        from repro.core import StencilMART
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("trained before validating the input")
+
+        monkeypatch.setattr(StencilMART, "fit_predictor", no_fit)
+        monkeypatch.setattr(StencilMART, "fit_selector", no_fit)
+        assert main([a.replace("{c}", campaign) for a in argv]) == 2
+        capsys.readouterr()
 
 
 class TestServeCommands:
@@ -325,6 +399,14 @@ class TestServeCommands:
             assert rc == 0
             assert "ms/step (predicted)" in capsys.readouterr().out
 
+            # The naive OC has no opts (len 0) but still asks /v1/predict.
+            rc = main(
+                ["query", "--url", url, "--stencil", "star2d1r",
+                 "--gpu", "A100", "--oc", "naive"]
+            )
+            assert rc == 0
+            assert "star2d1r under naive" in capsys.readouterr().out
+
             rc = main(["query", "--url", url, "--stats"])
             assert rc == 0
             import json
@@ -396,7 +478,7 @@ class TestCodegenCommand:
             ["codegen", "--stencil", "star2d1r", "--oc", "ST",
              "--set", "block_x=64", "--set", "stream_dim=2"]
         )
-        assert args.overrides == ["block_x=64", "stream_dim=2"]
+        assert args.overrides == [("block_x", 64), ("stream_dim", 2)]
 
     def test_emits_source_to_stdout(self, capsys):
         rc = main(
@@ -426,11 +508,6 @@ class TestCodegenCommand:
         assert rc == 0
         assert "__global__ void" in capsys.readouterr().out
 
-    def test_unknown_oc(self, capsys):
-        rc = main(["codegen", "--stencil", "star2d1r", "--oc", "WARP"])
-        assert rc == 2
-        assert "unknown OC" in capsys.readouterr().err
-
     def test_hip_dialect_flag(self, capsys):
         rc = main(
             ["codegen", "--stencil", "star2d1r", "--oc", "ST_RT",
@@ -452,10 +529,7 @@ class TestCodegenCommand:
         assert "#include <hip/hip_runtime.h>" in path.read_text()
 
     def test_bad_override_rejected(self):
-        with pytest.raises(SystemExit):
-            main(
-                ["codegen", "--stencil", "star2d1r", "--set", "block_x"]
-            )
+        assert main(["codegen", "--stencil", "star2d1r", "--set", "block_x"]) == 2
 
 
 class TestLintCommand:
@@ -492,11 +566,6 @@ class TestLintCommand:
         out = capsys.readouterr().out
         for rule in ("RACE001", "BOUNDS002", "RES001", "OCST001", "PERF001"):
             assert rule in out
-
-    def test_unknown_oc(self, capsys):
-        rc = main(["lint", "--oc", "WARP"])
-        assert rc == 2
-        assert "unknown OC" in capsys.readouterr().err
 
     def test_model_drift_fails_then_baseline_accepts(
         self, tmp_path, capsys, monkeypatch
@@ -584,11 +653,6 @@ class TestEstimateCommand:
         assert rows and all(r["time_ms"] > 0 for r in rows)
         assert {r["gpu"] for r in rows} == {"V100", "A100"}
         assert all("metrics" in r and "phases_ms" in r for r in rows)
-
-    def test_unknown_oc(self, capsys):
-        rc = main(["estimate", "--stencil", "star2d1r", "--oc", "WARP"])
-        assert rc == 2
-        assert "unknown OC" in capsys.readouterr().err
 
 
 class TestServeShutdown:
