@@ -12,13 +12,14 @@ import numpy as np
 from repro.ml import GBRegressor, LogTimeTransform, mape
 from repro.profiling import kfold_indices
 from repro.profiling.dataset import N_HW_FEATURES
+from repro.profiling.train import subsample_rows
 
 from conftest import print_table
 
 
 def test_ablation_hw_features(mart_2d, scale, benchmark):
     ds = mart_2d.regression_dataset()  # all four GPUs pooled
-    idx = mart_2d._row_subset(ds.n_samples, 6000)
+    idx = subsample_rows(ds.n_samples, 6000, mart_2d.seed)
     X_full = ds.features[idx]
     X_nohw = X_full[:, :-N_HW_FEATURES]
     y = ds.times_ms[idx]

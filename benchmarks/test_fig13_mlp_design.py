@@ -9,6 +9,7 @@ import numpy as np
 
 from repro.ml import MLPRegressor, mape
 from repro.profiling import kfold_indices
+from repro.profiling.train import subsample_rows
 
 from conftest import print_table
 
@@ -21,7 +22,7 @@ def test_fig13_mlp_design(mart_2d, mart_3d, scale, benchmark):
     grid = {}
     for ndim, mart in ((2, mart_2d), (3, mart_3d)):
         ds = mart.regression_dataset(("V100",))
-        idx = mart._row_subset(ds.n_samples, 4000)
+        idx = subsample_rows(ds.n_samples, 4000, mart.seed)
         X, y = ds.features[idx], ds.times_ms[idx]
         train, test = next(kfold_indices(len(idx), 4, seed=1))
         for n_layers in LAYERS:

@@ -23,9 +23,7 @@ import time
 
 import numpy as np
 
-from ..errors import KernelLaunchError, OptimizationError
 from ..ml.metrics import kendall_tau, mape, pcc
-from ..ml.preprocess import LogTimeTransform, augment_features
 from ..stencil.generator import generate_population
 
 def _bench_ocs() -> "tuple[str, ...]":
@@ -110,12 +108,22 @@ def _score_picks(test, gpu: str, picks: "list[str]") -> dict:
     }
 
 
+def _gbdt_picks(train, source_gpu: str, stencils, seed: int) -> "list[str]":
+    """Picks of a GBDT selector trained on *source_gpu* for *stencils*."""
+    from ..profiling.train import select_requests, train_selector_artifact
+    from ..serve.features import FeatureCache
+
+    art = train_selector_artifact(train, source_gpu, method="gbdt", seed=seed)
+    return [oc for _, oc in select_requests(
+        art.method, art.model, art.representatives, list(stencils), source_gpu,
+        cache=FeatureCache(art.max_order),
+    )]
+
+
 def run_selection_bench(train, test, seed: int = 29, quick: bool = False) -> dict:
     """Selection accuracy of the three selector families on *test*."""
     from ..ml.analytical import AnalyticalSelector
-    from ..profiling.train import train_selector_artifact
     from ..serve.fallback import HeuristicSelector
-    from ..serve.features import FeatureCache
 
     analytical = AnalyticalSelector(
         candidates=_bench_ocs(),
@@ -137,11 +145,7 @@ def run_selection_bench(train, test, seed: int = 29, quick: bool = False) -> dic
         wall["heuristic-ladder"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        art = train_selector_artifact(train, gpu, method="gbdt", seed=seed)
-        x = FeatureCache(art.max_order).features(test.stencils)
-        gbdt_picks = [
-            art.representatives[int(c)] for c in art.model.predict(x)
-        ]
+        gbdt_picks = _gbdt_picks(train, gpu, test.stencils, seed)
         wall["gbdt"] += time.perf_counter() - t0
 
         for name, picks in (
@@ -171,38 +175,13 @@ def run_selection_bench(train, test, seed: int = 29, quick: bool = False) -> dic
 # ----------------------------------------------------------------------
 # regression: hybrid vs plain GBDT vs raw analytical estimate
 # ----------------------------------------------------------------------
-def _predict_rows(art, test, ds) -> np.ndarray:
-    from ..profiling.dataset import analytical_feature_matrix
-
-    X = ds.features
-    if art.method == "hybrid":
-        X = augment_features(X, analytical_feature_matrix(test, ds))
-    return LogTimeTransform.inverse(art.model.predict(X))
-
-
-def _analytical_rows(test, ds) -> np.ndarray:
-    """Raw static estimates per dataset row (NaN where inestimable)."""
-    from ..optimizations.combos import OC_BY_NAME
-    from .ir import ParseError
-    from .perfmodel import EstimateError, estimate_kernel
-
-    out = np.full(ds.n_samples, np.nan)
-    rows = zip(ds.stencil_ids, ds.ocs, ds.settings, ds.gpus)
-    for i, (sid, oc, setting, gpu) in enumerate(rows):
-        try:
-            est = estimate_kernel(
-                test.stencils[sid], OC_BY_NAME[oc], setting, gpu
-            )
-        except (KernelLaunchError, OptimizationError, EstimateError, ParseError):
-            continue
-        out[i] = est.time_ms
-    return out
-
-
 def run_regression_bench(train, test, seed: int = 29) -> dict:
     """Held-out runtime fidelity of gbr / hybrid / raw-analytical."""
+    from ..ml.analytical import AnalyticalPredictor
     from ..profiling.dataset import build_regression_dataset
-    from ..profiling.train import train_predictor_artifact
+    from ..profiling.train import (
+        predict_requests, predict_rows, predictor_inputs, train_predictor_artifact,
+    )
 
     arts = {
         method: train_predictor_artifact(train, method=method, seed=seed)
@@ -214,14 +193,18 @@ def run_regression_bench(train, test, seed: int = 29) -> dict:
         ds = build_regression_dataset(test, (gpu,))
         y = ds.times_ms
         for method, art in arts.items():
-            pred = _predict_rows(art, test, ds)
+            pred = predict_rows(method, art.model, predictor_inputs(ds, method, test))
             per[method][gpu] = {
                 "pcc": pcc(y, pred),
                 "log_pcc": pcc(np.log(y), np.log(np.maximum(pred, 1e-9))),
                 "mape": mape(y, pred),
                 "rows": int(ds.n_samples),
             }
-        est = _analytical_rows(test, ds)
+        # Raw static estimates per row (inf where inestimable).
+        est = predict_requests("analytical", AnalyticalPredictor(), [
+            (test.stencils[sid], oc, setting, g)
+            for sid, oc, setting, g in zip(ds.stencil_ids, ds.ocs, ds.settings, ds.gpus)
+        ])
         ok = np.isfinite(est)
         per["analytical"][gpu] = {
             "pcc": pcc(y[ok], est[ok]),

@@ -25,6 +25,9 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 
+from ..errors import DatasetError
+from ..store import read_document
+
 
 class Severity(str, Enum):
     """Finding severities; only ``ERROR`` fails ``repro lint``."""
@@ -157,11 +160,15 @@ class Baseline:
 
     @classmethod
     def load(cls, path: str) -> "Baseline":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        """Read a baseline written by :meth:`save`.
+
+        A missing, unreadable or garbled file, or one of another
+        version, raises :class:`~repro.errors.DatasetError`.
+        """
+        payload = read_document(path, DatasetError, "lint baseline")
         version = payload.get("version")
         if version != BASELINE_VERSION:
-            raise ValueError(
+            raise DatasetError(
                 f"baseline {path} has version {version}; "
                 f"this analyzer reads version {BASELINE_VERSION}"
             )

@@ -37,7 +37,7 @@ import numpy as np
 
 from ..gpu.specs import GPU_ORDER
 from ..stencil.generator import generate_population
-from .bench import REGRET, _bench_ocs, _predict_rows, _score_picks
+from .bench import REGRET, _bench_ocs, _gbdt_picks, _score_picks
 
 __all__ = [
     "make_transfer_campaigns",
@@ -98,16 +98,6 @@ def make_transfer_campaigns(quick: bool = False, seed: int = 31):
 # ----------------------------------------------------------------------
 # selection: rank OCs on an unseen-vendor target
 # ----------------------------------------------------------------------
-def _gbdt_picks(train, source_gpu: str, stencils, seed: int) -> "list[str]":
-    """Picks of a GBDT selector trained on *source_gpu* for *stencils*."""
-    from ..profiling.train import train_selector_artifact
-    from ..serve.features import FeatureCache
-
-    art = train_selector_artifact(train, source_gpu, method="gbdt", seed=seed)
-    x = FeatureCache(art.max_order).features(list(stencils))
-    return [art.representatives[int(c)] for c in art.model.predict(x)]
-
-
 def _predictor_picks(
     art, stencils, gpu: str, n_settings: int, seed: int
 ) -> "list[str]":
@@ -125,12 +115,11 @@ def _predictor_picks(
     and launchability is knowable without measuring anything.
     """
     from ..gpu import model
-    from ..gpu.specs import get_gpu, hardware_features
-    from ..ml.preprocess import LogTimeTransform, augment_features
+    from ..gpu.specs import get_gpu
     from ..optimizations.combos import OC_BY_NAME
     from ..optimizations.params import sample_settings
-    from ..profiling.dataset import oc_flags
-    from ..stencil.features import batch_features
+    from ..profiling.train import predict_requests
+    from ..serve.features import FeatureCache
 
     spec = get_gpu(gpu)
 
@@ -145,8 +134,7 @@ def _predictor_picks(
         )
         return ~lim.crashes.mask
 
-    hw = np.array(hardware_features(gpu))
-    sten_feats = batch_features(list(stencils), art.max_order)
+    cache = FeatureCache(art.max_order)
     candidates = _bench_ocs()
     picks: list[str] = []
     for i, stencil in enumerate(stencils):
@@ -157,26 +145,14 @@ def _predictor_picks(
                 drawn.append((oc_name, setting))
         ok = _launchable(stencil, [OC_BY_NAME[o] for o, _ in drawn], [s for _, s in drawn])
         meta = [point for point, launches in zip(drawn, ok) if launches]
-        rows = [
-            np.concatenate([sten_feats[i], oc_flags(oc_name), setting.encode(), hw])
-            for oc_name, setting in meta
-        ]
-        if not rows:
+        if not meta:
             picks.append("naive")
             continue
-        X = np.stack(rows)
-        if art.method == "hybrid":
-            from .perfmodel import analytical_features
-
-            extra = np.array(
-                [
-                    analytical_features(stencil, OC_BY_NAME[oc_name], setting, gpu)
-                    for oc_name, setting in meta
-                ],
-                dtype=np.float64,
-            )
-            X = augment_features(X, extra)
-        pred = LogTimeTransform.inverse(art.model.predict(X))
+        pred = predict_requests(
+            art.method, art.model,
+            [(stencil, oc_name, setting, gpu) for oc_name, setting in meta],
+            cache=cache,
+        )
         best: dict[str, float] = {}
         for (oc_name, _), t in zip(meta, pred):
             if math.isfinite(t) and t < best.get(oc_name, math.inf):
@@ -314,7 +290,7 @@ def run_transfer_regression(
     """Held-out AMD runtime fidelity of the gbr / hybrid predictors."""
     from ..ml.metrics import mape, pcc
     from ..profiling.dataset import build_regression_dataset
-    from ..profiling.train import train_predictor_artifact
+    from ..profiling.train import predict_rows, predictor_inputs, train_predictor_artifact
 
     shape = _bench_shape(quick)
     regime_gpus = {
@@ -332,7 +308,7 @@ def run_transfer_regression(
             for gpu in test.gpus:
                 ds = build_regression_dataset(test, (gpu,))
                 y = ds.times_ms
-                pred = _predict_rows(art, test, ds)
+                pred = predict_rows(method, art.model, predictor_inputs(ds, method, test))
                 per_gpu[gpu] = {
                     "pcc": pcc(y, pred),
                     "log_pcc": pcc(np.log(y), np.log(np.maximum(pred, 1e-9))),

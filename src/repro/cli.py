@@ -43,9 +43,12 @@ Exit status:
   could not reach the server;
 * 2 -- bad input or unusable data: argparse rejects the arguments, or a
   command raises a :class:`~repro.errors.ReproError` (printed as one
-  ``<command>: <message>`` line on stderr);
-* 3 -- ``profile`` stopped before completing every unit; resume from
-  its ``--checkpoint``.
+  ``<command>: <message>`` line on stderr).
+
+A killed ``profile`` continues from its ``--checkpoint`` with
+``--resume``.  The library's :class:`~repro.errors.CampaignInterrupted`
+(raised only under ``CampaignRunner(max_units=...)``) has no
+command-line flag and no exit status.
 """
 
 from __future__ import annotations
@@ -126,6 +129,19 @@ def _workers(text: str) -> int:
     return workers
 
 
+def _chunk_size(text: str) -> int:
+    """``--chunk-size``: units per shard, at least one."""
+    try:
+        size = int(text)
+    except ValueError:
+        size = 0
+    if size < 1:
+        raise argparse.ArgumentTypeError(
+            f"chunk size {text!r} is not an integer >= 1"
+        )
+    return size
+
+
 #: Options several subcommands share, each specified once as
 #: ``name -> add_argument keywords`` for the flag ``--<name>``.  A
 #: subcommand takes them by name through :func:`_add`, overriding at
@@ -157,7 +173,7 @@ _OPTIONS: "dict[str, dict]" = {
         "for every count, and checkpoints resume across counts)",
     ),
     "chunk-size": dict(
-        type=int, default=None,
+        type=_chunk_size, default=None,
         help="units per shard in parallel profiling (default: split "
         "pending work evenly across workers)",
     ),
@@ -420,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         default=None,
         help="gbdt/convnet/fcnet/analytical for select, "
-        "gbr/mlp/convmlp/hybrid for predict (defaults: gbdt / gbr)",
+        "gbr/mlp/convmlp/hybrid/analytical for predict (defaults: gbdt / gbr)",
     )
     _add(tr, "gpu", "workers")
     tr.add_argument(
@@ -584,7 +600,6 @@ def _campaign_runner(args, gpus: tuple, **options):
 def cmd_profile(args) -> int:
     import dataclasses
 
-    from .errors import CampaignInterrupted
     from .gpu.faults import FaultConfig
     from .profiling import save_campaign
 
@@ -600,12 +615,7 @@ def cmd_profile(args) -> int:
         checkpoint_path=args.checkpoint,
         checkpoint_every=args.checkpoint_every,
     )
-    try:
-        campaign = runner.run(resume=args.resume)
-    except CampaignInterrupted as e:
-        print(f"campaign interrupted: {e}", file=sys.stderr)
-        print(runner.health.summary(), file=sys.stderr)
-        return 3
+    campaign = runner.run(resume=args.resume)
     save_campaign(campaign, args.output)
     n_meas = sum(len(campaign.measurements(g)) for g in campaign.gpus)
     print(

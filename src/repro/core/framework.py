@@ -19,20 +19,10 @@ import numpy as np
 
 from .. import tuning
 from ..config import DEFAULT_SEED, MAX_ORDER, N_MERGED_CLASSES
-from ..errors import DatasetError, ModelError, NotFittedError
+from ..errors import DatasetError, NotFittedError
 from ..gpu.noise import DEFAULT_SIGMA
 from ..gpu.specs import GPU_ORDER
-from ..ml import (
-    ConvMLPRegressor,
-    ConvNetClassifier,
-    FcNetClassifier,
-    GBDTClassifier,
-    GBRegressor,
-    LogTimeTransform,
-    MLPRegressor,
-    accuracy,
-    mape,
-)
+from ..ml import accuracy, mape
 from ..optimizations.combos import OC, OC_BY_NAME
 from ..optimizations.params import ParamSetting
 from ..profiling import (
@@ -47,94 +37,46 @@ from ..profiling import (
     run_campaign,
     stratified_kfold_indices,
 )
-from ..profiling.dataset import oc_flags
-from ..gpu.specs import hardware_features
-from ..stencil.features import extract_features
+from ..profiling.train import (
+    CLASSIFIERS,
+    REGRESSORS,
+    fit_predictor_model,
+    fit_selector_model,
+    make_classifier,
+    make_regressor,
+    predict_requests,
+    predict_rows,
+    predictor_inputs,
+    select_requests,
+    selector_inputs,
+    subsample_rows,
+)
 from ..stencil.generator import generate_population
 from ..stencil.stencil import Stencil
-from ..stencil.tensorize import assign_tensor
 
-#: Classifier registry: name -> factory(n_classes, seed, **hyper).
-CLASSIFIERS = ("gbdt", "convnet", "fcnet")
-
-#: Regressor registry.  ``hybrid`` is a GBDT regressor over the standard
-#: features augmented with static analytical-perfmodel columns.
-REGRESSORS = ("gbr", "mlp", "convmlp", "hybrid")
-
-
-def make_classifier(method: str, n_classes: int, seed: int, **hyper):
-    """Construct a selection classifier by name.
-
-    Module-level (not a :class:`StencilMART` method) so cross-validation
-    fold workers in other processes build models through the same code
-    path.  ``workers`` in *hyper* reaches only models that parallelize
-    internally (currently GBDT); it is dropped for the rest.
-    """
-    method = method.lower()
-    seed = hyper.pop("seed", seed)
-    if method == "gbdt":
-        defaults = dict(
-            n_rounds=60, learning_rate=0.15, max_depth=3, subsample=0.8
-        )
-        defaults.update(hyper)
-        return GBDTClassifier(seed=seed, **defaults)
-    hyper.pop("workers", None)
-    hyper.pop("pool_context", None)
-    if method == "convnet":
-        return ConvNetClassifier(n_classes=n_classes, seed=seed, **hyper)
-    if method == "fcnet":
-        return FcNetClassifier(n_classes=n_classes, seed=seed, **hyper)
-    raise ModelError(f"unknown classifier {method!r}; known: {CLASSIFIERS}")
-
-
-def make_regressor(method: str, seed: int, **hyper):
-    """Construct a time-prediction regressor by name (see
-    :func:`make_classifier` for why this is module-level)."""
-    method = method.lower()
-    seed = hyper.pop("seed", seed)
-    hyper.pop("workers", None)
-    hyper.pop("pool_context", None)
-    if method in ("gbr", "hybrid"):
-        defaults = dict(n_rounds=80, learning_rate=0.15, max_depth=5)
-        defaults.update(hyper)
-        return GBRegressor(seed=seed, **defaults)
-    if method == "mlp":
-        return MLPRegressor(seed=seed, **hyper)
-    if method == "convmlp":
-        return ConvMLPRegressor(seed=seed, **hyper)
-    raise ModelError(f"unknown regressor {method!r}; known: {REGRESSORS}")
+__all__ = [
+    "CLASSIFIERS", "REGRESSORS", "PredictorResult", "SelectorResult",
+    "StencilMART", "make_classifier", "make_regressor",
+]
 
 
 def _selector_fold(data: dict, train: np.ndarray, test: np.ndarray) -> float:
     """One stratified-CV fold of a selection classifier (picklable)."""
-    model = make_classifier(
-        data["method"], data["n_classes"], data["seed"], **dict(data["hyper"])
-    )
     X, labels = data["X"], data["labels"]
-    model.fit(X[train], labels[train])
+    model = fit_selector_model(
+        data["method"], X, labels, data["n_classes"], data["seed"],
+        rows=train, **dict(data["hyper"]),
+    )
     return accuracy(labels[test], model.predict(X[test]))
 
 
 def _predictor_fold(data: dict, train: np.ndarray, test: np.ndarray) -> float:
     """One k-fold CV fold of a time predictor (picklable)."""
-    method = data["method"]
-    model = make_regressor(method, data["seed"], **dict(data["hyper"]))
-    if method == "convmlp":
-        model.fit(
-            data["tensors"][train], data["aux"][train], data["times"][train]
-        )
-        pred = model.predict(data["tensors"][test], data["aux"][test])
-    elif method in ("gbr", "hybrid"):
-        # Hybrid rows arrive pre-augmented with analytical columns.
-        model.fit(
-            data["features"][train],
-            LogTimeTransform.forward(data["times"][train]),
-        )
-        pred = LogTimeTransform.inverse(model.predict(data["features"][test]))
-    else:
-        model.fit(data["features"][train], data["times"][train])
-        pred = model.predict(data["features"][test])
-    return mape(data["times"][test], pred)
+    method, inputs, times = data["method"], data["inputs"], data["times"]
+    model = fit_predictor_model(
+        method, inputs, times, data["seed"], rows=train, **dict(data["hyper"])
+    )
+    return mape(times[test], predict_rows(method, model, inputs, rows=test))
 
 
 @dataclass
@@ -250,19 +192,13 @@ class StencilMART:
     # ------------------------------------------------------------------
     # classification: OC selection
     # ------------------------------------------------------------------
-    def _make_classifier(self, method: str, **hyper):
-        return make_classifier(method, self.n_classes, self.seed, **hyper)
-
-    @staticmethod
-    def _classifier_inputs(ds: ClassificationDataset, method: str) -> np.ndarray:
-        return ds.features if method == "gbdt" else ds.tensors
-
     def fit_selector(self, method: str, gpu: str, **hyper) -> "StencilMART":
         """Train an OC-selection model on the full per-GPU dataset."""
         ds = self.classification_dataset(gpu)
-        model = self._make_classifier(method, **hyper)
-        model.fit(self._classifier_inputs(ds, method), ds.labels)
-        self._selectors[(method, gpu)] = model
+        self._selectors[(method, gpu)] = fit_selector_model(
+            method, selector_inputs(ds, method), ds.labels, self.n_classes,
+            self.seed, **hyper,
+        )
         return self
 
     def install_selector(
@@ -293,20 +229,24 @@ class StencilMART:
         model = self._selectors.get((method, gpu))
         if model is None:
             raise NotFittedError(f"fit_selector({method!r}, {gpu!r}) first")
-        if method == "gbdt":
-            x = extract_features(stencil, self.max_order)[None, :]
-        else:
-            x = assign_tensor(stencil, self.max_order)[None, ...]
-        cls = int(model.predict(x)[0])
+        [(_, name)] = select_requests(
+            method, model, self._representatives(method, gpu), [stencil], gpu,
+            self.max_order,
+        )
+        return OC_BY_NAME[name]
+
+    def _representatives(self, method: str, gpu: str) -> "list[str]":
+        """The merged-class decoding: installed with the model, else the
+        grouping's."""
         reps = self._selector_reps.get((method, gpu))
-        if reps is None:
-            if self.grouping is None:
-                raise NotFittedError(
-                    "no class representatives: build_dataset() or "
-                    "install_selector(..., representatives=...) first"
-                )
-            reps = self.grouping.representatives
-        return OC_BY_NAME[reps[cls]]
+        if reps is not None:
+            return reps
+        if self.grouping is None:
+            raise NotFittedError(
+                "no class representatives: build_dataset() or "
+                "install_selector(..., representatives=...) first"
+            )
+        return self.grouping.representatives
 
     def evaluate_selector(
         self,
@@ -326,7 +266,7 @@ class StencilMART:
         ds = self.classification_dataset(gpu)
         data = {
             "method": method,
-            "X": self._classifier_inputs(ds, method),
+            "X": selector_inputs(ds, method),
             "labels": ds.labels,
             "n_classes": self.n_classes,
             "seed": self.seed,
@@ -387,11 +327,7 @@ class StencilMART:
 
         result = run_oc(oc)
         if result is None:
-            reps = self._selector_reps.get((method, gpu))
-            if reps is None:
-                self._require_dataset()
-                reps = self.grouping.representatives
-            for rep in reps:
+            for rep in self._representatives(method, gpu):
                 result = run_oc(OC_BY_NAME[rep])
                 if result is not None:
                     oc = OC_BY_NAME[rep]
@@ -403,9 +339,6 @@ class StencilMART:
     # ------------------------------------------------------------------
     # regression: cross-architecture performance prediction
     # ------------------------------------------------------------------
-    def _make_regressor(self, method: str, **hyper):
-        return make_regressor(method, self.seed, **hyper)
-
     def fit_predictor(
         self,
         method: str,
@@ -419,34 +352,12 @@ class StencilMART:
         bound CPU-only training time at large scales.
         """
         ds = self.regression_dataset(gpus)
-        rows = self._row_subset(ds.n_samples, max_rows)
-        model = self._make_regressor(method, **hyper)
-        if method == "convmlp":
-            model.fit(ds.tensors[rows], ds.aux[rows], ds.times_ms[rows])
-        elif method == "hybrid":
-            X = self._hybrid_features(ds)
-            model.fit(X[rows], LogTimeTransform.forward(ds.times_ms[rows]))
-        elif method == "gbr":
-            model.fit(
-                ds.features[rows], LogTimeTransform.forward(ds.times_ms[rows])
-            )
-        else:
-            model.fit(ds.features[rows], ds.times_ms[rows])
-        self._predictors[method] = model
+        self._predictors[method] = fit_predictor_model(
+            method, predictor_inputs(ds, method, self.campaign), ds.times_ms,
+            self.seed, rows=subsample_rows(ds.n_samples, max_rows, self.seed),
+            **hyper,
+        )
         return self
-
-    def _hybrid_features(self, ds: RegressionDataset) -> np.ndarray:
-        """Standard regression features + per-row analytical columns."""
-        from ..ml.preprocess import augment_features
-        from ..profiling.dataset import analytical_feature_matrix
-
-        return augment_features(ds.features, analytical_feature_matrix(self.campaign, ds))
-
-    def _row_subset(self, n: int, max_rows: int | None) -> np.ndarray:
-        if max_rows is None or n <= max_rows:
-            return np.arange(n)
-        rng = np.random.default_rng(self.seed)
-        return np.sort(rng.choice(n, size=max_rows, replace=False))
 
     def predict_time(
         self,
@@ -461,24 +372,10 @@ class StencilMART:
         if model is None:
             raise NotFittedError(f"fit_predictor({method!r}) first")
         oc_name = oc if isinstance(oc, str) else oc.name
-        feats = extract_features(stencil, self.max_order)
-        aux = np.concatenate(
-            [oc_flags(oc_name), setting.encode(), np.array(hardware_features(gpu))]
+        [t] = predict_requests(
+            method, model, [(stencil, oc_name, setting, gpu)], self.max_order
         )
-        if method == "convmlp":
-            tensor = assign_tensor(stencil, self.max_order)[None, ...]
-            return float(model.predict(tensor, aux[None, :])[0])
-        x = np.concatenate([feats, aux])
-        if method == "hybrid":
-            from ..analysis.perfmodel import analytical_features
-            from ..optimizations.combos import OC_BY_NAME
-
-            oc_obj = OC_BY_NAME[oc_name] if isinstance(oc, str) else oc
-            x = np.concatenate([x, analytical_features(stencil, oc_obj, setting, gpu)])
-        x = x[None, :]
-        if method in ("gbr", "hybrid"):
-            return float(LogTimeTransform.inverse(model.predict(x))[0])
-        return float(model.predict(x)[0])
+        return float(t)
 
     def evaluate_predictor(
         self,
@@ -496,12 +393,10 @@ class StencilMART:
         identical for any worker count (fold fits are independent).
         """
         ds = self.regression_dataset((gpu,))
-        rows = self._row_subset(ds.n_samples, max_rows)
+        rows = subsample_rows(ds.n_samples, max_rows, self.seed)
         data = {
             "method": method,
-            "features": self._hybrid_features(ds) if method == "hybrid" else ds.features,
-            "tensors": ds.tensors if method == "convmlp" else None,
-            "aux": ds.aux if method == "convmlp" else None,
+            "inputs": predictor_inputs(ds, method, self.campaign),
             "times": ds.times_ms,
             "seed": self.seed,
             "hyper": dict(hyper),

@@ -44,6 +44,14 @@ def oc_flags(oc_name: str) -> np.ndarray:
     )
 
 
+def aux_row(oc_name: str, setting, gpu: str) -> np.ndarray:
+    """The non-stencil part of a regression input: OC flags, encoded
+    parameter setting and GPU hardware features, in that order."""
+    return np.concatenate(
+        [oc_flags(oc_name), setting.encode(), np.array(hardware_features(gpu))]
+    )
+
+
 @dataclass
 class ClassificationDataset:
     """Per-GPU OC-selection dataset.
@@ -162,7 +170,6 @@ def build_regression_dataset(
     stencils = campaign.stencils
     sten_feats = batch_features(stencils, max_order)
     sten_tensors = batch_tensors(stencils, max_order)
-    hw = {g: np.array(hardware_features(g)) for g in use_gpus}
 
     rows: list[np.ndarray] = []
     aux_rows: list[np.ndarray] = []
@@ -174,7 +181,7 @@ def build_regression_dataset(
     settings: list = []
     for gpu in use_gpus:
         for m in campaign.measurements(gpu):
-            aux = np.concatenate([oc_flags(m.oc), m.setting.encode(), hw[gpu]])
+            aux = aux_row(m.oc, m.setting, gpu)
             rows.append(np.concatenate([sten_feats[m.stencil_id], aux]))
             aux_rows.append(aux)
             tensor_rows.append(sten_tensors[m.stencil_id])

@@ -457,6 +457,8 @@ class CampaignRunner:
                 f"unknown backend kind {backend!r} "
                 f"(choose from {BACKEND_KINDS})"
             )
+        if chunk_size is not None and int(chunk_size) < 1:
+            raise DatasetError(f"chunk_size must be >= 1, got {chunk_size}")
         self.stencils = list(stencils)
         self.gpus = tuple(gpus)
         self.ocs = tuple(ocs)

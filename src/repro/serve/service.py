@@ -25,16 +25,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..config import MAX_ORDER
 from ..errors import ArtifactError, OverloadError, ServiceError
-from ..gpu.specs import ALL_GPU_ORDER, hardware_features
+from ..gpu.specs import ALL_GPU_ORDER
 from ..ml.analytical import AnalyticalSelector
-from ..ml.preprocess import LogTimeTransform, augment_features
 from ..optimizations.combos import OC_BY_NAME
 from ..optimizations.params import PARAM_NAMES, ParamSetting
-from ..profiling.dataset import oc_flags
+from ..profiling.train import predict_requests, select_requests
 from ..stencil.stencil import Stencil
 from .admission import _UNSET, AdmissionController, AdmissionPolicy
 from .artifacts import ModelArtifact
@@ -43,10 +40,6 @@ from .fallback import HeuristicSelector
 from .features import FeatureCache
 from .registry import ModelRegistry
 from .telemetry import ServiceStats
-
-#: Selector methods whose input is the assignment tensor (the rest use
-#: the flat Table II feature vector).
-_TENSOR_METHODS = {"convnet", "fcnet", "convmlp"}
 
 
 @dataclass(frozen=True)
@@ -288,22 +281,10 @@ class PredictionService:
                 continue
             art = slot.artifact
             try:
-                if art.method == "analytical":
-                    # The analytical family consumes raw stencils, not
-                    # feature matrices: extraction needs actual source.
-                    decoded = list(art.model.select_many(stencils, gpu))
-                    classes = np.array(
-                        [art.representatives.index(oc) for oc in decoded],
-                        dtype=np.int64,
-                    )
-                else:
-                    X = (
-                        self.cache.tensors(stencils)
-                        if art.method in _TENSOR_METHODS
-                        else self.cache.features(stencils)
-                    )
-                    classes = np.asarray(art.model.predict(X), dtype=np.int64)
-                    decoded = [art.representatives[int(c)] for c in classes]
+                picks = select_requests(
+                    art.method, art.model, art.representatives, stencils, gpu,
+                    cache=self.cache,
+                )
             except Exception:  # noqa: BLE001 - degrade, never 500
                 # A model that misbehaves at answer time (garbage
                 # classes, shape drift after a bad publish, ...) is a
@@ -315,12 +296,9 @@ class PredictionService:
                     out[i] = SelectResult(oc=oc, source="fallback", rung=rung)
                 continue
             self.stats.count_model_hit(len(idxs))
-            for i, cls, oc in zip(idxs, classes, decoded):
+            for i, (cls, oc) in zip(idxs, picks):
                 out[i] = SelectResult(
-                    oc=oc,
-                    source="model",
-                    cls=int(cls),
-                    artifact=slot.label,
+                    oc=oc, source="model", cls=cls, artifact=slot.label
                 )
         return out  # type: ignore[return-value]
 
@@ -386,47 +364,12 @@ class PredictionService:
                 )
             art = slot.artifact
             sub = [requests[i] for i in idxs]
-            aux = np.stack(
-                [
-                    np.concatenate(
-                        [
-                            oc_flags(r.oc),
-                            r.setting.encode(),
-                            np.asarray(hardware_features(r.gpu)),
-                        ]
-                    )
-                    for r in sub
-                ]
+            times = predict_requests(
+                art.method,
+                art.model,
+                [(r.stencil, r.oc, r.setting, r.gpu) for r in sub],
+                cache=self.cache,
             )
-            stencils = [r.stencil for r in sub]
-            if art.method == "convmlp":
-                tensors = self.cache.tensors(stencils)
-                times = art.model.predict(tensors, aux)
-            elif art.method == "analytical":
-                times = art.model.predict_requests(
-                    [(r.stencil, OC_BY_NAME[r.oc], r.setting, r.gpu) for r in sub]
-                )
-            else:
-                feats = self.cache.features(stencils)
-                X = np.concatenate([feats, aux], axis=1)
-                if art.method == "hybrid":
-                    from ..analysis.perfmodel import analytical_features
-
-                    X = augment_features(
-                        X,
-                        np.stack(
-                            [
-                                analytical_features(
-                                    r.stencil, OC_BY_NAME[r.oc], r.setting, r.gpu
-                                )
-                                for r in sub
-                            ]
-                        ),
-                    )
-                if art.method in ("gbr", "hybrid"):
-                    times = LogTimeTransform.inverse(art.model.predict(X))
-                else:
-                    times = art.model.predict(X)
             self.stats.count_model_hit(len(idxs))
             for i, t in zip(idxs, times):
                 out[i] = float(t)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.errors import DatasetError
+
 from repro.analysis.findings import (
     Baseline,
     Finding,
@@ -74,7 +76,7 @@ class TestBaseline:
     def test_version_mismatch_rejected(self, tmp_path):
         path = tmp_path / "baseline.json"
         path.write_text('{"version": 99, "fingerprints": []}')
-        with pytest.raises(ValueError):
+        with pytest.raises(DatasetError, match="version 99"):
             Baseline.load(str(path))
 
 

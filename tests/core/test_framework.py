@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ModelError, NotFittedError
 from repro.core import StencilMART
 from repro.optimizations import OC, ParamSetting
+from repro.profiling.train import subsample_rows
 from repro.stencil import get, star
 
 
@@ -105,7 +106,7 @@ class TestPredictor:
         assert r.mape < 80.0  # sane, scale-limited bound
 
     def test_row_subset_deterministic(self, mart):
-        a = mart._row_subset(1000, 100)
-        b = mart._row_subset(1000, 100)
+        a = subsample_rows(1000, 100, mart.seed)
+        b = subsample_rows(1000, 100, mart.seed)
         assert np.array_equal(a, b)
         assert len(a) == 100

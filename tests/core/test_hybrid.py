@@ -12,6 +12,7 @@ from repro.analysis.perfmodel import ANALYTICAL_FEATURE_NAMES
 from repro.core.framework import REGRESSORS, StencilMART
 from repro.optimizations import OC_BY_NAME
 from repro.profiling import merge_ocs, run_campaign
+from repro.profiling.train import predictor_inputs
 from repro.stencil import get
 
 GPUS = ("V100", "A100")
@@ -38,7 +39,7 @@ class TestHybridPredictor:
 
     def test_feature_width(self, hybrid_mart):
         ds = hybrid_mart.regression_dataset()
-        X = hybrid_mart._hybrid_features(ds)
+        [X] = predictor_inputs(ds, "hybrid", hybrid_mart.campaign)
         assert X.shape == (
             ds.n_samples,
             ds.features.shape[1] + len(ANALYTICAL_FEATURE_NAMES),

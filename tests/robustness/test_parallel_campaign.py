@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro.errors import CampaignInterrupted
+from repro.errors import CampaignInterrupted, DatasetError
 from repro.gpu.faults import FaultConfig
 from repro.profiling import CampaignHealth, CampaignRunner
 from repro.profiling.storage import campaign_to_dict
@@ -67,6 +67,15 @@ class TestWorkerSweepDeterminism:
         assert campaign_to_dict(campaign) == campaign_to_dict(
             baseline_campaign
         )
+
+    @pytest.mark.parametrize("chunk_size", [0, -1])
+    def test_chunk_size_below_one_rejected_before_work(
+        self, population, tmp_path, chunk_size
+    ):
+        with pytest.raises(DatasetError, match="chunk_size must be >= 1"):
+            _runner(population, tmp_path / "ck.json", workers=2,
+                    chunk_size=chunk_size)
+        assert list(tmp_path.iterdir()) == []
 
     def test_checkpoints_and_health_match_sequential(
         self, population, tmp_path

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core import CLASSIFIERS, REGRESSORS
 
 
 class TestParser:
@@ -127,6 +128,15 @@ class TestFailClosed:
         ) == 0
         return str(path)
 
+    @pytest.fixture(scope="class")
+    def baselines(self, tmp_path_factory):
+        """A garbled and a wrong-version lint baseline, outside the
+        directory the command runs in."""
+        d = tmp_path_factory.mktemp("baselines")
+        (d / "garbled.json").write_text('{"version": 1, "fingerpr')
+        (d / "v99.json").write_text('{"version": 99, "fingerprints": []}')
+        return str(d)
+
     @pytest.mark.parametrize(
         "argv, bad",
         [
@@ -158,6 +168,16 @@ class TestFailClosed:
               "-o", "gen"], "WARP"),
             (["lint", "--oc", "WARP"], "WARP"),
             (["estimate", "--stencil", "star2d1r", "--oc", "WARP"], "WARP"),
+            (["profile", "--ndim", "2", "--count", "2", "--gpus", "V100",
+              "--workers", "2", "--chunk-size", "-1", "-o", "out.json"], "-1"),
+            (["profile", "--ndim", "2", "--count", "2", "--gpus", "V100",
+              "--chunk-size", "0", "-o", "out.json"], "0"),
+            (["lint", "--stencil", "star2d1r", "--baseline", "missing.json"],
+             "missing.json"),
+            (["lint", "--stencil", "star2d1r", "--baseline",
+              "{b}/garbled.json"], "garbled.json"),
+            (["lint", "--stencil", "star2d1r", "--baseline", "{b}/v99.json"],
+             "version 99"),
         ],
         ids=[
             "codegen-stencil", "tune-stencil", "estimate-stencil",
@@ -165,14 +185,18 @@ class TestFailClosed:
             "profile-fault-rate", "profile-workers", "codegen-set",
             "select-missing-campaign", "evaluate-gpu-not-in-campaign",
             "train-method", "tune-oc", "predict-oc", "codegen-oc",
-            "lint-oc", "estimate-oc",
+            "lint-oc", "estimate-oc", "profile-chunk-size-negative",
+            "profile-chunk-size-zero", "lint-baseline-missing",
+            "lint-baseline-garbled", "lint-baseline-version",
         ],
     )
     def test_bad_input_exits_2(
-        self, campaign, tmp_path, monkeypatch, capsys, argv, bad
+        self, campaign, baselines, tmp_path, monkeypatch, capsys, argv, bad
     ):
         monkeypatch.chdir(tmp_path)
-        rc = main([a.replace("{c}", campaign) for a in argv])
+        rc = main(
+            [a.replace("{c}", campaign).replace("{b}", baselines) for a in argv]
+        )
         err = capsys.readouterr().err
         assert rc == 2
         assert "Traceback" not in err
@@ -203,6 +227,39 @@ class TestFailClosed:
         monkeypatch.setattr(StencilMART, "fit_selector", no_fit)
         assert main([a.replace("{c}", campaign) for a in argv]) == 2
         capsys.readouterr()
+
+
+class TestModelRoundTrip:
+    """Every method's artifact answers through the CLI: ``train --out``
+    then ``select --model`` / ``predict --model`` exits 0."""
+
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("round_trip") / "c.json"
+        assert main(
+            ["profile", "--ndim", "2", "--count", "4", "--gpus", "V100",
+             "--n-settings", "2", "-o", str(path), "--seed", "3"]
+        ) == 0
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "task, method",
+        [("select", m) for m in (*CLASSIFIERS, "analytical")]
+        + [("predict", m) for m in (*REGRESSORS, "analytical")],
+    )
+    def test_train_then_answer(self, campaign, tmp_path, capsys, task, method):
+        model = str(tmp_path / "model.json")
+        assert main(
+            ["train", "--campaign", campaign, "--task", task, "--method",
+             method, "--gpu", "V100", "--out", model]
+        ) == 0
+        query = [task, "--model", model, "--stencil", "star2d1r", "--gpu", "V100"]
+        if task == "predict":
+            query += ["--oc", "ST"]
+        assert main(query) == 0
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        assert ("predicted best OC" if task == "select" else "predicted") in out.out
 
 
 class TestServeCommands:
