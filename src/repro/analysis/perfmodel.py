@@ -40,7 +40,10 @@ independent predictor.
 Extraction has two stages.  Facts that depend on the kernel body alone
 (:class:`_Body`, :class:`_Accesses`) are derived once per parsed body
 and memoized on its :class:`~repro.analysis.ir.Kernel`; the passes then
-evaluate only the macro-dependent quantities of each source.
+evaluate only the macro-dependent quantities of each source.  The
+estimator goes one step further: tuning settings that differ only in
+macro values share one generated and parsed source, and each binds its
+own macros onto it (:func:`_metrics_for`).
 """
 
 from __future__ import annotations
@@ -49,7 +52,9 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from ..codegen.core import MACRO_ONLY_PARAMS
 from ..errors import KernelLaunchError, ReproError
+from ..optimizations.params import PARAM_SPECS
 from . import expr as E
 from . import ir
 from . import semantics as S
@@ -416,6 +421,7 @@ class Extraction:
     unit: ir.TranslationUnit
     kernel: ir.Kernel
     body: _Body  # structural facts of the kernel body
+    macros: dict  # the unit's macros with extract_metrics' overlay bound
     env: dict  # macros plus constant-folded locals (_const_env)
 
 
@@ -434,18 +440,18 @@ class LaunchPass(MetricPass):
     name = "launch"
 
     def run(self, x, m):
-        unit = x.unit
+        unit, macros = x.unit, x.macros
         m.kernel_name = x.kernel.name
-        m.ndim = S.grid_rank(unit.macros)
+        m.ndim = S.grid_rank(macros)
         if m.ndim == 0:
             raise EstimateError("no N* grid macros: cannot size the problem")
-        m.dims = tuple(int(unit.macros[S.axis_macro(a)]) for a in range(m.ndim))
+        m.dims = tuple(int(macros[S.axis_macro(a)]) for a in range(m.ndim))
         m.points = math.prod(m.dims)
-        m.time_steps = int(unit.macros.get("TIME_STEPS", 1))
+        m.time_steps = int(macros.get("TIME_STEPS", 1))
         if unit.host is None:
             raise EstimateError("no host launcher: launch geometry unknown")
-        block = [E.eval_const(d, unit.macros) for d in unit.host.block_dims]
-        grid = [E.eval_const(d, unit.macros) for d in unit.host.grid_dims]
+        block = [E.eval_const(d, macros) for d in unit.host.block_dims]
+        grid = [E.eval_const(d, macros) for d in unit.host.grid_dims]
         if any(v is None or v < 1 for v in block + grid):
             raise EstimateError("non-constant block/grid dimensions")
         m.block_dims = tuple(int(v) for v in block)
@@ -453,11 +459,11 @@ class LaunchPass(MetricPass):
         m.n_blocks = math.prod(int(v) for v in grid)
         launches = None
         if unit.host.launches is not None:
-            launches = E.eval_const(unit.host.launches, unit.macros)
+            launches = E.eval_const(unit.host.launches, macros)
         m.launches = int(launches) if launches else 1
-        m.stream_tiles = int(unit.macros.get("STREAM_TILES", 1))
-        m.stream_unroll = int(unit.macros.get("STREAM_UNROLL", 1))
-        m.temporal_steps = int(unit.macros.get("TSTEPS", 1))
+        m.stream_tiles = int(macros.get("STREAM_TILES", 1))
+        m.stream_unroll = int(macros.get("STREAM_UNROLL", 1))
+        m.temporal_steps = int(macros.get("TSTEPS", 1))
 
 
 class AccessPass(MetricPass):
@@ -803,8 +809,19 @@ METRIC_PASSES: tuple[MetricPass, ...] = (
 )
 
 
-def extract_metrics(source: "str | ir.TranslationUnit") -> KernelMetrics:
-    """Run the metric-extraction pipeline over one translation unit."""
+def extract_metrics(
+    source: "str | ir.TranslationUnit", macros: "dict | None" = None
+) -> KernelMetrics:
+    """Run the metric-extraction pipeline over one translation unit.
+
+    *macros* binds other values to macros the source defines, as if
+    their ``#define`` lines carried them; names the source does not
+    define are ignored.  Bound values must be what
+    :func:`~repro.analysis.ir.scan_header` would read from such a line
+    (value and type), and no other macro may be defined in terms of a
+    bound one.  :func:`_metrics_for` prices each tuning setting this way
+    on the one parsed source of its kernel-body shape.
+    """
     if isinstance(source, ir.TranslationUnit):
         unit = source
     else:
@@ -813,9 +830,14 @@ def extract_metrics(source: "str | ir.TranslationUnit") -> KernelMetrics:
         unit = parse_unit_cached(source)
     if not unit.kernels:
         raise EstimateError("translation unit has no __global__ kernel")
+    values = unit.macros
+    if macros:
+        values = {k: macros.get(k, v) for k, v in values.items()}
     kernel = unit.kernel
     body = _memo(kernel, "perfmodel.body", _Body.of)
-    x = Extraction(unit=unit, kernel=kernel, body=body, env=_const_env(unit.macros, body))
+    x = Extraction(
+        unit=unit, kernel=kernel, body=body, macros=values, env=_const_env(values, body)
+    )
     metrics = KernelMetrics()
     for pipeline_pass in METRIC_PASSES:
         pipeline_pass.run(x, metrics)
@@ -926,16 +948,32 @@ def estimate_source(source: "str | ir.TranslationUnit", gpu: str) -> PerfEstimat
     return _compose(extract_metrics(source), gpu)
 
 
+#: Where every :data:`~repro.codegen.core.MACRO_ONLY_PARAMS` entry sits
+#: in the setting of a kernel-body shape's one generated source.
+_SHAPE_VALUES = {s.name: s.default for s in PARAM_SPECS if s.name in MACRO_ONLY_PARAMS}
+
+
 @lru_cache(maxsize=65536)
-def _generate(stencil, oc, setting, grid):
+def _shape_source(stencil, oc, shape, grid) -> str:
+    """The CUDA source of one kernel-body shape (see :func:`_metrics_for`)."""
     from ..codegen import generate_cuda
 
-    return generate_cuda(stencil, oc, setting, grid=grid)
+    return generate_cuda(stencil, oc, shape, grid=grid)
 
 
 @lru_cache(maxsize=65536)
 def _metrics_for(stencil, oc, setting, grid) -> KernelMetrics:
-    return extract_metrics(_generate(stencil, oc, setting, grid))
+    """Metrics of the CUDA source for (stencil, OC, setting, grid).
+
+    Settings that differ only in macro-only parameters share a kernel
+    body and host launcher, so one source is generated and parsed per
+    shape -- the setting with those parameters at :data:`_SHAPE_VALUES`
+    -- and each setting binds its own macro values onto it
+    (:func:`extract_metrics`' *macros*).  The result equals extracting
+    the setting's own source.
+    """
+    source = _shape_source(stencil, oc, setting.replace(**_SHAPE_VALUES), grid)
+    return extract_metrics(source, macros={p.upper(): setting[p] for p in MACRO_ONLY_PARAMS})
 
 
 def estimate_kernel(
@@ -947,7 +985,9 @@ def estimate_kernel(
 ) -> PerfEstimate:
     """Generate the kernel for (stencil, OC, setting) and estimate it.
 
-    The generate + parse + extract work is memoized per configuration;
+    Code generation and parsing run once per kernel-body shape, which
+    the settings of one (stencil, OC) mostly share (see
+    :func:`_metrics_for`); extraction is memoized per configuration, so
     only the (cheap) per-GPU composition runs on repeat calls.
     """
     return _compose(_metrics_for(stencil, oc, setting, grid), gpu)
@@ -973,7 +1013,9 @@ def estimate_kernels(points, gpu: str) -> list:
         try:
             extracted.append((i, _metrics_for(stencil, oc, setting, grid)))
         except (KernelLaunchError, OptimizationError, EstimateError, ir.ParseError) as e:
-            out[i] = e
+            # A stored traceback would keep this frame and its callers'
+            # (the whole tuning round) alive as cyclic garbage.
+            out[i] = e.with_traceback(None)
     results = GPUSimulator(spec, sigma=0.0).time_profiles(
         [_to_profile(m, spec) for _, m in extracted]
     )

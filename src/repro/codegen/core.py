@@ -126,6 +126,14 @@ def get_dialect(name: str) -> Dialect:
         ) from None
 
 
+#: Setting parameters that reach the source only as ``#define`` values:
+#: each is emitted (where its OC uses it) as the macro of its upper-cased
+#: name, which the kernel body and host launcher refer to by name alone.
+#: Settings that differ only in these share one kernel body and host
+#: launcher, byte for byte; every other parameter shapes the body.
+MACRO_ONLY_PARAMS = ("block_x", "block_y", "block_z", "stream_tiles", "stream_unroll")
+
+
 def _idx_expr(ndim: int, coords: "list[str]", dims: "list[str]") -> str:
     """Row-major flat index: x fastest."""
     if ndim == 2:
@@ -205,19 +213,23 @@ class KernelEmitter:
             "#include <stdio.h>",
             "",
             f"#define COEFF {self.coeff!r}",
-            f"#define BLOCK_X {self.setting['block_x']}",
-            f"#define BLOCK_Y {self.setting['block_y']}",
+            self._define("block_x"),
+            self._define("block_y"),
         ]
         if self.ndim == 3:
-            lines.append(f"#define BLOCK_Z {self.setting['block_z']}")
+            lines.append(self._define("block_z"))
         for d in range(self.ndim):
             lines.append(f"#define N{_AXES[d].upper()} {self.dims[d]}")
         if self.temporal:
             lines.append(f"#define TSTEPS {self.t}")
         if self.streaming:
-            lines.append(f"#define STREAM_TILES {self.setting['stream_tiles']}")
-            lines.append(f"#define STREAM_UNROLL {self.setting['stream_unroll']}")
+            lines.append(self._define("stream_tiles"))
+            lines.append(self._define("stream_unroll"))
         return "\n".join(lines)
+
+    def _define(self, param: str) -> str:
+        """The ``#define`` of one :data:`MACRO_ONLY_PARAMS` entry."""
+        return f"#define {param.upper()} {self.setting[param]}"
 
     # ------------------------------------------------------------------
     def _tap_sum(self, coords: "list[str]", array: str = "in") -> "list[str]":

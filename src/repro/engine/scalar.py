@@ -62,7 +62,9 @@ class ScalarBackend(BackendBase):
             try:
                 t = self.sim.time(req.stencil, req.oc, req.setting, grid=req.grid)
             except KernelLaunchError as e:
-                out.append(EvalResult(error=e))
+                # Stored without its traceback, whose frames a caching
+                # backend would otherwise keep alive with the result.
+                out.append(EvalResult(error=e.with_traceback(None)))
             else:
                 out.append(EvalResult(time_ms=t))
         return out

@@ -21,12 +21,13 @@ modelling skill.
 - :class:`AnalyticalSelector` picks the best OC for a stencil by
   *statically autotuning* each candidate combination: the
   :class:`~repro.analysis.backend.AnalyticalBackend` plugs the
-  estimator into :func:`repro.tuning.tune`, so every candidate gets the
-  paper's random walk plus coordinate refinement driven purely by
-  static estimates, and the cheapest tuned optimum wins.  A far smarter
-  zero-artifact fallback than the fixed heuristic ladder, at the cost
-  of a fraction of a second of static analysis per (stencil, GPU) pair
-  (memoized thereafter).
+  estimator into :func:`repro.tuning.tune_lockstep`, so every candidate
+  gets the paper's random walk plus coordinate refinement driven purely
+  by static estimates, all candidates advancing in lockstep, and the
+  cheapest tuned optimum wins.  A far smarter zero-artifact fallback
+  than the fixed heuristic ladder, at the cost of a fraction of a
+  second of static analysis per (stencil, GPU) pair (memoized
+  thereafter).
 """
 
 from __future__ import annotations
@@ -120,16 +121,19 @@ class AnalyticalRecommendation:
 class AnalyticalSelector:
     """Static-autotuning OC selector; no campaign, no artifact data.
 
-    Each candidate combination is tuned through
-    :func:`repro.tuning.tune` on an
+    The candidate combinations are tuned together through
+    :func:`repro.tuning.tune_lockstep` on an
     :class:`~repro.analysis.backend.AnalyticalBackend` -- the same
     random walk with coordinate refinement the profiling campaign's
-    oracle uses, except every "measurement" is a static estimate.  The
-    candidate with the cheapest tuned optimum wins.  Candidates with no
-    estimable setting are skipped; ``naive`` is always feasible, so the
-    selector is total on generator stencils.  As the estimates are the
-    substrate's noise-free times, its picks are the noise ceiling of OC
-    selection, not a rival to the learned selectors.
+    oracle uses, except every "measurement" is a static estimate.  Each
+    round prices the union of the candidates' frontiers as one batch;
+    every candidate's result equals what :func:`repro.tuning.tune`
+    finds for it alone.  The candidate with the cheapest tuned optimum
+    wins.  Candidates with no estimable setting are skipped; ``naive``
+    is always feasible, so the selector is total on generator stencils.
+    As the estimates are the substrate's noise-free times, its picks are
+    the noise ceiling of OC selection, not a rival to the learned
+    selectors.
 
     ``n_settings`` is the random-walk sample count per candidate (the
     campaign's knob of the same name); ``refine=False`` drops the
@@ -178,28 +182,25 @@ class AnalyticalSelector:
         from ..analysis.backend import AnalyticalBackend
         from ..errors import TuningError
         from ..optimizations.combos import OC
-        from ..tuning import tune
+        from ..tuning import RandomStrategy, tune_lockstep
 
-        backend = AnalyticalBackend(gpu)
-        best: "AnalyticalRecommendation | None" = None
+        names, jobs = [], []
         for name in self.candidates:
             try:
                 oc = OC.parse(name)
             except Exception:
                 continue
-            try:
-                res = tune(
-                    stencil,
-                    oc=oc,
-                    backend=backend,
-                    strategy="random",
-                    seed=self.seed,
-                    grid=self.grid,
-                    n_settings=self.n_settings,
-                    refine=self.refine,
-                )
-            except TuningError:
-                continue
+            names.append(name)
+            jobs.append((oc, RandomStrategy(self.n_settings, refine=self.refine)))
+        try:
+            results = tune_lockstep(
+                stencil, jobs, backend=AnalyticalBackend(gpu), seed=self.seed,
+                grid=self.grid,
+            )
+        except TuningError:
+            results = []
+        best: "AnalyticalRecommendation | None" = None
+        for name, res in zip(names, results):
             t = res.best_time_ms
             if res.best_setting is None or t is None or not math.isfinite(t):
                 continue

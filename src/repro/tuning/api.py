@@ -182,6 +182,7 @@ def tune_lockstep(
     backend,
     seed: int = 0,
     stencil_id: int = -1,
+    grid: "tuple[int, ...] | None" = None,
 ) -> "list[TuneResult]":
     """Tune *stencil* under each (OC, strategy) job of *jobs* at once.
 
@@ -192,8 +193,9 @@ def tune_lockstep(
     named RNG stream, ``seen`` set and walk order, and results are
     per-point pure, so every result equals what :func:`tune` returns
     for that job alone.  Cache hit/miss counts, when *backend* is a
-    :class:`~repro.tuning.TuningCache`, cover the whole call.  Results
-    come back in job order.
+    :class:`~repro.tuning.TuningCache`, cover the whole call.  *grid*
+    is :func:`tune`'s evaluation grid override, shared by every job.
+    Results come back in job order.
     """
     return _tune_jobs(
         stencil,
@@ -209,6 +211,7 @@ def tune_lockstep(
         as_backend(backend),
         seed=seed,
         stencil_id=stencil_id,
+        grid=grid,
     )
 
 

@@ -19,6 +19,7 @@ import pytest
 
 from repro.analysis import framework as afw
 from repro.analysis import ir
+from repro.analysis import perfmodel
 from repro.analysis.ir import ParseError
 from repro.analysis.lint import feasible_settings
 from repro.analysis.perfmodel import (
@@ -31,8 +32,9 @@ from repro.analysis.perfmodel import (
     extract_metrics,
 )
 from repro.codegen.cuda import generate_cuda
+from repro.errors import KernelLaunchError
 from repro.optimizations.combos import OC
-from repro.optimizations.params import ParamSetting
+from repro.optimizations.params import PARAM_NAMES, ParamSetting
 from repro.stencil import get
 
 from .make_golden import GOLDEN_PATH, encode, outcome, record, stencils_from_json
@@ -417,6 +419,44 @@ class TestExtractionGolden:
         random.Random(0).shuffle(order)
         afw.clear_parse_cache()
         self._check(golden, order, cold=False)
+
+    @staticmethod
+    def _estimate_outcome(args) -> "dict | str":
+        try:
+            return record(estimate_kernel(*args, "MI210").metrics)
+        except KernelLaunchError:
+            pass  # rejected in extraction or in composition: see below
+        except Exception as e:
+            return f"{type(e).__name__}: {e}"
+        try:
+            return record(perfmodel._metrics_for(*args, None))
+        except Exception as e:
+            return f"{type(e).__name__}: {e}"
+
+    def test_estimate_path(self, golden):
+        """The estimator's per-shape path against the frozen records.
+
+        ``estimate_kernel`` generates and parses one source per
+        kernel-body shape and binds each setting's macros onto it; the
+        metrics it prices must equal the record extracted from the
+        setting's own source.  Where composition rejects the launch on
+        the GPU, the metrics are read from the same memoized path.
+        """
+        stencils = stencils_from_json(golden["stencils"])
+        perfmodel._metrics_for.cache_clear()
+        perfmodel._shape_source.cache_clear()
+        afw.clear_parse_cache()
+        checked = 0
+        for name, oc, dialect, values, want in golden["entries"]:
+            if dialect != "cuda":
+                continue
+            setting = ParamSetting(**dict(zip(PARAM_NAMES, values)))
+            got = self._estimate_outcome((stencils[name], OC.parse(oc), setting))
+            assert encode(got, golden["fields"]) == json.dumps(want, sort_keys=True), (
+                name, oc, values,
+            )
+            checked += 1
+        assert checked == 802
 
 
 class TestAnalyticalFeatures:

@@ -721,7 +721,6 @@ class TestServeShutdown:
         import signal
         import subprocess
         import sys
-        import time
         import urllib.request
         from pathlib import Path
 

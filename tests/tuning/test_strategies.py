@@ -16,10 +16,12 @@ from repro.stencil import box, get
 from repro.tuning import (
     GeneticStrategy,
     ParameterSpace,
+    RandomStrategy,
     TuneResult,
     available_strategies,
     make_strategy,
     tune,
+    tune_lockstep,
 )
 
 STENCIL = get("star2d2r")
@@ -112,6 +114,32 @@ class TestBackendIndependence:
             # bit-identical (the engine contract).
             assert other.best_time_ms == ref.best_time_ms
         assert results[1].best_time_ms == results[2].best_time_ms
+
+
+class TestLockstep:
+    OCS = tuple(OC.parse(n) for n in ("naive", "ST", "ST_RT_TB", "CM"))
+
+    @staticmethod
+    def _summary(result):
+        return (
+            result.oc, result.best_setting, result.best_time_ms, result.trials,
+            result.crashed,
+            [(r.setting.as_tuple(), r.time_ms) for r in result.trial_log],
+        )
+
+    @pytest.mark.parametrize("grid", (None, (1024, 512)))
+    def test_each_job_equals_tune_alone(self, grid):
+        backend = make_backend("vector", "V100")
+        together = tune_lockstep(
+            STENCIL, [(oc, RandomStrategy(3)) for oc in self.OCS],
+            backend=backend, seed=7, grid=grid,
+        )
+        for oc, result in zip(self.OCS, together):
+            alone = tune(
+                STENCIL, oc=oc, backend=backend, strategy="random",
+                n_settings=3, seed=7, grid=grid,
+            )
+            assert self._summary(result) == self._summary(alone)
 
 
 class TestBudgetAccounting:
