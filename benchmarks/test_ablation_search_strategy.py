@@ -6,9 +6,10 @@ comparable budgets.  The second runs the whole ``repro.tuning`` strategy
 zoo through the unified ``tune()`` front door at an equal
 fidelity-weighted budget and asserts that informed
 strategies beat the random baseline on best-time-found.  The third
-measures the persistent tuning cache's cold-vs-warm replay over the
-vector backend, the substrate ``repro tune --cache-dir`` sits in
-front of.
+measures the persistent memo's (``CachingBackend(root=)``) cold-vs-warm
+replay over the vector backend, the substrate ``repro tune --cache-dir``
+sits in front of, next to the bare vector backend re-simulating every
+point.
 """
 
 import math
@@ -17,10 +18,10 @@ import tempfile
 
 import numpy as np
 
-from repro.engine import make_backend
+from repro.engine import CachingBackend, make_backend
 from repro.gpu import GPUSimulator
 from repro.optimizations import OC
-from repro.tuning import RandomStrategy, TuningCache, available_strategies, tune
+from repro.tuning import RandomStrategy, available_strategies, tune
 from repro.stencil import generate_population
 
 from conftest import best_of, print_table
@@ -163,23 +164,27 @@ def test_tuning_cache_replay_speedup(scale):
 
     The substrate is the vector backend.  The cold sweep fills the
     cache through it; each warm sweep opens a fresh
-    :class:`TuningCache` on the same directory (a new process replaying
-    settled results from disk) and must never touch the substrate.
+    :class:`CachingBackend` on the same directory (a new process
+    replaying settled results from disk) and must never touch the
+    substrate.  The bare-vector row re-simulates every point with no
+    cache, so the table shows what a warm replay saves.
     """
     stencils = generate_population(2, 2 if scale.name == "small" else 4, seed=77)
     root = tempfile.mkdtemp(prefix="tunecache-")
     base = make_backend("vector", "V100")
     caches = []
 
-    def sweep():
-        cache = TuningCache(base, root)
-        caches.append(cache)
+    def sweep(cached=True):
+        backend = base
+        if cached:
+            backend = CachingBackend(base, root=root)
+            caches.append(backend)
         for sid, stencil in enumerate(stencils):
             for name in OCS:
                 tune(
                     stencil,
                     oc=OC.parse(name),
-                    backend=cache,
+                    backend=backend,
                     strategy="random",
                     budget=BUDGET,
                     seed=SEED,
@@ -192,17 +197,19 @@ def test_tuning_cache_replay_speedup(scale):
         # scheduler noise.
         cold_s = best_of(1, sweep)
         warm_s = best_of(3, sweep)
+        bare_s = best_of(3, lambda: sweep(cached=False))
     finally:
         shutil.rmtree(root, ignore_errors=True)
     cold, *warm = caches
 
     print_table(
-        f"Persistent tuning cache ({base.info.name}, "
+        f"Persistent memo over {base.info.name} ("
         f"{len(stencils) * len(OCS)} cells, budget {BUDGET})",
         ["phase", "wall (s)", "hits", "misses"],
         [
             ["cold", cold_s, cold.hits, cold.misses],
             ["warm", warm_s, warm[-1].hits, warm[-1].misses],
+            ["bare vector", bare_s, "-", "-"],
         ],
     )
 

@@ -1,4 +1,4 @@
-"""Content-keyed memoization of evaluation results.
+"""Content-keyed memoization of evaluation results, optionally on disk.
 
 ``CachingBackend`` wraps any backend and serves repeated requests from
 memory: search restarts, cross-validation folds and genetic generations
@@ -11,13 +11,29 @@ Only settled outcomes are cached -- times and deterministic
 fault-injecting backend may record are *not* cached (a retry must re-hit
 the device), which is also why fault decorators wrap *around* the cache,
 never inside it.
+
+With ``root=`` the memo also persists: one JSON document per (GPU,
+sigma, stencil, OC, grid) group, mapping ``"v1,v2,..."`` settings to a
+float time or ``{"crash": msg}`` (layout and format rule in
+``docs/tuning.md``).  A group is read into the memo the first time a
+miss touches it, so its later hits are plain dict lookups.  An
+unreadable or garbled document is a miss the next flush rebuilds; one
+of another ``format`` raises :class:`~repro.errors.TuningError`.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
 from typing import Sequence
 
+from ..errors import KernelLaunchError, TuningError
+from ..store import atomic_write_text, check_format
 from .core import BackendBase, BackendInfo, EvalRequest, EvalResult, as_backend
+
+#: Format version written into every persisted group document.
+CACHE_FORMAT = 1
 
 
 class CachingBackend(BackendBase):
@@ -27,7 +43,8 @@ class CachingBackend(BackendBase):
     identity is implicit because a backend instance measures exactly one
     GPU.  Duplicate requests inside one batch are deduplicated before
     reaching the inner backend (the first occurrence is the miss; the
-    rest are hits).
+    rest are hits).  With *root*, the memo is persisted there (see the
+    module docstring); call :meth:`flush` to write it.
 
     Key construction is the cache's hot path (on a cold workload it runs
     once per request with zero amortizing hits), so stencil identities
@@ -39,11 +56,17 @@ class CachingBackend(BackendBase):
     different objects share one token.
     """
 
-    def __init__(self, inner):
+    def __init__(self, inner, root: "str | Path | None" = None):
         self.inner = as_backend(inner)
+        self.root = None if root is None else Path(root)
+        if self.root is not None:
+            self.root.mkdir(parents=True, exist_ok=True)
         self._cache: dict[tuple, EvalResult] = {}
         self._token_by_id: dict[int, tuple] = {}
         self._token_by_content: dict[tuple, int] = {}
+        # Persisted groups, keyed (token, oc name, grid): read -> file path.
+        self._groups: dict[tuple, Path] = {}
+        self._dirty: set[tuple] = set()
         self.hits = 0
         self.misses = 0
 
@@ -58,17 +81,6 @@ class CachingBackend(BackendBase):
             self._token_by_content[content] = token
         self._token_by_id[id(stencil)] = (stencil, token)
         return token
-
-    def _request_key(self, r: EvalRequest) -> tuple:
-        # Same identity as EvalRequest.key() with the stencil component
-        # collapsed to its intern token; setting.as_tuple() returns the
-        # setting's stored tuple, so no per-request allocation there.
-        return (
-            self._stencil_token(r.stencil),
-            r.oc.name,
-            r.setting.as_tuple(),
-            r.grid,
-        )
 
     @property
     def spec(self):
@@ -92,9 +104,12 @@ class CachingBackend(BackendBase):
         return {"hits": self.hits, "misses": self.misses, "size": len(self._cache)}
 
     def clear(self) -> None:
+        """Forget the in-memory memo (persisting unsaved results first)."""
+        self.flush()
         self._cache.clear()
         self._token_by_id.clear()
         self._token_by_content.clear()
+        self._groups.clear()
         self.hits = 0
         self.misses = 0
 
@@ -130,6 +145,10 @@ class CachingBackend(BackendBase):
             else:
                 hits += 1  # intra-batch duplicate of a pending miss
             slots.append((i, pos))
+        if miss_requests and self.root is not None:
+            if self._read_groups(miss_requests, miss_keys):
+                # Groups just read from disk may settle these misses.
+                return self.evaluate_batch(requests)
         self.hits += hits
         self.misses += len(miss_requests)
         if miss_requests:
@@ -137,6 +156,81 @@ class CachingBackend(BackendBase):
             for key, res in zip(miss_keys, results):
                 if res.ok or res.crashed:
                     cache[key] = res
+            if self.root is not None:
+                self._dirty.update(
+                    (key[0], key[1], key[3])
+                    for key, res in zip(miss_keys, results)
+                    if res.ok or res.crashed
+                )
             for i, pos in slots:
                 out[i] = results[pos]
         return out  # type: ignore[return-value]
+
+    # -- persistence ---------------------------------------------------
+    def _read_groups(self, requests, keys) -> bool:
+        """Read every not-yet-read group these misses touch into the memo;
+        True when that added any entry."""
+        added = False
+        for r, key in zip(requests, keys):
+            group = (key[0], key[1], key[3])
+            if group in self._groups:
+                continue
+            ident = (
+                self.inner.spec.name,
+                repr(float(self.inner.sigma)),
+                r.stencil.cache_key(),
+                r.oc.name,
+                r.grid,
+            )
+            digest = hashlib.blake2b(repr(ident).encode(), digest_size=12)
+            path = self.root / f"{digest.hexdigest()}.json"
+            added |= self._read_group(path, group)
+            self._groups[group] = path  # only once the read did not raise
+        return added
+
+    def _read_group(self, path: Path, group: tuple) -> bool:
+        token, oc, grid = group
+        try:
+            doc = json.loads(path.read_text())
+        except (OSError, ValueError):
+            return False  # missing, unreadable or garbled: re-measure
+        if not isinstance(doc, dict):
+            return False
+        check_format(doc, CACHE_FORMAT, f"tuning-cache group {path}", TuningError)
+        try:
+            entries = {
+                (token, oc, tuple(map(int, text.split(","))), grid): (
+                    EvalResult(time_ms=float(value))
+                    if isinstance(value, (int, float))
+                    else EvalResult(error=KernelLaunchError(str(value["crash"])))
+                )
+                for text, value in doc["entries"].items()
+            }
+        except (AttributeError, KeyError, TypeError, ValueError):
+            return False  # garbled entries: re-measure, rebuild on flush
+        self._cache.update(entries)
+        return bool(entries)
+
+    def flush(self) -> None:
+        """Write every persisted group that gained settled results."""
+        if not self._dirty:
+            return
+        tables: dict[tuple, dict] = {group: {} for group in self._dirty}
+        for (token, oc, setting, grid), res in self._cache.items():
+            table = tables.get((token, oc, grid))
+            if table is not None:
+                table[",".join(map(str, setting))] = (
+                    res.time_ms if res.ok else {"crash": str(res.error)}
+                )
+        for group, table in tables.items():
+            _, oc, grid = group
+            doc = {
+                "format": CACHE_FORMAT,
+                "gpu": self.inner.spec.name,
+                "sigma": repr(float(self.inner.sigma)),
+                "oc": oc,
+                "grid": list(grid) if grid else None,
+                "entries": table,
+            }
+            atomic_write_text(self._groups[group], json.dumps(doc, sort_keys=True))
+        self._dirty.clear()

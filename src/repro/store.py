@@ -22,7 +22,9 @@ value does.
 **Reads fail closed.**  :func:`read_document` raises the caller's
 :class:`~repro.errors.ReproError` subclass -- never a raw ``OSError``,
 ``JSONDecodeError`` or ``AttributeError`` -- when a file is unreadable,
-not valid JSON (for example truncated) or not a JSON object.
+not valid JSON (for example truncated) or not a JSON object.  Tuning-
+cache groups hold only what can be re-measured, so there a garbled
+file is a miss instead; a newer ``format`` still fails closed.
 
 **Versioned stores.**  A :class:`VersionedStore` keeps immutable
 versions per name, one directory per name::

@@ -1,4 +1,4 @@
-"""Unified autotuning: one front door, a strategy zoo, a persistent cache.
+"""Unified autotuning: one front door and a strategy zoo.
 
 :func:`tune` is the single entry point every parameter search goes
 through -- the paper's random walk + coordinate refinement, the
@@ -13,7 +13,6 @@ semantics and budget accounting.
 from .anneal import AnnealingStrategy
 from .api import tune, tune_lockstep
 from .bayes import BayesStrategy
-from .cache import TuningCache
 from .genetic import GeneticStrategy
 from .halving import HalvingStrategy
 from .random_search import CoordinateDescentStrategy, RandomStrategy
@@ -47,7 +46,6 @@ __all__ = [
     "StrategyOutcome",
     "TrialRecord",
     "TuneResult",
-    "TuningCache",
     "available_strategies",
     "compile_restriction",
     "make_strategy",

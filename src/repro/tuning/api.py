@@ -10,8 +10,9 @@ logic:
   plus OC, or an explicit :class:`~repro.tuning.ParameterSpace` with
   ``restrictions=``),
 - resolving the measurement substrate (a backend instance, a backend
-  kind name, or a GPU to build one for) and optionally wrapping it in
-  the persistent :class:`~repro.tuning.TuningCache`,
+  kind name, or a GPU to build one for) and optionally giving it a
+  persistent memo, a :class:`~repro.engine.CachingBackend` with
+  ``root=``,
 - deriving the strategy's named RNG stream from
   ``(seed, stencil_id, oc, strategy)`` so results are deterministic for
   a fixed (strategy, seed, budget) regardless of backend flavor or
@@ -32,11 +33,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from ..engine import Backend, EvalRequest, as_backend, make_backend
+from ..engine import Backend, CachingBackend, EvalRequest, as_backend, make_backend
 from ..errors import TuningError
 from ..optimizations.combos import OC
 from ..stencil.stencil import Stencil
-from .cache import TuningCache
 from .result import TuneResult
 from .rng import stream_rng
 from .space import ParameterSpace
@@ -146,9 +146,10 @@ def tune(
         Evaluation grid override (``None``: the paper default for the
         stencil's dimensionality).
     cache_dir:
-        When set, wrap the backend in a persistent
-        :class:`~repro.tuning.TuningCache` rooted there; hit/miss
-        accounting lands in the result.
+        When set, measure through a persistent
+        :class:`~repro.engine.CachingBackend` rooted there (in place of
+        the backend's own in-memory memo, if it has one), flushed when
+        the call ends.
     """
     space, inferred = _resolve_space(space_or_stencil, oc, restrictions)
     stencil = stencil if stencil is not None else inferred
@@ -192,9 +193,10 @@ def tune_lockstep(
     calls as its longest trajectory has rounds.  Each job keeps its own
     named RNG stream, ``seen`` set and walk order, and results are
     per-point pure, so every result equals what :func:`tune` returns
-    for that job alone.  Cache hit/miss counts, when *backend* is a
-    :class:`~repro.tuning.TuningCache`, cover the whole call.  *grid*
-    is :func:`tune`'s evaluation grid override, shared by every job.
+    for that job alone.  When *backend* is a
+    :class:`~repro.engine.CachingBackend`, every result's cache hit/miss
+    counts are that memo's delta over the whole call.  *grid* is
+    :func:`tune`'s evaluation grid override, shared by every job.
     Results come back in job order.
     """
     return _tune_jobs(
@@ -228,12 +230,12 @@ def _tune_jobs(
 ) -> "list[TuneResult]":
     """Build each (strategy, OC, space, stream) job's context, drive them
     all to completion on *base* and package one result per job."""
-    cache: "TuningCache | None" = None
+    substrate = base
     if cache_dir is not None:
-        cache = TuningCache(base, cache_dir)
-    elif isinstance(base, TuningCache):
-        cache = base
-    substrate = cache if cache is not None else base
+        # One memo, not two: the persistent one replaces base's own.
+        inner = base.inner if isinstance(base, CachingBackend) else base
+        substrate = CachingBackend(inner, root=cache_dir)
+    cache = substrate if isinstance(substrate, CachingBackend) else None
     hits0 = cache.hits if cache is not None else 0
     misses0 = cache.misses if cache is not None else 0
 

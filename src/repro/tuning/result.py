@@ -39,10 +39,12 @@ class TuneResult:
     ``cost`` is the fidelity-weighted evaluation spend (a reduced-grid
     rung of the multi-fidelity strategies costs a fraction of a full
     evaluation); for single-fidelity strategies ``cost == trials``.
-    ``cache_hits`` / ``cache_misses`` report the persistent tuning
-    cache's accounting for this call (both zero when no cache was
-    attached); they describe the substrate, not the search, and may vary
-    with cache state.
+    ``cache_hits`` / ``cache_misses`` are this call's delta of the
+    :class:`~repro.engine.CachingBackend` it measured through -- one
+    built for ``cache_dir=``, ``backend="cached"`` or a passed instance
+    -- and both zero when the substrate is no ``CachingBackend``; they
+    describe the substrate, not the search, and may vary with cache
+    state.
     """
 
     strategy: str
