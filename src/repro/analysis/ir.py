@@ -183,17 +183,25 @@ _parse_expr = lru_cache(maxsize=16384)(E.parse_expr)
 
 
 def split_top(text: str, sep: str) -> list[str]:
-    """Split on *sep* at zero paren/bracket depth."""
-    parts, depth, start = [], 0, 0
-    for i, ch in enumerate(text):
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == sep and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    parts.append(text[start:])
+    """Split on the character *sep* at zero paren/bracket depth.
+
+    ``str.split`` cuts at every *sep*; a piece is then glued back onto the
+    previous part while the brackets opened before it are unclosed.  A
+    bracket character or a multi-character *sep* never splits.
+    """
+    if sep not in text or len(sep) != 1 or sep in "()[]":
+        return [text]
+    pieces = text.split(sep)
+    if "(" not in text and "[" not in text and ")" not in text and "]" not in text:
+        return pieces
+    parts: list[str] = []
+    depth = 0
+    for piece in pieces:
+        if depth:
+            parts[-1] += sep + piece
+        else:
+            parts.append(piece)
+        depth += piece.count("(") + piece.count("[") - piece.count(")") - piece.count("]")
     return parts
 
 

@@ -14,7 +14,7 @@ import numpy as np
 from ..errors import ModelError, NotFittedError
 from ..parallel import WorkerPool
 from .preprocess import one_hot
-from .tree import RegressionTree
+from .tree import RegressionTree, presort
 
 # Per-worker state for parallel per-class tree fitting: the training
 # matrix and tree hyperparameters ship once per worker through the pool
@@ -90,6 +90,14 @@ class _GBBase:
         k = max(2, int(round(self.subsample * n)))
         return rng.choice(n, size=k, replace=False)
 
+    def _rounds(self, X: np.ndarray, rng: np.random.Generator):
+        """Yield each boosting round's sampled rows and ``X[rows]``
+        presorted: once per fit without subsampling, else once per round."""
+        full = presort(X) if self.subsample >= 1.0 else None
+        for _ in range(self.n_rounds):
+            rows = self._sample_rows(X.shape[0], rng)
+            yield rows, full if full is not None else presort(X[rows])
+
     def _hyper_state(self) -> dict:
         """Constructor arguments needed to rebuild this estimator.
 
@@ -121,12 +129,11 @@ class GBRegressor(_GBBase):
         self.base_score_ = float(y.mean())
         self.trees_: list[RegressionTree] = []
         pred = np.full(y.shape[0], self.base_score_)
-        ones = np.ones_like(y)
-        for _ in range(self.n_rounds):
-            rows = self._sample_rows(y.shape[0], rng)
+        for rows, data in self._rounds(X, rng):
             grad = pred - y  # d/dpred of 0.5*(pred - y)^2
-            tree = RegressionTree(**self._tree_params()).fit(
-                X[rows], grad[rows], ones[rows]
+            # Squared loss has unit hessians (h=None).
+            tree = RegressionTree(**self._tree_params())._fit_sorted(
+                data, grad[rows], None
             )
             self.trees_.append(tree)
             pred += self.learning_rate * tree.predict(X)
@@ -202,15 +209,14 @@ class GBDTClassifier(_GBBase):
         if self.workers > 1 and self.n_classes_ > 1:
             self._fit_parallel(X, Y, F, rng)
             return self
-        for _ in range(self.n_rounds):
+        for rows, data in self._rounds(X, rng):
             P = _softmax(F)
-            rows = self._sample_rows(n, rng)
             round_trees: list[RegressionTree] = []
             for k in range(self.n_classes_):
                 grad = P[:, k] - Y[:, k]
                 hess = np.maximum(P[:, k] * (1.0 - P[:, k]), 1e-6)
-                tree = RegressionTree(**self._tree_params()).fit(
-                    X[rows], grad[rows], hess[rows]
+                tree = RegressionTree(**self._tree_params())._fit_sorted(
+                    data, grad[rows], hess[rows]
                 )
                 round_trees.append(tree)
                 F[:, k] += self.learning_rate * tree.predict(X)

@@ -6,28 +6,43 @@ threshold maximising the regularized gain
 
     0.5 * (GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l)) - gamma.
 
-Like XGBoost's pre-sorted column blocks, a fit sorts each column once.
-:meth:`RegressionTree.fit` runs one stable ``argsort`` per column at the
-root and keeps the result as an ``(n_features, n_rows)`` order table:
-row ``f`` lists the node's rows by ascending ``X[:, f]``, ties by
-ascending row index.  A split partitions every row of the table with the
-same go-left mask (``order[go_left[order]]``, per row).  Selecting with a
-mask keeps relative order, so each child's table is again the stable
-argsort of the child's own columns, and no node below the root sorts.
+Like XGBoost's pre-sorted column blocks, a training matrix is sorted once
+(:func:`presort`): one stable ``argsort`` per column, kept as an order
+table whose row lists the rows by ascending value, ties by ascending row
+index.  A boosting fit that trains every round on the same matrix shares
+one :class:`Presorted` among all its trees.  A split partitions every
+row of the table with the same go-left mask (``order[go_left[order]]``,
+per row).  Selecting with a mask keeps relative order, so each child's
+table is again the stable argsort of the child's own columns, and no
+node below the root sorts.
 
-At a node the search covers all features at once, a block of table rows
-at a time (``_BLOCK_ENTRIES`` bounds the temporaries).  It gathers
-gradients, hessians and feature values through the table and takes the
-prefix sums along each row.  A cut after sorted position ``i`` is a
-candidate only when ``x[i] != x[i + 1]``; the gain formula above, with
-the same IEEE operations in the same order as a per-feature loop, is
-evaluated at every candidate, and candidates leaving either child under
-``min_child_weight`` hessian mass score ``-inf``, as do non-candidates.
+Only representative columns are searched.  A column without a candidate
+cut (all values equal) is dropped, and so is a column whose stable order
+and tie pattern both equal those of an earlier column: mask selection
+keeps both properties in every child, so such twins score bit-equal
+gains at every node and the earlier one would win anyway.  A chosen
+split maps back to its original feature index.
+
+At a node the search covers all representatives at once, a block of
+table rows at a time (``_BLOCK_ENTRIES`` bounds the temporaries).  It
+gathers gradients and feature values through the table and takes the
+gradient prefix sums along each row.  A cut after sorted position ``i``
+is a candidate only when ``x[i] != x[i + 1]``; the gain formula above,
+with the same IEEE operations in the same order as a per-feature loop,
+is evaluated at every candidate, and candidates leaving either child
+under ``min_child_weight`` hessian mass score ``-inf``.  Squared loss
+has unit hessians, passed as ``h=None``: the left hessian mass at
+position ``i`` is then exactly ``i + 1`` and a node's total is its row
+count, with no hessian gathers or prefix sums; other losses gather and
+sum their hessians like the gradients.
 
 Tie-breaks: each feature's best cut is its first maximum (the leftmost
 cut), and the node splits on the feature with the highest best gain
-strictly above ``gamma``, the lowest feature index on ties.  The
-threshold is the midpoint of the two values around the cut.
+strictly above ``gamma``, the lowest feature index on ties.  Candidates
+are listed by feature, then by cut, so the first maximum of that list
+is exactly this choice; a feature whose gains include a NaN has a NaN
+best gain, which never splits.  The threshold is the midpoint of the
+two values around the cut.
 """
 
 from __future__ import annotations
@@ -102,10 +117,15 @@ class RegressionTree:
             raise ModelError(
                 f"inconsistent shapes: X{X.shape}, grad{g.shape}, hess{h.shape}"
             )
+        return self._fit_sorted(presort(X), g, h)
+
+    def _fit_sorted(
+        self, data: "Presorted", g: np.ndarray, h: "np.ndarray | None"
+    ) -> "RegressionTree":
+        """Grow the tree on a presorted matrix; ``h=None`` means every
+        hessian is 1 (squared loss)."""
         self._nodes = []
-        XT = np.ascontiguousarray(X.T)
-        order = np.argsort(XT, axis=1, kind="stable")
-        self._grow(XT, g, h, np.arange(X.shape[0]), order, depth=0)
+        self._grow(data, g, h, np.arange(data.XT.shape[1]), data.order, depth=0)
         self._width = 1 + max(node.feature for node in self._nodes)
         return self
 
@@ -114,9 +134,9 @@ class RegressionTree:
 
     def _grow(
         self,
-        XT: np.ndarray,
+        data: "Presorted",
         g: np.ndarray,
-        h: np.ndarray,
+        h: "np.ndarray | None",
         idx: np.ndarray,
         order: "np.ndarray | None",
         depth: int,
@@ -128,24 +148,24 @@ class RegressionTree:
         """
         node_id = len(self._nodes)
         g_sum = float(g[idx].sum())
-        h_sum = float(h[idx].sum())
+        h_sum = float(idx.size) if h is None else float(h[idx].sum())
         # Reserve the slot; children fill in after recursion.
         self._nodes.append(_Node(-1, 0.0, -1, -1, self._leaf_value(g_sum, h_sum)))
 
         if depth >= self.max_depth or idx.size < max(self.min_samples_split, 2):
             return node_id
-        split = self._best_split(XT, g, h, order, g_sum, h_sum)
+        split = self._best_split(data, g, h, order, g_sum, h_sum)
         if split is None:
             return node_id
         feature, threshold = split
-        go_left = XT[feature] <= threshold
+        go_left = data.XT[feature] <= threshold
         mask = go_left[idx]
         if depth + 1 < self.max_depth:
             left_order, right_order = _partition(order, go_left)
         else:
             left_order = right_order = None
-        left = self._grow(XT, g, h, idx[mask], left_order, depth + 1)
-        right = self._grow(XT, g, h, idx[~mask], right_order, depth + 1)
+        left = self._grow(data, g, h, idx[mask], left_order, depth + 1)
+        right = self._grow(data, g, h, idx[~mask], right_order, depth + 1)
         node = self._nodes[node_id]
         node.feature = feature
         node.threshold = threshold
@@ -155,45 +175,50 @@ class RegressionTree:
 
     def _best_split(
         self,
-        XT: np.ndarray,
+        data: "Presorted",
         g: np.ndarray,
-        h: np.ndarray,
+        h: "np.ndarray | None",
         order: np.ndarray,
         g_sum: float,
         h_sum: float,
     ) -> tuple[int, float] | None:
         lam = self.reg_lambda
         parent_score = g_sum * g_sum / (h_sum + lam)
+        XT, columns = data.XT, data.columns
         n_feats, n_rows = order.shape
-        best_gain = np.empty(n_feats)
-        best_cut = np.empty(n_feats, dtype=np.intp)
+        best_gain, pos = self.gamma, -1
         step = max(1, _BLOCK_ENTRIES // n_rows)
         for lo in range(0, n_feats, step):
             rows = order[lo : lo + step]
-            width = rows.shape[0]
-            xs = np.take(XT, rows + np.arange(lo, lo + width)[:, None] * XT.shape[1])
+            xs = np.take(XT, rows + columns[lo : lo + step, None] * XT.shape[1])
             gs = np.cumsum(g[rows], axis=1)
-            hs = np.cumsum(h[rows], axis=1)
             # Candidate cut after sorted position i requires xs[i] != xs[i+1].
             f, i = np.nonzero(xs[:, :-1] != xs[:, 1:])
-            gl, hl = gs[f, i], hs[f, i]
+            gl = gs[f, i]
+            if h is None:
+                hl = i + 1.0
+            else:
+                hl = np.cumsum(h[rows], axis=1)[f, i]
             gr, hr = g_sum - gl, h_sum - hl
             valid = (hl >= self.min_child_weight) & (hr >= self.min_child_weight)
             gain = 0.5 * (
                 gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent_score
             )
             gain[~valid] = -np.inf
-            cuts = np.full((width, n_rows - 1), -np.inf)
-            cuts[f, i] = gain
-            cut = np.argmax(cuts, axis=1)
-            best_cut[lo : lo + width] = cut
-            best_gain[lo : lo + width] = cuts[np.arange(width), cut]
-        beats = best_gain > self.gamma
-        if not beats.any():
+            nan = np.isnan(gain)
+            if nan.any():
+                # A NaN is its feature's best gain, which never beats gamma.
+                gain[np.isin(f, f[nan])] = -np.inf
+            if gain.size:
+                # Candidates run by feature, then cut: the first maximum is
+                # the lowest feature's leftmost cut among the best.
+                k = int(np.argmax(gain))
+                if gain[k] > best_gain:
+                    best_gain, pos, cut = gain[k], lo + int(f[k]), int(i[k])
+        if pos < 0:
             return None
-        feature = int(np.argmax(np.where(beats, best_gain, -np.inf)))
-        cut = best_cut[feature]
-        x_lo, x_hi = XT[feature, order[feature, cut : cut + 2]]
+        feature = int(columns[pos])
+        x_lo, x_hi = XT[feature, order[pos, cut : cut + 2]]
         return feature, float(0.5 * (x_lo + x_hi))
 
     # ------------------------------------------------------------------
@@ -309,3 +334,37 @@ def _partition(order: np.ndarray, go_left: np.ndarray) -> "tuple[np.ndarray, np.
     left = np.compress(side, order).reshape(n_feats, -1)
     right = np.compress(~side, order).reshape(n_feats, -1)
     return left, right
+
+
+@dataclass(frozen=True)
+class Presorted:
+    """A training matrix sorted once, shareable by every tree fit on it.
+
+    ``XT`` is the ``(n_features, n_rows)`` transpose of the matrix;
+    ``columns`` lists, ascending, the representative features the split
+    search covers, and row ``k`` of ``order`` is the stable argsort of
+    feature ``columns[k]``.
+    """
+
+    XT: np.ndarray
+    columns: np.ndarray
+    order: np.ndarray
+
+
+def presort(X: np.ndarray) -> Presorted:
+    """Sort every column of *X* once and keep the representative ones.
+
+    A column is dropped when it has no candidate cut (all values equal),
+    or when its stable order and tie pattern both equal those of an
+    earlier column: selecting rows with a mask keeps both, so at every
+    node the two columns score bit-equal gains and the earlier one wins.
+    """
+    XT = np.ascontiguousarray(np.asarray(X).T, dtype=np.float64)
+    order = np.argsort(XT, axis=1, kind="stable")
+    xs = np.take_along_axis(XT, order, axis=1)
+    distinct = xs[:, :-1] != xs[:, 1:]
+    first: dict[bytes, int] = {}
+    for f in np.flatnonzero(distinct.any(axis=1)):
+        first.setdefault(order[f].tobytes() + distinct[f].tobytes(), int(f))
+    columns = np.array(list(first.values()), dtype=np.intp)
+    return Presorted(XT, columns, order[columns])

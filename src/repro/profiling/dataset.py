@@ -38,18 +38,34 @@ _OC_FLAG_ORDER = ("ST", "BM", "CM", "RT", "PR", "TB")
 
 def oc_flags(oc_name: str) -> np.ndarray:
     """Encode an OC as six 0/1 optimization flags (model input)."""
-    oc = OC_BY_NAME[oc_name]
-    return np.array(
-        [1.0 if flag in {o.value for o in oc.opts} else 0.0 for flag in _OC_FLAG_ORDER]
-    )
+    opts = {o.value for o in OC_BY_NAME[oc_name].opts}
+    return np.array([1.0 if flag in opts else 0.0 for flag in _OC_FLAG_ORDER])
 
 
-def aux_row(oc_name: str, setting, gpu: str) -> np.ndarray:
-    """The non-stencil part of a regression input: OC flags, encoded
-    parameter setting and GPU hardware features, in that order."""
+def aux_rows(ocs: "list[str]", settings: list, gpus: "list[str]") -> np.ndarray:
+    """The non-stencil part of regression inputs, one row per (OC name,
+    setting, GPU): OC flags, encoded parameter setting and GPU hardware
+    features, in that order.  Each distinct OC, setting and GPU is
+    encoded once and gathered per row."""
+    oc_codes, oc_names = _codes(ocs)
+    setting_codes, distinct_settings = _codes(settings)
+    gpu_codes, gpu_names = _codes(gpus)
     return np.concatenate(
-        [oc_flags(oc_name), setting.encode(), np.array(hardware_features(gpu))]
+        [
+            np.stack([oc_flags(name) for name in oc_names])[oc_codes],
+            np.stack([s.encode() for s in distinct_settings])[setting_codes],
+            np.array([hardware_features(g) for g in gpu_names])[gpu_codes],
+        ],
+        axis=1,
     )
+
+
+def _codes(keys: list) -> "tuple[np.ndarray, list]":
+    """Each key's index among the distinct *keys*, and those keys in
+    first-seen order."""
+    index: dict = {}
+    codes = [index.setdefault(k, len(index)) for k in keys]
+    return np.array(codes, dtype=np.intp), list(index)
 
 
 @dataclass
@@ -167,37 +183,24 @@ def build_regression_dataset(
         filtering on ``dataset.gpus``.
     """
     use_gpus = tuple(gpus) if gpus is not None else campaign.gpus
-    stencils = campaign.stencils
-    sten_feats = batch_features(stencils, max_order)
-    sten_tensors = batch_tensors(stencils, max_order)
-
-    rows: list[np.ndarray] = []
-    aux_rows: list[np.ndarray] = []
-    tensor_rows: list[np.ndarray] = []
-    times: list[float] = []
-    ids: list[int] = []
+    measurements: list = []
     provenance: list[str] = []
-    ocs: list[str] = []
-    settings: list = []
     for gpu in use_gpus:
-        for m in campaign.measurements(gpu):
-            aux = aux_row(m.oc, m.setting, gpu)
-            rows.append(np.concatenate([sten_feats[m.stencil_id], aux]))
-            aux_rows.append(aux)
-            tensor_rows.append(sten_tensors[m.stencil_id])
-            times.append(m.time_ms)
-            ids.append(m.stencil_id)
-            provenance.append(gpu)
-            ocs.append(m.oc)
-            settings.append(m.setting)
-    if not rows:
+        ms = campaign.measurements(gpu)
+        measurements.extend(ms)
+        provenance.extend([gpu] * len(ms))
+    if not measurements:
         raise DatasetError("campaign contains no measurements")
+    ocs = [m.oc for m in measurements]
+    settings = [m.setting for m in measurements]
+    ids = np.array([m.stencil_id for m in measurements], dtype=np.int64)
+    aux = aux_rows(ocs, settings, provenance)
     return RegressionDataset(
-        features=np.stack(rows),
-        tensors=np.stack(tensor_rows),
-        aux=np.stack(aux_rows),
-        times_ms=np.array(times),
-        stencil_ids=np.array(ids, dtype=np.int64),
+        features=np.concatenate([batch_features(campaign.stencils, max_order)[ids], aux], axis=1),
+        tensors=batch_tensors(campaign.stencils, max_order)[ids],
+        aux=aux,
+        times_ms=np.array([m.time_ms for m in measurements]),
+        stencil_ids=ids,
         gpus=provenance,
         ocs=ocs,
         settings=settings,

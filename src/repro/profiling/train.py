@@ -44,7 +44,7 @@ from .dataset import (
     ClassificationDataset,
     RegressionDataset,
     analytical_feature_matrix,
-    aux_row,
+    aux_rows,
     build_classification_dataset,
     build_regression_dataset,
 )
@@ -207,7 +207,7 @@ def predict_requests(
             [(s, OC_BY_NAME[oc], setting, gpu) for s, oc, setting, gpu in requests]
         )
     stencils = [r[0] for r in requests]
-    aux = np.stack([aux_row(oc, setting, gpu) for _, oc, setting, gpu in requests])
+    aux = aux_rows([r[1] for r in requests], [r[2] for r in requests], [r[3] for r in requests])
     represented = _stencil_rows(method, stencils, max_order, cache)
     if method == "convmlp":
         return predict_rows(method, model, (represented, aux))

@@ -1,6 +1,8 @@
 """Tests for the structural IR parser over generated and handwritten CUDA."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis import expr as E
 from repro.analysis import ir
@@ -157,3 +159,40 @@ class TestParseErrors:
         unit = ir.parse_unit("#define NX 4\n")
         with pytest.raises(ir.ParseError):
             unit.kernel
+
+
+def _split_top_by_char(text, sep):
+    """The character walk ``ir.split_top`` must agree with."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == sep and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
+class TestSplitTop:
+    @given(
+        st.text(alphabet="ab +-*=,;()[]", max_size=40),
+        st.sampled_from(list(";+-*=,([)]") + ["", "ab", "a"]),
+    )
+    def test_matches_character_walk(self, text, sep):
+        assert ir.split_top(text, sep) == _split_top_by_char(text, sep)
+
+    @pytest.mark.parametrize(
+        "text, sep, parts",
+        [
+            ("a + b", ";", ["a + b"]),
+            ("a + b + c", "+", ["a ", " b ", " c"]),
+            ("f(a, b), c[i, j], d", ",", ["f(a, b)", " c[i, j]", " d"]),
+            ("x) + y + (z", "+", ["x) + y + (z"]),
+        ],
+    )
+    def test_cases(self, text, sep, parts):
+        assert ir.split_top(text, sep) == parts
+

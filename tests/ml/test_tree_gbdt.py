@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from repro.errors import ModelError, NotFittedError
 from repro.ml import GBDTClassifier, GBRegressor, RegressionTree, accuracy, mape
+from repro.ml import gbdt as gbdt_mod
+from repro.ml.tree import presort
 
 
 def _make_regression(n=300, seed=0):
@@ -155,6 +157,102 @@ class TestSplitSearch:
         assert RegressionTree(**kw).fit(X, g, np.ones(4)).to_arrays()["threshold"][0] == 0.5
         kw["min_child_weight"] = 2.0
         assert RegressionTree(**kw).fit(X, g, np.ones(4)).to_arrays()["threshold"][0] == 1.5
+
+    def test_constant_columns_are_not_searched(self):
+        X, g, h = _tie_heavy(150, 4)
+        X = np.column_stack([np.full(150, 2.0), X, np.zeros(150)])
+        assert presort(X).columns.tolist() == [1, 2, 3, 4]
+        tree = RegressionTree(max_depth=5).fit(X, g, h)
+        assert tree.n_nodes > 1
+        _assert_matches_reference(tree, X, g, h)
+
+    def test_all_constant_x_is_one_leaf(self):
+        X = np.column_stack([np.full(30, 1.0), np.full(30, -4.0)])
+        g, h = np.linspace(-1.0, 2.0, 30), np.ones(30)
+        assert presort(X).columns.size == 0
+        tree = RegressionTree(max_depth=4).fit(X, g, h)
+        assert tree.n_nodes == 1 and tree._width == 0
+        _assert_matches_reference(tree, X, g, h)
+        assert tree.predict(np.empty((3, 0))).shape == (3,)
+
+    @pytest.mark.parametrize("twin_first", [True, False])
+    def test_duplicate_column_before_and_after_its_twin(self, twin_first):
+        X, g, h = _tie_heavy(180, 6, levels=(3, 5, 4))  # column 3 copies 0
+        col = X[:, 1]
+        if twin_first:
+            X, kept, dropped = np.column_stack([col, X]), 0, 2
+        else:
+            X, kept, dropped = np.column_stack([X, col]), 1, 4
+        columns = presort(X).columns.tolist()
+        assert kept in columns and dropped not in columns
+        tree = RegressionTree(max_depth=5).fit(X, g, h)
+        _assert_matches_reference(tree, X, g, h)
+        assert dropped not in tree.to_arrays()["feature"]
+
+    def test_decreasing_function_of_a_column_is_searched(self):
+        # Palindromic value counts: the reversed column has the same tie
+        # pattern but reversed order, so it is a different column.
+        rng = np.random.default_rng(7)
+        x = rng.permutation(np.repeat([0.0, 1.0, 2.0, 3.0], [30, 50, 50, 30]))
+        X = np.column_stack([x, 10.0 - 2.0 * x, rng.integers(0, 6, 160)])
+        g, h = rng.standard_normal(160), rng.uniform(0.2, 1.0, 160)
+        assert presort(X).columns.tolist() == [0, 1, 2]
+        tree = RegressionTree(max_depth=6, min_child_weight=0.0).fit(X, g, h)
+        _assert_matches_reference(tree, X, g, h)
+
+    def test_coarser_column_with_the_same_order_is_searched(self):
+        # Equal stable orders, different ties: a different column.
+        rng = np.random.default_rng(10)
+        x = np.arange(120.0)
+        X = np.column_stack([x, x // 8, rng.integers(0, 3, 120)])
+        g, h = rng.standard_normal(120), rng.uniform(0.2, 1.0, 120)
+        assert presort(X).columns.tolist() == [0, 1, 2]
+        tree = RegressionTree(max_depth=5, min_child_weight=4.0).fit(X, g, h)
+        _assert_matches_reference(tree, X, g, h)
+
+    def test_duplicates_under_unordered_subsampled_rows(self):
+        X, g, h = _tie_heavy(220, 8)  # column 4 duplicates column 0
+        X = np.column_stack([X, X[:, 2]])
+        rows = np.random.default_rng(8).choice(220, size=150, replace=False)
+        Xs, gs, hs = X[rows], g[rows], h[rows]
+        assert presort(Xs).columns.tolist() == [0, 1, 2, 3]
+        tree = RegressionTree(max_depth=5).fit(Xs, gs, hs)
+        _assert_matches_reference(tree, Xs, gs, hs)
+
+    @pytest.mark.parametrize("params", [dict(max_depth=5), dict(max_depth=4, min_child_weight=3.0)])
+    def test_unit_hessians_match_explicit_ones(self, params):
+        X, g, _ = _tie_heavy(200, 9)
+        unit = RegressionTree(**params)._fit_sorted(presort(X), g, None)
+        ones = RegressionTree(**params).fit(X, g, np.ones(200))
+        assert unit.n_nodes > 1
+        for key, value in ones.to_arrays().items():
+            assert unit.to_arrays()[key].tobytes() == value.tobytes(), key
+
+    @pytest.mark.parametrize("subsample, sorts", [(1.0, 1), (0.7, 6)])
+    def test_regressor_presorts_once_per_fit(self, monkeypatch, subsample, sorts):
+        calls = []
+
+        def counting(X):
+            calls.append(X.shape)
+            return presort(X)
+
+        monkeypatch.setattr(gbdt_mod, "presort", counting)
+        X, y = _make_regression(120)
+        GBRegressor(n_rounds=6, subsample=subsample).fit(X, y)
+        assert len(calls) == sorts
+
+    def test_first_maximum_skips_nan_features(self):
+        # A zero hessian with lambda 0: column 0's first cut scores 0/0, a
+        # NaN best gain that never splits.  Column 1 wins, although column 0
+        # also has a finite cut of the same gain.
+        X = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 1.0]])
+        g = np.array([0.0, -5.0, 1.0, 1.0])
+        h = np.array([0.0, 1.0, 1.0, 1.0])
+        kw = dict(max_depth=1, reg_lambda=0.0, min_child_weight=0.0)
+        with np.errstate(invalid="ignore"):
+            tree = RegressionTree(**kw).fit(X, g, h)
+            _assert_matches_reference(tree, X, g, h)
+        assert tree.to_arrays()["feature"][0] == 1
 
     def test_predict_rejects_narrow_x(self):
         X, g, h = _tie_heavy(80, 0)
