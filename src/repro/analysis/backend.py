@@ -18,7 +18,11 @@ Semantics mirror the simulator-backed backends:
   as a crash result rather than an exception -- from the search's point
   of view the point is simply unusable, and strategies already know how
   to route around crashes;
-- estimates are deterministic and noise-free (``sigma == 0``).
+- estimates are deterministic and noise-free (``sigma == 0``);
+- it advertises ``caching`` but not ``vectorized``: each point costs
+  code generation (one source per kernel-body shape), a macro binding
+  and metric extraction, so the random strategy sends it exactly the
+  settings its walk observes rather than a speculative frontier.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ class AnalyticalBackend(BackendBase):
     @property
     def info(self) -> BackendInfo:
         # Metric extraction is memoized per configuration inside
-        # perfmodel, so repeats are near-free even across batches.
+        # perfmodel, so repeats are near-free even across batches; a
+        # new point is not (see the module docstring).
         return BackendInfo(name="analytical", caching=True)
 
     def evaluate_batch(self, requests: Sequence[EvalRequest]) -> list[EvalResult]:

@@ -114,7 +114,8 @@ def parse_cache_info() -> dict:
 
 
 def clear_parse_cache() -> None:
-    """Drop every cached unit, body and expression; reset the counters.
+    """Drop every cached unit, body, statement line and expression;
+    reset the counters.
 
     Structural facts that analyses memoize on a kernel
     (:attr:`~repro.analysis.ir.Kernel.memo`) go with it: the next parse
@@ -125,6 +126,7 @@ def clear_parse_cache() -> None:
         _parse_cache.clear()
         _body_cache.clear()
         ir._parse_expr.cache_clear()
+        ir._parse_line_text.cache_clear()
         _parse_hits = _parse_misses = _body_hits = _body_misses = 0
 
 

@@ -348,12 +348,38 @@ def _parse_block(lines, i):
             # Nested unknown block or a launch inside the kernel: out of
             # subset for kernel bodies.
             raise ParseError(f"line {lineno}: unsupported construct {text!r}")
-        for piece in split_top(text, ";"):
-            piece = piece.strip()
-            if piece:
-                stmts.append(_parse_simple(piece + ";", lineno))
+        stmts += _simple_line(text, lineno)
         i += 1
     raise ParseError("unterminated block (missing '}')")
+
+
+def _parse_simple_line(text: str, line: int) -> list:
+    """The brace-free statements of one line, split on top-level ``;``."""
+    return [
+        _parse_simple(piece.strip() + ";", line)
+        for piece in split_top(text, ";")
+        if piece.strip()
+    ]
+
+
+#: :func:`_parse_simple_line` at line 0, memoized on the text: the
+#: kernel-body shapes of one stencil and OC repeat most lines.
+_parse_line_text = lru_cache(maxsize=16384)(lambda text: tuple(_parse_simple_line(text, 0)))
+
+
+def _simple_line(text: str, line: int) -> list:
+    """:func:`_parse_simple_line` of *text* at *line*.  Equal lines share
+    their expression trees; each statement is a copy carrying *line*."""
+    try:
+        parsed = _parse_line_text(text)
+    except ReproError:
+        return _parse_simple_line(text, line)  # raise with this line in the message
+    out = []
+    for stmt in parsed:
+        copy = object.__new__(type(stmt))  # dataclasses.replace, minus its field walk
+        copy.__dict__.update(stmt.__dict__, line=line)
+        out.append(copy)
+    return out
 
 
 def _parse_host(lines, i) -> tuple[Host, int]:

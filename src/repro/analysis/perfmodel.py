@@ -37,24 +37,40 @@ the extracted metrics equal ``build_profile``'s on generator output, the
 estimate is the measurement substrate's noise ceiling rather than an
 independent predictor.
 
-Extraction has two stages.  Facts that depend on the kernel body alone
-(:class:`_Body`, :class:`_Accesses`) are derived once per parsed body
-and memoized on its :class:`~repro.analysis.ir.Kernel`; the passes then
-evaluate only the macro-dependent quantities of each source.  The
-estimator goes one step further: tuning settings that differ only in
-macro values share one generated and parsed source, and each binds its
-own macros onto it (:func:`_metrics_for`).
+Extraction has three stages, the first two memoized on the parsed
+:class:`~repro.analysis.ir.Kernel`:
+
+- facts of the kernel body alone (:class:`_Body`, :class:`_Accesses`:
+  declarations, taps, loop roles), once per parsed body;
+- what the body and its other macros fix for every value of the
+  macro-only parameters' macros (:class:`_Binding`: the locals that
+  fold without reading one, and the trip counts and ``_linear_coeff``
+  coefficients whose computation reads none), once per body and macro
+  set;
+- per source, the locals that read a bound macro are re-folded and only
+  the quantities that read one are re-evaluated; a coefficient or trip
+  count is also memoized on the bound values it read (a block-coverage
+  coefficient that reads ``BLOCK_X`` alone is computed once per
+  ``BLOCK_X`` value).
+
+The estimator goes one step further: tuning settings that differ only
+in macro values share one generated and parsed source, and each binds
+its own macros onto it (:func:`_metrics_for`).  Each point still costs
+a binding and the passes, so the analytical backend is priced point by
+point: the random strategy sends it only the settings its walk
+observes (see :mod:`repro.analysis.backend`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 from ..codegen.core import MACRO_ONLY_PARAMS
 from ..errors import KernelLaunchError, ReproError
-from ..optimizations.params import PARAM_SPECS
+from ..optimizations.kernelmodel import KernelProfile
+from ..optimizations.params import PARAM_NAMES, PARAM_SPECS, ParamSetting
 from . import expr as E
 from . import ir
 from . import semantics as S
@@ -190,16 +206,6 @@ class KernelMetrics:
 # ----------------------------------------------------------------------
 # expression helpers
 # ----------------------------------------------------------------------
-def _const_env(macros: dict, body: "_Body") -> dict[str, float]:
-    """Macros plus every kernel-local declaration that folds to a constant."""
-    env = dict(macros)
-    for name, init in body.inits:
-        v = E.eval_const(init, env)
-        if v is not None:
-            env[name] = v
-    return env
-
-
 def _linear_coeff(node, var: str, decls, env, _seen=frozenset()):
     """Coefficient of *var* in *node*, resolving declaration chains.
 
@@ -372,12 +378,14 @@ class _Accesses:
     """Global loads and stores of one kernel body on an ``ndim`` grid."""
 
     taps: tuple  # sorted per-axis load offsets
+    extents: tuple  # per-axis max |offset| of the taps
     stores: int
     store_coords: "tuple | None"  # per-axis base variable of the last store
-    store_loops: tuple  # the ir.For loops around that store, outermost first
+    stream_axis: "int | None"  # axis whose coordinate is a surrounding loop's variable
+    merge_loops: tuple  # (loop, ((axis, coordinate init), ...)): loops feeding coordinates
 
     @classmethod
-    def of(cls, kernel: ir.Kernel, ndim: int) -> "_Accesses":
+    def of(cls, kernel: ir.Kernel, ndim: int, decls: dict) -> "_Accesses":
         store_coords = None
         store_ancestors = ()
         taps: set[tuple[int, ...]] = set()
@@ -403,12 +411,151 @@ class _Accesses:
                     store_ancestors = ancestors
                 else:
                     taps.add(offsets)
+        # Loop roles: a surrounding loop whose variable *is* a coordinate
+        # base streams that axis; a loop whose variable feeds coordinate
+        # declarations merges those axes when its trip count is constant.
+        stream_axis = None
+        merge_loops = []
+        for loop in (s for s in store_ancestors if isinstance(s, ir.For)):
+            if loop.var in store_coords:
+                stream_axis = store_coords.index(loop.var)
+                continue
+            links = []
+            for axis, base in enumerate(store_coords):
+                decl = decls.get(base)
+                if decl is not None and decl.init is not None and loop.var in E.names_in(decl.init):
+                    links.append((axis, decl.init))
+            if links:
+                merge_loops.append((loop, tuple(links)))
         return cls(
             taps=tuple(sorted(taps)),
+            extents=tuple(max((abs(t[a]) for t in taps), default=0) for a in range(ndim)),
             stores=stores,
             store_coords=store_coords,
-            store_loops=tuple(s for s in store_ancestors if isinstance(s, ir.For)),
+            stream_axis=stream_axis,
+            merge_loops=tuple(merge_loops),
         )
+
+
+#: The macros a tuning setting binds onto its kernel-body shape's one
+#: parsed source (:func:`_metrics_for`): each macro-only parameter's.
+_BOUND = frozenset(p.upper() for p in MACRO_ONLY_PARAMS)
+
+_UNSET = object()
+
+
+@dataclass(frozen=True)
+class _Binding:
+    """What one kernel body and its unbound macros fix for every value
+    of the :data:`_BOUND` macros.
+
+    ``bound_by`` holds the names whose value may read a bound macro: the
+    bound macros, every local whose initializer reads one of these
+    names, and -- so that folding the others once stays exact -- every
+    local declared twice, shadowing a macro or read before its
+    declaration.  The other locals fold once into ``env``; :meth:`bind`
+    re-folds only ``replay``, the initializers of ``bound_by`` locals
+    that can fold, in source order.  :meth:`derived` memoizes what the
+    passes compute from the environment on the bound values it read.
+    """
+
+    env: dict  # unbound macros plus the locals that fold without a bound macro
+    replay: tuple  # (name, init AST) re-folded per setting, in source order
+    bound_by: frozenset
+    memo: dict = field(default_factory=dict)  # key -> (bound names read, {values: result})
+
+    @classmethod
+    def of(cls, body: _Body, unbound: dict) -> "_Binding":
+        inits = [(name, init, E.names_in(init)) for name, init in body.inits]
+        names = [name for name, _, _ in inits]
+        bound_by = set(_BOUND)
+        for i, (name, _, read) in enumerate(inits):
+            if name in unbound or names.count(name) > 1:
+                bound_by.add(name)
+            bound_by |= read.intersection(names[i:])
+        _grow(bound_by, inits, lambda read: not read.isdisjoint(bound_by))
+        env = dict(unbound)
+        replay = []
+        for name, init, read in inits:
+            if name in bound_by:
+                replay.append((name, init, read))
+                continue
+            v = E.eval_const(init, env)
+            if v is not None:
+                env[name] = v
+        # An initializer that reads a name no binding defines (a builtin,
+        # a loop counter, a local that never folds) never folds either.
+        defined = set(env) | _BOUND
+        _grow(defined, replay, lambda read: read <= defined)
+        return cls(
+            env=env,
+            replay=tuple((name, init) for name, init, read in replay if read <= defined),
+            bound_by=frozenset(bound_by),
+        )
+
+    def bind(self, macros: dict) -> dict[str, float]:
+        """Macros plus every kernel-local declaration that folds to a
+        constant, for the bound macro values in *macros*."""
+        env = dict(self.env)
+        for name in _BOUND.intersection(macros):
+            env[name] = macros[name]
+        for name, init in self.replay:
+            v = E.eval_const(init, env)
+            if v is not None:
+                env[name] = v
+        return env
+
+    def derived(self, key, env: dict, compute):
+        """``compute(env)``, memoized under *key* on the values of the
+        :attr:`bound_by` names it looks up in *env*.
+
+        Every other name has one value for every setting, so equal
+        values of the bound names read give an equal result, and a
+        quantity that reads none is computed once.  A computation that
+        reads a bound name the earlier ones did not starts a wider table.
+        """
+        entry = self.memo.get(key)
+        if entry is not None:
+            value = entry[1].get(tuple([env.get(n) for n in entry[0]]), _UNSET)
+            if value is not _UNSET:
+                return value
+        log = _ReadLog(env)
+        value = compute(log)
+        read = log.names & self.bound_by
+        if entry is None or not read.issubset(entry[0]):
+            entry = self.memo[key] = (tuple(read.union(entry[0] if entry else ())), {})
+        entry[1][tuple([env.get(n) for n in entry[0]])] = value
+        return value
+
+
+def _grow(names: set, inits, joins) -> None:
+    """Add to *names* the name of each ``(name, init, read)`` of *inits*
+    whose ``joins(read)`` holds, until no further one does."""
+    grew = True
+    while grew:
+        grew = False
+        for name, _, read in inits:
+            if name not in names and joins(read):
+                names.add(name)
+                grew = True
+
+
+class _ReadLog:
+    """A read-only view of an environment that records the names looked
+    up in it."""
+
+    __slots__ = ("env", "names")
+
+    def __init__(self, env: dict):
+        self.env = env
+        self.names: set[str] = set()
+
+    def __len__(self) -> int:
+        return len(self.env)
+
+    def get(self, name, default=None):
+        self.names.add(name)
+        return self.env.get(name, default)
 
 
 # ----------------------------------------------------------------------
@@ -421,8 +568,9 @@ class Extraction:
     unit: ir.TranslationUnit
     kernel: ir.Kernel
     body: _Body  # structural facts of the kernel body
+    binding: _Binding  # what the body and the unbound macros fix
     macros: dict  # the unit's macros with extract_metrics' overlay bound
-    env: dict  # macros plus constant-folded locals (_const_env)
+    env: dict  # macros plus constant-folded locals (_Binding.bind)
 
 
 class MetricPass:
@@ -472,8 +620,10 @@ class AccessPass(MetricPass):
     name = "access"
 
     def run(self, x, m):
-        decls, env = x.body.decls, x.env
-        acc = _memo(x.kernel, ("perfmodel.access", m.ndim), lambda k: _Accesses.of(k, m.ndim))
+        decls, env, derived = x.body.decls, x.env, x.binding.derived
+        acc = _memo(
+            x.kernel, ("perfmodel.access", m.ndim), lambda k: _Accesses.of(k, m.ndim, decls)
+        )
         store_coords = acc.store_coords
         if store_coords is None or not acc.taps:
             raise EstimateError(
@@ -481,29 +631,24 @@ class AccessPass(MetricPass):
             )
         m.taps = acc.taps
         m.stores = acc.stores
-        m.extents = tuple(
-            max(abs(t[a]) for t in m.taps) for a in range(m.ndim)
-        )
+        m.extents = acc.extents
 
-        # Loop roles: a surrounding loop whose variable *is* a coordinate
-        # base streams that axis; a constant-trip loop whose variable
-        # feeds a coordinate declaration merges that axis.
-        for loop in acc.store_loops:
-            if loop.var in store_coords:
-                m.stream_axis = store_coords.index(loop.var)
-                continue
-            trip = self._trip_count(loop, env)
+        # Loop roles (see _Accesses): the stream axis is structural; a
+        # loop feeding coordinates merges them when its trip count is a
+        # constant of at least 2.
+        m.stream_axis = acc.stream_axis
+        for i, (loop, links) in enumerate(acc.merge_loops):
+            trip = derived(("trip", i), env, lambda e: self._trip_count(loop, e))
             if trip is None or trip < 2:
                 continue
-            for axis, base in enumerate(store_coords):
-                decl = decls.get(base)
-                if decl is None or decl.init is None:
-                    continue
-                if loop.var in E.names_in(decl.init):
-                    m.merge_axis = axis
-                    m.merge_factor = int(trip)
-                    step = _linear_coeff(decl.init, loop.var, decls, env)
-                    m.merge_step = int(step) if step else 0
+            for axis, init in links:
+                m.merge_axis = axis
+                m.merge_factor = int(trip)
+                step = derived(
+                    ("merge step", i, axis), env,
+                    lambda e: _linear_coeff(init, loop.var, decls, e),
+                )
+                m.merge_step = int(step) if step else 0
 
         # Per-axis coverage: the blockIdx coefficient of each coordinate;
         # the stream axis is covered by the per-block tile length instead.
@@ -515,13 +660,9 @@ class AccessPass(MetricPass):
                     tile_len = m.dims[axis] / max(1, m.stream_tiles)
                 coverage.append(int(tile_len))
                 continue
-            expr = E.Name(base)
-            cov = None
-            for bdim in ("x", "y", "z"):
-                c = _linear_coeff(expr, f"blockIdx.{bdim}", decls, env)
-                if c:
-                    cov = abs(c)
-                    break
+            cov = derived(
+                ("coverage", base), env, lambda e: self._block_coverage(base, decls, e)
+            )
             if not cov:
                 raise EstimateError(
                     f"coordinate {base!r} has no blockIdx coverage"
@@ -535,18 +676,34 @@ class AccessPass(MetricPass):
             m.stream_iters = math.ceil(tile_len / max(1, m.stream_unroll))
 
         # Warp-level coalescing: the threadIdx.x stride of the flat index.
+        stride = derived(
+            ("threadIdx.x",), env, lambda e: self._tx_stride(store_coords, m.dims, decls, e)
+        )
+        m.tx_stride = float("nan") if stride is None else stride
+        m.coalescing = self._coalescing(stride, m.block_dims[0])
+
+    @staticmethod
+    def _tx_stride(store_coords, dims, decls, env) -> "float | None":
+        """threadIdx.x coefficient of the flat store index, ``None`` when
+        a coordinate is not affine in it."""
         pitch = 1.0
         stride = 0.0
-        ok = True
         for axis, base in enumerate(store_coords):
             c = _linear_coeff(E.Name(base), "threadIdx.x", decls, env)
             if c is None:
-                ok = False
-                break
+                return None
             stride += c * pitch
-            pitch *= m.dims[axis]
-        m.tx_stride = stride if ok else float("nan")
-        m.coalescing = self._coalescing(stride if ok else None, m.block_dims[0])
+            pitch *= dims[axis]
+        return stride
+
+    @staticmethod
+    def _block_coverage(base: str, decls, env) -> "float | None":
+        """|blockIdx coefficient| of coordinate *base*, first nonzero axis."""
+        for bdim in ("x", "y", "z"):
+            c = _linear_coeff(E.Name(base), f"blockIdx.{bdim}", decls, env)
+            if c:
+                return abs(c)
+        return None
 
     @staticmethod
     def _trip_count(loop: ir.For, env) -> float | None:
@@ -835,8 +992,13 @@ def extract_metrics(
         values = {k: macros.get(k, v) for k, v in values.items()}
     kernel = unit.kernel
     body = _memo(kernel, "perfmodel.body", _Body.of)
+    unbound = {k: v for k, v in values.items() if k not in _BOUND}
+    binding = _memo(
+        kernel, ("perfmodel.binding", *unbound.items()), lambda k: _Binding.of(body, unbound)
+    )
     x = Extraction(
-        unit=unit, kernel=kernel, body=body, macros=values, env=_const_env(values, body)
+        unit=unit, kernel=kernel, body=body, binding=binding, macros=values,
+        env=binding.bind(values),
     )
     metrics = KernelMetrics()
     for pipeline_pass in METRIC_PASSES:
@@ -880,6 +1042,11 @@ class PerfEstimate:
         }
 
 
+#: The :class:`~repro.optimizations.kernelmodel.KernelProfile` fields
+#: :func:`_to_profile` copies from the metric of the same name.
+_PROFILE_METRICS = tuple(f.name for f in fields(KernelProfile) if f.name != "scattered")
+
+
 def _to_profile(m: KernelMetrics, spec):
     """Package extracted metrics as a simulator-compatible profile.
 
@@ -890,11 +1057,7 @@ def _to_profile(m: KernelMetrics, spec):
     stride (matching build_profile's warp_size-parameterized clause on
     generator output).
     """
-    from dataclasses import fields
-
-    from ..optimizations.kernelmodel import KernelProfile
-
-    values = {f.name: getattr(m, f.name) for f in fields(KernelProfile) if f.name != "scattered"}
+    values = {name: getattr(m, name) for name in _PROFILE_METRICS}
     values["scattered"] = m.scheme in ("cache", "register-stream")
     if spec.warp_size != 32:
         stride = m.tx_stride if math.isfinite(m.tx_stride) else None
@@ -948,17 +1111,24 @@ def estimate_source(source: "str | ir.TranslationUnit", gpu: str) -> PerfEstimat
     return _compose(extract_metrics(source), gpu)
 
 
-#: Where every :data:`~repro.codegen.core.MACRO_ONLY_PARAMS` entry sits
-#: in the setting of a kernel-body shape's one generated source.
-_SHAPE_VALUES = {s.name: s.default for s in PARAM_SPECS if s.name in MACRO_ONLY_PARAMS}
+#: ``(position in the setting tuple, macro name, value in the shape's
+#: one generated source)`` of each
+#: :data:`~repro.codegen.core.MACRO_ONLY_PARAMS` entry.
+_MACRO_SLOTS = tuple(
+    (PARAM_NAMES.index(s.name), s.name.upper(), s.default)
+    for s in PARAM_SPECS
+    if s.name in MACRO_ONLY_PARAMS
+)
 
 
 @lru_cache(maxsize=65536)
-def _shape_source(stencil, oc, shape, grid) -> str:
-    """The CUDA source of one kernel-body shape (see :func:`_metrics_for`)."""
+def _shape_source(stencil, oc, shape: tuple, grid) -> str:
+    """The CUDA source of one kernel-body shape (a setting tuple with
+    every macro-only parameter at its :data:`_MACRO_SLOTS` value; see
+    :func:`_metrics_for`)."""
     from ..codegen import generate_cuda
 
-    return generate_cuda(stencil, oc, shape, grid=grid)
+    return generate_cuda(stencil, oc, ParamSetting(**dict(zip(PARAM_NAMES, shape))), grid=grid)
 
 
 @lru_cache(maxsize=65536)
@@ -967,13 +1137,17 @@ def _metrics_for(stencil, oc, setting, grid) -> KernelMetrics:
 
     Settings that differ only in macro-only parameters share a kernel
     body and host launcher, so one source is generated and parsed per
-    shape -- the setting with those parameters at :data:`_SHAPE_VALUES`
-    -- and each setting binds its own macro values onto it
-    (:func:`extract_metrics`' *macros*).  The result equals extracting
-    the setting's own source.
+    shape -- the setting with those parameters at their
+    :data:`_MACRO_SLOTS` values -- and each setting binds its own macro
+    values onto it (:func:`extract_metrics`' *macros*).  The result
+    equals extracting the setting's own source.
     """
-    source = _shape_source(stencil, oc, setting.replace(**_SHAPE_VALUES), grid)
-    return extract_metrics(source, macros={p.upper(): setting[p] for p in MACRO_ONLY_PARAMS})
+    values = setting.as_tuple()
+    shape = list(values)
+    for i, _, default in _MACRO_SLOTS:
+        shape[i] = default
+    source = _shape_source(stencil, oc, tuple(shape), grid)
+    return extract_metrics(source, macros={name: values[i] for i, name, _ in _MACRO_SLOTS})
 
 
 def estimate_kernel(

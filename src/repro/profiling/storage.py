@@ -64,6 +64,25 @@ def _setting_from_list(values: list[int]) -> ParamSetting:
     return ParamSetting(**dict(zip(PARAM_NAMES, values)))
 
 
+def _setting_decoder():
+    """:func:`_setting_from_list` that decodes each distinct vector once.
+
+    A campaign stores the same setting many times (every OC result and
+    every measurement of it); settings are immutable, so repeats share
+    the first decode's instance.
+    """
+    decoded: dict[tuple, ParamSetting] = {}
+
+    def decode(values: list[int]) -> ParamSetting:
+        key = tuple(values)
+        setting = decoded.get(key)
+        if setting is None:
+            setting = decoded[key] = _setting_from_list(values)
+        return setting
+
+    return decode
+
+
 # ----------------------------------------------------------------------
 # profile-row (de)serialization -- shared by campaigns and checkpoints
 # ----------------------------------------------------------------------
@@ -89,12 +108,16 @@ def profile_to_row(profile: StencilProfile) -> dict:
 
 def profile_from_row(row: dict, stencil: Stencil, gpu: str) -> StencilProfile:
     """Inverse of :func:`profile_to_row`."""
+    return _profile_from_row(row, stencil, gpu, _setting_decoder())
+
+
+def _profile_from_row(row: dict, stencil: Stencil, gpu: str, decode) -> StencilProfile:
     sid = int(row["stencil_id"])
     profile = StencilProfile(stencil=stencil, stencil_id=sid, gpu=gpu)
     for name, r in row["oc_results"].items():
         profile.oc_results[name] = OCResult(
             oc=name,
-            best_setting=_setting_from_list(r["setting"]),
+            best_setting=decode(r["setting"]),
             best_time_ms=float(r["time_ms"]),
             n_settings=int(r["n_settings"]),
             crashed=int(r["crashed"]),
@@ -104,7 +127,7 @@ def profile_from_row(row: dict, stencil: Stencil, gpu: str) -> StencilProfile:
             Measurement(
                 stencil_id=sid,
                 oc=oc_name,
-                setting=_setting_from_list(values),
+                setting=decode(values),
                 gpu=gpu,
                 time_ms=float(t),
             )
@@ -146,9 +169,10 @@ def campaign_from_dict(doc: dict) -> ProfileCampaign:
         n_settings=int(doc["n_settings"]),
         seed=int(doc["seed"]),
     )
+    decode = _setting_decoder()
     for gpu, rows in doc["profiles"].items():
         campaign.profiles[gpu] = [
-            profile_from_row(row, stencils[int(row["stencil_id"])], gpu)
+            _profile_from_row(row, stencils[int(row["stencil_id"])], gpu, decode)
             for row in rows
         ]
     return campaign

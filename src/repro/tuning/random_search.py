@@ -6,7 +6,11 @@ coordinate descent); every profiling campaign and baseline runs it.  Its
 RNG stream, draw sequence, walk order, chunked frontier sizes,
 ``seen``-set discipline and measurement log are pinned by the tuning
 goldens and the campaign digests, so any behavioral change here is a
-format break (see ``tests/tuning/test_equivalence.py``).
+format break (see ``tests/tuning/test_equivalence.py``).  The walk
+consumes settings in first-draw order however they were batched, so
+frontier sizes (``RandomStrategy._chunk_size``, speculative only on
+vectorized backends) decide which points are evaluated, never the
+outcome; ``tests/tuning/golden_frontiers.json`` pins the vector sizes.
 
 ``CoordinateDescentStrategy`` exposes the same descent loop as a
 standalone zoo member: multi-start greedy descent over one parameter at
@@ -116,12 +120,15 @@ class RandomStrategy(GeneratorStrategy):
     def _chunk_size(self, need: int) -> int:
         """Settings per engine call while ``need`` are missing.
 
-        Vectorized / caching backends amortize fixed batch overhead, so
-        they get generous frontiers; the scalar path pays per point
-        either way, so it evaluates exactly the sequential point set.
+        A vectorized backend prices a batch with array math, so its
+        per-call overhead outweighs a point's cost and it gets generous
+        frontiers; most of the speculated points are never observed.
+        Every other backend pays per point -- the scalar path, and the
+        analytical backend, which generates, parses and extracts each
+        point even with its per-configuration memo -- so it evaluates
+        exactly the points the walk observes.
         """
-        info = self.ctx.backend_info
-        if info.vectorized or info.caching:
+        if self.ctx.backend_info.vectorized:
             return max(4 * need, 32)
         return max(need, 1)
 

@@ -33,9 +33,11 @@ class TuneResult:
 
     ``trials`` counts the evaluations the strategy *observed* (used in
     its decisions); it is deterministic for a fixed (strategy, seed,
-    budget) regardless of backend, batching or worker count.  Backends
-    may speculatively evaluate ahead of a strategy's walk -- those
-    points are invisible here, exactly as they were pre-refactor.
+    budget) regardless of backend, batching or worker count.  On a
+    vectorized backend the random strategy evaluates ahead of its walk
+    -- those points are invisible here, exactly as they were
+    pre-refactor; on any other backend it evaluates only what it
+    observes.
     ``cost`` is the fidelity-weighted evaluation spend (a reduced-grid
     rung of the multi-fidelity strategies costs a fraction of a full
     evaluation); for single-fidelity strategies ``cost == trials``.

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.analysis import clear_parse_cache
 from repro.analysis import expr as E
 from repro.analysis import ir
 from repro.codegen.cuda import generate_cuda
@@ -159,6 +160,43 @@ class TestParseErrors:
         unit = ir.parse_unit("#define NX 4\n")
         with pytest.raises(ir.ParseError):
             unit.kernel
+
+
+class TestRepeatedLines:
+    """Equal statement lines parse once per process; each occurrence is
+    its own statement at its own line, and errors name their line."""
+
+    SOURCE = (
+        "__global__ void k(const double* __restrict__ in, double* __restrict__ out)\n"
+        "{\n"
+        "    double acc = 0.0;\n"
+        "    acc += in[0]; acc *= 0.5;\n"
+        "    acc += in[0]; acc *= 0.5;\n"
+        "    out[0] = acc;\n"
+        "}\n"
+    )
+
+    def test_each_occurrence_is_its_own_statement(self):
+        first = ir.parse_unit(self.SOURCE).kernel.body
+        again = ir.parse_unit("\n" + self.SOURCE).kernel.body
+        assert [s.line for s in first] == [3, 4, 4, 5, 5, 6]
+        assert [s.line for s in again] == [4, 5, 5, 6, 6, 7]
+        assert first[1] == ir._parse_simple("acc += in[0];", 4)
+        assert first[3] == ir._parse_simple("acc += in[0];", 5)
+        assert first[1] is not first[3]
+        assert first[1].value is first[3].value is again[1].value
+
+    def test_clear_parse_cache_drops_the_lines(self):
+        ir.parse_unit(self.SOURCE)
+        assert ir._parse_line_text.cache_info().currsize > 0
+        clear_parse_cache()
+        assert ir._parse_line_text.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("pad", [0, 2])
+    def test_error_names_the_line(self, pad):
+        bad = self.SOURCE.replace("out[0] = acc;", "acc;")
+        with pytest.raises(ir.ParseError, match=f"^line {6 + pad}: cannot classify"):
+            ir.parse_unit("\n" * pad + bad)
 
 
 def _split_top_by_char(text, sep):

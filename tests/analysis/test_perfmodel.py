@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.analysis import expr as E
 from repro.analysis import framework as afw
 from repro.analysis import ir
 from repro.analysis import perfmodel
@@ -37,7 +38,7 @@ from repro.optimizations.combos import OC
 from repro.optimizations.params import PARAM_NAMES, ParamSetting
 from repro.stencil import get
 
-from .make_golden import GOLDEN_PATH, encode, outcome, record, stencils_from_json
+from .make_golden import GOLDEN_PATH, encode, outcome, record, source_of, stencils_from_json
 
 WORD = 8
 
@@ -457,6 +458,180 @@ class TestExtractionGolden:
             )
             checked += 1
         assert checked == 802
+
+
+def _full_fold(macros: dict, kernel) -> dict:
+    """Every macro plus each initialized local that folds, in order."""
+    env = dict(macros)
+    for stmt, _ in ir.walk_stmts(kernel.body):
+        if isinstance(stmt, ir.VarDecl) and stmt.init is not None:
+            v = E.eval_const(stmt.init, env)
+            if v is not None:
+                env[stmt.name] = v
+    return env
+
+
+#: Locals that read a bound macro through another local, before their
+#: declaration, under a macro's name, twice, or through a builtin.
+_TANGLED = """
+#define BLOCK_X 32
+#define BLOCK_Y 4
+#define STREAM_TILES 2
+#define NX 64
+#define NY 64
+#define WIDTH 7
+__global__ void tangled(const double* __restrict__ in, double* __restrict__ out)
+{
+    const int a = BLOCK_X * 2;
+    const int b = a + NX;
+    const int c = NX / 4;
+    const int d = late + 1;
+    const int late = c * 2;
+    const int w = WIDTH * 3;
+    const int WIDTH = BLOCK_Y + 1;
+    const int v = WIDTH * 3;
+    const int f = threadIdx.x + c;
+    const int g = f + BLOCK_X;
+    const int tile_len = NY / STREAM_TILES;
+    if (c > 0) {
+        const int h = c + 1;
+        const int k = h * 2;
+        const int h = BLOCK_X / 4;
+    }
+    const int i = h * 2;
+    out[0] = in[0];
+}
+"""
+
+
+class TestBinding:
+    """A kernel body's locals that read no bound macro fold once per
+    shape; binding a setting's macro values must give the environment a
+    full fold of its own source gives."""
+
+    OVERLAYS = [
+        {"BLOCK_X": float(bx), "BLOCK_Y": float(by), "STREAM_TILES": float(st)}
+        for bx, by, st in ((32, 4, 2), (16, 1, 1), (256, 16, 8), (64, 8, 4))
+    ]
+
+    @staticmethod
+    def _binding(unit, values):
+        body = perfmodel._Body.of(unit.kernel)
+        unbound = {k: v for k, v in values.items() if k not in perfmodel._BOUND}
+        return perfmodel._Binding.of(body, unbound)
+
+    def test_tangled_locals(self):
+        unit = ir.parse_unit(_TANGLED)
+        binding = self._binding(unit, unit.macros)
+        assert binding.bound_by - perfmodel._BOUND == {
+            "a", "b", "d", "late", "w", "WIDTH", "v", "g", "tile_len", "h", "k", "i",
+        }
+        assert binding.env["c"] == 16.0 and "f" not in binding.env  # f reads a builtin
+        # g reads f, which no binding defines, so it is never re-folded.
+        assert [name for name, _ in binding.replay] == [
+            "a", "b", "d", "late", "w", "WIDTH", "v", "tile_len", "h", "k", "h", "i",
+        ]
+        for overlay in self.OVERLAYS:
+            values = {k: overlay.get(k, v) for k, v in unit.macros.items()}
+            assert binding.bind(values) == _full_fold(values, unit.kernel), overlay
+
+    def test_golden_sources(self, golden):
+        """One binding per parsed body serves every source sharing it."""
+        stencils = stencils_from_json(golden["stencils"])
+        afw.clear_parse_cache()
+        bindings = {}
+        checked = 0
+        for entry in golden["entries"]:
+            try:
+                unit = afw.parse_unit_cached(source_of(entry, stencils))
+            except Exception:
+                continue
+            if not unit.kernels:
+                continue
+            unbound = {k: v for k, v in unit.macros.items() if k not in perfmodel._BOUND}
+            key = (id(unit.kernel), tuple(unbound.items()))
+            if key not in bindings:  # holding the kernel keeps its id unique
+                bindings[key] = (unit.kernel, self._binding(unit, unit.macros))
+            binding = bindings[key][1]
+            assert binding.bind(unit.macros) == _full_fold(unit.macros, unit.kernel), entry[:4]
+            checked += 1
+        assert checked > len(bindings) > 100
+
+    def test_bound_trip_count_and_strides(self):
+        """A merge loop whose trip count, lane stride and block coverage
+        read bound macros: binding each setting onto one parsed unit must
+        extract what a fresh parse of that setting's source does."""
+        source = generate_cuda(
+            get("star2d1r"), OC.parse("BM"),
+            ParamSetting(block_x=32, block_y=4, merge_factor=2, merge_dim=1),
+        )
+        for old, new in (
+            ("mi < 2", "mi < STREAM_UNROLL"),
+            ("threadIdx.x * 2", "threadIdx.x * STREAM_UNROLL"),
+            ("(BLOCK_X * 2)", "(BLOCK_X * STREAM_UNROLL)"),
+            ("#define BLOCK_X 32", "#define BLOCK_X 32\n#define STREAM_UNROLL 2"),
+        ):
+            assert old in source
+            source = source.replace(old, new)
+        unit = ir.parse_unit(source)
+        for bx, unroll in ((32, 2), (64, 4), (16, 2), (32, 4), (64, 2)):
+            own = source.replace("BLOCK_X 32", f"BLOCK_X {bx}").replace(
+                "STREAM_UNROLL 2", f"STREAM_UNROLL {unroll}"
+            )
+            bound = extract_metrics(unit, macros={"BLOCK_X": bx, "STREAM_UNROLL": unroll})
+            want = extract_metrics(ir.parse_unit(own))
+            assert (bound.merge_factor, bound.tx_stride) == (unroll, unroll)
+            assert record(bound) == record(want), (bx, unroll)
+
+    def test_concurrent_bindings_agree(self):
+        """Threads extracting settings that share parsed bodies, and so
+        bindings and their memos, get what a fresh parse of each gives."""
+        stencil, oc = get("star2d2r"), OC.parse("ST_RT")
+        sources = [generate_cuda(stencil, oc, s) for s in feasible_settings(stencil, oc, 24, 5)]
+
+        def text(metrics):
+            return json.dumps(record(metrics), sort_keys=True)
+
+        want = [text(extract_metrics(ir.parse_unit(s))) for s in sources]
+        afw.clear_parse_cache()
+        barrier = threading.Barrier(4, timeout=60)
+
+        def extract_all(k):
+            barrier.wait()
+            order = list(range(len(sources)))
+            got = {i: text(extract_metrics(sources[i])) for i in order[k:] + order[:k]}
+            return [got[i] for i in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(extract_all, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(afw.parse_unit_cached(s).kernel) for s in sources}) < len(sources)
+        for got in results:
+            assert got == want
+
+    def test_memo_keys_on_the_bound_values_read(self):
+        unit = ir.parse_unit(_TANGLED)
+        binding = self._binding(unit, unit.macros)
+        calls = []
+
+        def twice_a(env):
+            calls.append(env.get("a"))
+            return 2 * env.get("a")
+
+        def c_plus(env):
+            calls.append(env.get("c"))
+            return env.get("c") + 1
+
+        for bx in (32.0, 16.0, 32.0, 16.0):
+            env = binding.bind({**unit.macros, "BLOCK_X": bx})
+            assert binding.derived("a", env, twice_a) == 4 * bx
+            assert binding.derived("c", env, c_plus) == 17.0
+        # a reads BLOCK_X: once per value; c reads none: once.
+        assert calls == [64.0, 16.0, 32.0]
 
 
 class TestAnalyticalFeatures:

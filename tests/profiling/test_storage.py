@@ -5,10 +5,13 @@ import json
 import pytest
 
 from repro.errors import DatasetError
-from repro.profiling import load_campaign, save_campaign
+from repro.optimizations.params import ParamSetting
+from repro.profiling import load_campaign, save_campaign, storage
 from repro.profiling.storage import (
     campaign_from_dict,
     campaign_to_dict,
+    profile_from_row,
+    profile_to_row,
     stencil_from_dict,
     stencil_to_dict,
 )
@@ -73,4 +76,64 @@ class TestCampaignRoundTrip:
         doc = campaign_to_dict(small_campaign)
         doc["ocs"][0] = "WARP_SPEED"
         with pytest.raises(DatasetError):
+            campaign_from_dict(doc)
+
+
+class TestSettingDecode:
+    """Each distinct stored setting vector is decoded once per load."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        built = []
+
+        def counting(**values):
+            built.append(tuple(values.values()))
+            return ParamSetting(**values)
+
+        monkeypatch.setattr(storage, "ParamSetting", counting)
+        return built
+
+    @staticmethod
+    def _vectors(doc):
+        return {
+            tuple(v)
+            for rows in doc["profiles"].values()
+            for row in rows
+            for v in [r["setting"] for r in row["oc_results"].values()]
+            + [m[1] for m in row["measurements"]]
+        }
+
+    def test_load_round_trips_byte_identical(self, small_campaign, tmp_path, constructions):
+        path = tmp_path / "c.json"
+        save_campaign(small_campaign, path)
+        loaded = load_campaign(path)
+        assert json.dumps(campaign_to_dict(loaded)) == path.read_text()
+        assert len(constructions) == len(set(constructions))
+        assert set(constructions) == self._vectors(json.loads(path.read_text()))
+
+    def test_repeats_share_one_instance(self, small_campaign):
+        loaded = campaign_from_dict(campaign_to_dict(small_campaign))
+        by_vector = {}
+        for profiles in loaded.profiles.values():
+            for profile in profiles:
+                for m in profile.measurements:
+                    assert by_vector.setdefault(m.setting.as_tuple(), m.setting) is m.setting
+
+    def test_profile_row_decodes_once(self, small_campaign, constructions):
+        profile = small_campaign.profiles["V100"][0]
+        row = profile_to_row(profile)
+        back = profile_from_row(row, profile.stencil, "V100")
+        assert profile_to_row(back) == row
+        assert len(constructions) == len(set(constructions))
+        assert len(constructions) == len(self._vectors({"profiles": {"V100": [row]}}))
+
+    @pytest.mark.parametrize("where", ["oc_results", "measurements"])
+    def test_wrong_length_vector_rejected(self, small_campaign, where):
+        doc = campaign_to_dict(small_campaign)
+        row = doc["profiles"]["V100"][0]
+        if where == "oc_results":
+            next(iter(row["oc_results"].values()))["setting"].append(1)
+        else:
+            row["measurements"][-1][1] = row["measurements"][-1][1][:-1]
+        with pytest.raises(DatasetError, match="setting vector has"):
             campaign_from_dict(doc)
