@@ -19,10 +19,10 @@ Semantics mirror the simulator-backed backends:
   of view the point is simply unusable, and strategies already know how
   to route around crashes;
 - estimates are deterministic and noise-free (``sigma == 0``);
-- it advertises ``caching`` but not ``vectorized``: each point costs
-  code generation (one source per kernel-body shape), a macro binding
-  and metric extraction, so the random strategy sends it exactly the
-  settings its walk observes rather than a speculative frontier.
+- it is not ``vectorized``: each point costs code generation (one
+  source per kernel-body shape), a macro binding and metric extraction,
+  so the random walk and coordinate descent send it exactly the
+  settings they observe rather than speculative frontiers.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ class AnalyticalBackend(BackendBase):
         # Metric extraction is memoized per configuration inside
         # perfmodel, so repeats are near-free even across batches; a
         # new point is not (see the module docstring).
-        return BackendInfo(name="analytical", caching=True)
+        return BackendInfo(name="analytical")
 
     def evaluate_batch(self, requests: Sequence[EvalRequest]) -> list[EvalResult]:
         from .perfmodel import estimate_kernels

@@ -96,7 +96,7 @@ class CachingBackend(BackendBase):
         return BackendInfo(
             name=f"cached({inner.name})",
             vectorized=inner.vectorized,
-            caching=True,
+            pure=inner.pure,
         )
 
     def cache_info(self) -> dict:

@@ -98,14 +98,17 @@ class BackendInfo:
     ``vectorized``
         Batches are evaluated with array math rather than a per-point
         loop; callers benefit from submitting large frontiers.
-    ``caching``
-        Repeated identical requests are served from memory; callers need
-        not deduplicate across batches.
+    ``pure``
+        Evaluating extra points changes nothing but the results: no
+        attempt counter, clock or fault schedule advances with the
+        points a batch carries, so callers may evaluate points they
+        might never read (speculative frontiers).  False for an enabled
+        :class:`~repro.engine.FaultBackend`.
     """
 
     name: str
     vectorized: bool = False
-    caching: bool = False
+    pure: bool = True
 
 
 @runtime_checkable

@@ -87,7 +87,9 @@ class FaultBackend(BackendBase):
         return BackendInfo(
             name=f"faulted({inner.name})",
             vectorized=inner.vectorized,
-            caching=inner.caching,
+            # Every evaluated point advances its identity's attempt
+            # counter, and with it the fault schedule.
+            pure=inner.pure and not self.config.enabled,
         )
 
     def begin_unit(self, unit_key: object) -> None:

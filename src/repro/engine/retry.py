@@ -75,7 +75,7 @@ class RetryBackend(BackendBase):
         return BackendInfo(
             name=f"retry({inner.name})",
             vectorized=inner.vectorized,
-            caching=inner.caching,
+            pure=inner.pure,
         )
 
     def begin_unit(self, unit_key: object) -> None:

@@ -10,8 +10,10 @@ hundreds of points.  The per-point
 same pipeline, so the two agree bit for bit.
 
 - Measurement noise is keyed by content through
-  :func:`repro.gpu.noise.noise_factors`, hashing the (GPU, stencil, OC)
-  prefix once per group.
+  :func:`repro.gpu.noise.noise_factors`.  The (GPU, stencil) prefix is
+  hashed once per stencil content (a one-entry memo on the backend,
+  compared by ``cache_key()``, not by identity) and its digest state
+  copied per OC.
 - A point whose configuration cannot launch carries its
   :class:`~repro.errors.KernelLaunchError` as data; a point whose
   geometry cannot be expressed raises its
@@ -29,7 +31,7 @@ import numpy as np
 
 from ..errors import KernelLaunchError
 from ..gpu import model
-from ..gpu.noise import noise_factors
+from ..gpu.noise import _hasher, noise_factors
 from ..gpu.simulator import GPUSimulator
 from .core import BackendBase, BackendInfo, EvalRequest, EvalResult
 
@@ -43,6 +45,8 @@ class VectorBackend(BackendBase):
 
     def __init__(self, gpu, sigma: float = 0.03):
         self.sim = gpu if isinstance(gpu, GPUSimulator) else GPUSimulator(gpu, sigma=sigma)
+        # (stencil cache_key, blake2b state of (GPU name, cache_key))
+        self._prefix: "tuple[tuple, object] | None" = None
 
     @property
     def spec(self):
@@ -93,11 +97,15 @@ class VectorBackend(BackendBase):
         for j, i in enumerate(valid_idx.tolist()):
             by_oc.setdefault(ocs[i].name, []).append(j)
         key = stencil.cache_key()
+        memo = self._prefix
+        if memo is None or memo[0] != key:
+            memo = self._prefix = (key, _hasher((self.spec.name, key)))
         out = np.empty(len(valid_idx))
         for name, js in by_oc.items():
             out[js] = noise_factors(
-                (self.spec.name, key, name),
+                (name,),
                 [tuples[valid_idx[j]] for j in js],
                 self.sigma,
+                base=memo[1],
             )
         return out

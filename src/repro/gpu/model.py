@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -277,6 +278,21 @@ def registers(
 # ----------------------------------------------------------------------
 # stage 1: kernel characterisation
 # ----------------------------------------------------------------------
+@cache
+def _oc_flags(oc) -> tuple[bool, ...]:
+    """*oc*'s flags: streaming, merging, block merging, retiming,
+    prefetching, temporal blocking."""
+    opts = oc.opts
+    return (
+        Opt.ST in opts,
+        Opt.BM in opts or Opt.CM in opts,
+        Opt.BM in opts,
+        Opt.RT in opts,
+        Opt.PR in opts,
+        Opt.TB in opts,
+    )
+
+
 def profile(stencil, ocs, tuples, grid=None, warp_size: int = 32) -> Profiles:
     """Characterise the kernels of one (stencil, grid) group.
 
@@ -311,20 +327,7 @@ def profile(stencil, ocs, tuples, grid=None, warp_size: int = 32) -> Profiles:
             k = oc_index[id(oc)] = len(oc_list)
             oc_list.append(oc)
         oc_idx[j] = k
-    flags = np.array(
-        [
-            (
-                Opt.ST in oc.opts,
-                Opt.BM in oc.opts or Opt.CM in oc.opts,
-                Opt.BM in oc.opts,
-                Opt.RT in oc.opts,
-                Opt.PR in oc.opts,
-                Opt.TB in oc.opts,
-            )
-            for oc in oc_list
-        ],
-        dtype=bool,
-    ).reshape(-1, 6)
+    flags = np.array([_oc_flags(oc) for oc in oc_list], dtype=bool).reshape(-1, 6)
     per_oc = flags[oc_idx]
     streaming = per_oc[:, 0]
     merging = per_oc[:, 1]

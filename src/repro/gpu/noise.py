@@ -55,14 +55,19 @@ def standard_normal(*key: object) -> float:
     return _normal(*_digest(*key))
 
 
-def noise_factors(prefix: tuple, keys, sigma: float = DEFAULT_SIGMA) -> np.ndarray:
+def noise_factors(
+    prefix: tuple, keys, sigma: float = DEFAULT_SIGMA, base=None
+) -> np.ndarray:
     """Jitter for the runs keyed ``prefix + (key,)``, one per *keys* entry.
 
     The shared *prefix* (GPU, stencil, OC for a campaign slice) is
     hashed once and the digest state copied per key; each factor equals
-    ``noise_factor(*prefix, key, sigma=sigma)``.
+    ``noise_factor(*prefix, key, sigma=sigma)``.  *base*, the state
+    ``_hasher(head)`` of earlier key parts, continues that hash instead:
+    blake2b is streaming, so the factors equal those keyed
+    ``head + prefix + (key,)``.
     """
-    base = _hasher(prefix)
+    base = _hasher(prefix, base)
     unpack, exp = struct.unpack, math.exp
     out = np.empty(len(keys))
     for j, key in enumerate(keys):

@@ -14,27 +14,34 @@ import numpy as np
 from ..errors import ModelError, NotFittedError
 from ..parallel import WorkerPool
 from .preprocess import one_hot
-from .tree import RegressionTree, presort
+from .tree import Presorted, RegressionTree, presort
 
 # Per-worker state for parallel per-class tree fitting: the training
 # matrix and tree hyperparameters ship once per worker through the pool
 # initializer; per-task payloads then carry only row indices and the
-# per-class gradient/hessian vectors.
+# per-class gradient/hessian vectors.  A round's K class tasks share
+# their rows, so the worker keeps its last presorted row sample and
+# presorts once per round, as the sequential fit does.
 _FIT_X: "np.ndarray | None" = None
 _FIT_TREE_PARAMS: "dict | None" = None
+_FIT_SORTED: "tuple[np.ndarray, Presorted] | None" = None
 
 
 def _init_fit_worker(X: np.ndarray, tree_params: dict) -> None:
-    global _FIT_X, _FIT_TREE_PARAMS
+    global _FIT_X, _FIT_TREE_PARAMS, _FIT_SORTED
     _FIT_X = X
     _FIT_TREE_PARAMS = tree_params
+    _FIT_SORTED = None
 
 
 def _fit_class_tree(task: tuple) -> RegressionTree:
     """Fit one class's tree for one boosting round (pool task)."""
+    global _FIT_SORTED
     rows, grad, hess = task
     assert _FIT_X is not None and _FIT_TREE_PARAMS is not None
-    return RegressionTree(**_FIT_TREE_PARAMS).fit(_FIT_X[rows], grad, hess)
+    if _FIT_SORTED is None or not np.array_equal(_FIT_SORTED[0], rows):
+        _FIT_SORTED = (rows, presort(_FIT_X[rows]))
+    return RegressionTree(**_FIT_TREE_PARAMS)._fit_sorted(_FIT_SORTED[1], grad, hess)
 
 
 class _GBBase:

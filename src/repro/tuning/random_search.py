@@ -7,15 +7,18 @@ RNG stream, draw sequence, walk order, chunked frontier sizes,
 ``seen``-set discipline and measurement log are pinned by the tuning
 goldens and the campaign digests, so any behavioral change here is a
 format break (see ``tests/tuning/test_equivalence.py``).  The walk
-consumes settings in first-draw order however they were batched, so
-frontier sizes (``RandomStrategy._chunk_size``, speculative only on
-vectorized backends) decide which points are evaluated, never the
-outcome; ``tests/tuning/golden_frontiers.json`` pins the vector sizes.
+consumes settings in first-draw order, and the descent reads each
+parameter's frontier in choice order, however they were batched, so
+frontier sizes (``RandomStrategy._chunk_size`` and
+:func:`coordinate_descent`, speculative only on vectorized backends)
+decide which points are evaluated, never the outcome;
+``tests/tuning/golden_frontiers.json`` pins them.
 
 ``CoordinateDescentStrategy`` exposes the same descent loop as a
 standalone zoo member: multi-start greedy descent over one parameter at
-a time, each parameter's whole candidate frontier evaluated as a single
-engine batch.
+a time.  On a vectorized backend one engine batch carries the rest of a
+pass (every remaining parameter's frontier); see
+:func:`coordinate_descent` for when frontiers stay exact.
 """
 
 from __future__ import annotations
@@ -49,18 +52,42 @@ def coordinate_descent(
     """Polish *setting* one parameter at a time until a fixed point.
 
     A sub-generator shared by :class:`RandomStrategy` (refinement) and
-    :class:`CoordinateDescentStrategy` (standalone): yields one
-    :class:`AskBatch` per parameter frontier and walks the results in
-    choice order, so the descent trajectory is identical to evaluating
-    candidates one by one.
+    :class:`CoordinateDescentStrategy` (standalone).  The walk reads
+    each parameter's frontier in choice order, so the descent
+    trajectory is identical to evaluating candidates one by one however
+    the frontiers are batched:
+
+    - On a vectorized, pure backend (see
+      :class:`~repro.engine.BackendInfo`) with no budget, one
+      :class:`AskBatch` carries the frontiers of every parameter the
+      pass has still to visit, built from the current setting.  A
+      parameter that improves the setting voids the later frontiers,
+      which are asked for again from the new setting.
+    - Otherwise each :class:`AskBatch` is one parameter's frontier: a
+      budget is checked between batches, so a batch spanning several
+      parameters could overshoot it, and on an impure backend (fault
+      injection) every extra point advances the fault schedule.
     """
+    info = ctx.backend_info
+    speculate = info.vectorized and info.pure and ctx.budget is None
+    names = ctx.space.names
     for _ in range(passes):
         improved = False
-        for name in ctx.space.names:
-            candidates = ctx.space.neighbors(setting, name)
-            if not candidates:
-                continue
-            results = yield AskBatch(candidates)
+        # name -> (candidates, results) built from the current setting
+        ahead: dict[str, tuple[list, list]] = {}
+        for i, name in enumerate(names):
+            if name not in ahead:
+                frontiers = [
+                    (n, ctx.space.neighbors(setting, n))
+                    for n in (names[i:] if speculate else (name,))
+                ]
+                batch = [c for _, candidates in frontiers for c in candidates]
+                results = (yield AskBatch(batch)) if batch else []
+                lo = 0
+                for n, candidates in frontiers:
+                    ahead[n] = (candidates, results[lo:lo + len(candidates)])
+                    lo += len(candidates)
+            candidates, results = ahead.pop(name)
             for candidate, res in zip(candidates, results):
                 t = strategy.observe(candidate, res)
                 if res.crashed:
@@ -72,6 +99,7 @@ def coordinate_descent(
                 if t < time_ms:
                     setting, time_ms = candidate, t
                     improved = True
+                    ahead.clear()
         if not improved:
             break
     return setting, time_ms
@@ -146,19 +174,19 @@ class RandomStrategy(GeneratorStrategy):
         # past the stopping point are discarded unobserved, which is
         # exactly what the incremental sampler did.  sample_block is
         # bit-identical to that many sample() calls but vectorizes the
-        # RNG work, which dominates a cache-served replay.
+        # RNG work, which dominates a cache-served replay, and builds a
+        # setting only when it is indexed.
         draws = ctx.space.sample_block(max_attempts, rng)
+        keys = draws.keys
 
-        # Unique settings in first-draw order; the sampling walk below
-        # consumes them strictly in this order, so batches can be
-        # evaluated ahead of the walk without changing its outcome.
-        order: list["ParamSetting"] = []
-        first_seen: set[tuple[int, ...]] = set()
-        for s in draws:
-            k = s.as_tuple()
-            if k not in first_seen:
-                first_seen.add(k)
-                order.append(s)
+        # Each distinct setting's first draw, in draw order; the
+        # sampling walk below consumes settings strictly in this order,
+        # so batches can be evaluated ahead of the walk without changing
+        # its outcome.
+        first: dict[tuple[int, ...], int] = {}
+        for i, k in enumerate(keys):
+            first.setdefault(k, i)
+        order = list(first.values())
 
         results: dict[tuple[int, ...], object] = {}
         frontier = 0  # index into `order` of the first unevaluated setting
@@ -166,9 +194,8 @@ class RandomStrategy(GeneratorStrategy):
         seen: set[tuple[int, ...]] = set()
         attempts = 0
         while len(measurements) < n_settings and attempts < max_attempts:
-            setting = draws[attempts]
+            key = keys[attempts]
             attempts += 1
-            key = setting.as_tuple()
             if key in seen:
                 continue
             seen.add(key)
@@ -177,11 +204,12 @@ class RandomStrategy(GeneratorStrategy):
                     len(order),
                     frontier + self._chunk_size(n_settings - len(measurements)),
                 )
-                batch = order[frontier:end]
+                batch = [draws[i] for i in order[frontier:end]]
                 batch_results = yield AskBatch(batch)
                 for s, res in zip(batch, batch_results):
                     results[s.as_tuple()] = res
                 frontier = end
+            setting = draws[attempts - 1]
             res = results[key]
             t = self.observe(setting, res)
             if res.crashed:

@@ -37,6 +37,7 @@ from ..optimizations.combos import OC
 from ..optimizations.params import (
     PARAM_NAMES,
     PARAM_SPECS,
+    _SPEC_BY_NAME,
     ParamSetting,
     _choices_for,
     relevant_params,
@@ -59,6 +60,43 @@ _ALLOWED_NODES = (
 )
 
 _ALLOWED_FUNCS = {"min": min, "max": max, "abs": abs}
+
+
+def _trusted(key: "tuple[int, ...]") -> ParamSetting:
+    """The setting whose layout-order tuple is *key*, unchecked.
+
+    Only for tuples whose every value is its parameter's default or one
+    of its spec choices -- which every value of a
+    :class:`ParameterSpace` is (checked at construction).
+    """
+    return ParamSetting._trusted(dict(zip(PARAM_NAMES, key)), key)
+
+
+class SampledBlock(Sequence):
+    """The settings :meth:`ParameterSpace.sample_block` drew, in order.
+
+    ``keys`` holds every draw's layout-order tuple
+    (``ParamSetting.as_tuple()``) up front; a setting is built when it
+    is first indexed, and repeated draws share one instance.
+    """
+
+    __slots__ = ("keys", "_built")
+
+    def __init__(self, keys: "list[tuple[int, ...]]"):
+        self.keys = keys
+        self._built: dict[tuple[int, ...], ParamSetting] = {}
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self.keys)))]
+        key = self.keys[i]
+        setting = self._built.get(key)
+        if setting is None:
+            setting = self._built[key] = _trusted(key)
+        return setting
 
 
 class Restriction:
@@ -144,6 +182,11 @@ class ParameterSpace:
     restrictions:
         Constraint expressions or callables; a setting belongs to the
         space only if every restriction holds.
+
+    Every choice must be its parameter's default or one of its
+    :data:`~repro.optimizations.params.PARAM_SPECS` choices
+    (:class:`TuningError` otherwise), so settings drawn from the space
+    are valid by construction.
     """
 
     def __init__(
@@ -162,6 +205,13 @@ class ParameterSpace:
             choices = tuple(int(c) for c in choices)
             if not choices:
                 raise TuningError(f"parameter {name!r} has no choices")
+            spec = _SPEC_BY_NAME[name]
+            for c in choices:
+                if c != spec.default and c not in spec.choices:
+                    raise TuningError(
+                        f"parameter {name!r}: choice {c} is not in "
+                        f"{spec.choices} (default {spec.default})"
+                    )
             clean[name] = choices
         # Fixed layout order regardless of mapping insertion order keeps
         # the draw sequence content-determined.
@@ -173,26 +223,21 @@ class ParameterSpace:
             compile_restriction(r, tuple(self._params)) for r in (restrictions or ())
         )
         # Sampling hot-path precomputation: per-parameter draw bounds,
-        # the full-vector default templates, and each space parameter's
-        # slot in the global layout.  Settings drawn from the space are
-        # valid by construction, so they take ParamSetting's trusted
-        # fast path instead of re-validating every value.
+        # the layout-order default tuple, and each parameter's slot in
+        # the global layout.  Settings drawn from the space are valid by
+        # construction, so they take ParamSetting's trusted fast path
+        # instead of re-validating every value.
         self._bounds = np.array([len(c) for c in self._params.values()])
-        self._choice_lists = tuple(self._params.values())
-        self._slots = tuple(PARAM_NAMES.index(n) for n in self._params)
-        self._full_template = {s.name: s.default for s in PARAM_SPECS}
-        self._tuple_template = tuple(
-            self._full_template[n] for n in PARAM_NAMES
-        )
+        self._choice_arrays = tuple(np.array(c) for c in self._params.values())
+        self._slot = {n: PARAM_NAMES.index(n) for n in self._params}
+        self._defaults = tuple(s.default for s in PARAM_SPECS)
 
     def _make(self, values: "dict[str, int]") -> ParamSetting:
         """Trusted setting from space-drawn values (defaults elsewhere)."""
-        full = dict(self._full_template)
-        full.update(values)
-        tup = list(self._tuple_template)
-        for slot, name in zip(self._slots, self._params):
-            tup[slot] = full[name]
-        return ParamSetting._trusted(full, tuple(tup))
+        tup = list(self._defaults)
+        for name, slot in self._slot.items():
+            tup[slot] = values[name]
+        return _trusted(tuple(tup))
 
     # ------------------------------------------------------------------
     @classmethod
@@ -255,41 +300,27 @@ class ParameterSpace:
             f"{_SAMPLE_ATTEMPTS} attempts"
         )
 
-    def sample_block(
-        self, count: int, rng: np.random.Generator
-    ) -> list[ParamSetting]:
+    def sample_block(self, count: int, rng: np.random.Generator) -> SampledBlock:
         """Exactly ``count`` :meth:`sample` calls' worth of settings.
 
         Bit-identical to ``[self.sample(rng) for _ in range(count)]`` --
         numpy's bounded draw with an array of bounds consumes the
         generator stream exactly like the equivalent scalar sequence --
-        but the whole block costs one RNG call.  Restricted spaces fall
-        back to the scalar rejection loop (their stream is already
+        but the whole block costs one RNG call and a few array
+        operations; random search reads few of the settings it draws,
+        so each is built only when it is indexed.  Restricted spaces
+        fall back to the scalar rejection loop (their stream is already
         setting-dependent).
         """
         if count <= 0:
-            return []
+            return SampledBlock([])
         if self.restrictions:
-            return [self.sample(rng) for _ in range(count)]
+            return SampledBlock([self.sample(rng).as_tuple() for _ in range(count)])
         idx = rng.integers(np.tile(self._bounds, (count, 1)))
-        names = tuple(self._params)
-        choice_lists = self._choice_lists
-        # Repeated rows share one (immutable) instance; random search
-        # redraws the same settings constantly in small spaces.
-        built: dict[tuple[int, ...], ParamSetting] = {}
-        out = []
-        for row in map(tuple, idx.tolist()):
-            setting = built.get(row)
-            if setting is None:
-                setting = self._make(
-                    {
-                        name: choice_lists[j][i]
-                        for j, (name, i) in enumerate(zip(names, row))
-                    }
-                )
-                built[row] = setting
-            out.append(setting)
-        return out
+        layout = np.tile(np.array(self._defaults), (count, 1))
+        for j, slot in enumerate(self._slot.values()):
+            layout[:, slot] = self._choice_arrays[j][idx[:, j]]
+        return SampledBlock(list(map(tuple, layout.tolist())))
 
     def sample_many(
         self, count: int, rng: np.random.Generator
@@ -318,12 +349,16 @@ class ParameterSpace:
     def neighbors(self, setting: ParamSetting, name: str) -> list[ParamSetting]:
         """Coordinate frontier: *setting* with *name* set to each other
         allowed choice (choice-list order -- the descent walk order)."""
-        base = setting[name]
+        choices = self.choices(name)
+        slot = self._slot[name]
+        tup = list(setting.as_tuple())
+        base = tup[slot]
         out = []
-        for value in self.choices(name):
+        for value in choices:
             if value == base:
                 continue
-            candidate = setting.replace(**{name: value})
+            tup[slot] = value
+            candidate = _trusted(tuple(tup))
             if not self.restrictions or self.allows(candidate):
                 out.append(candidate)
         return out

@@ -37,7 +37,7 @@ from repro.optimizations.params import (
     default_setting,
     sample_setting,
 )
-from repro.stencil import get
+from repro.stencil import Stencil, get
 from repro.stencil.generator import generate_population
 
 from .make_golden import (
@@ -184,16 +184,39 @@ def test_inexpressible_geometry_raises(oc, setting, grid, message):
         assert str(info.value) == message
 
 
+def test_noise_prefix_memo_is_keyed_by_content():
+    # One backend fed batches that alternate between two stencils, then
+    # a distinct object with equal cache_key() content: every point
+    # equals the per-point simulator's, bit for bit.
+    a, b = get("star2d2r"), get("box2d1r")
+    twin = Stencil.from_points(list(a.offsets), name="twin")
+    assert twin is not a and twin.cache_key() == a.cache_key()
+    be, sim = VectorBackend("V100"), GPUSimulator("V100")
+    rng = np.random.default_rng(5)
+    for stencil in (a, b, a, b, twin, a, twin):
+        reqs = [
+            EvalRequest(stencil, oc, sample_setting(oc, 2, rng))
+            for oc in ALL_OCS[::3]
+        ]
+        for req, res in zip(reqs, be.evaluate_batch(reqs)):
+            try:
+                expected = sim.run(req.stencil, req.oc, req.setting).time_ms
+            except KernelLaunchError as e:
+                assert res.crashed and str(res.error) == str(e)
+                continue
+            assert repr(res.time_ms) == repr(expected)
+
+
 def test_make_backend_kinds():
-    for kind, vectorized, caching in (
-        ("scalar", False, False),
-        ("vector", True, False),
-        ("cached", True, True),
+    for kind, vectorized in (
+        ("scalar", False),
+        ("vector", True),
+        ("cached", True),
     ):
         be = make_backend(kind, "V100")
         assert be.spec.name == "V100"
         assert be.info.vectorized == vectorized
-        assert be.info.caching == caching
+        assert be.info.pure
     with pytest.raises(ValueError):
         make_backend("quantum", "V100")
     with pytest.raises(UnknownBackendError, match="'parallel'"):

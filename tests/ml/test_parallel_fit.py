@@ -9,7 +9,9 @@ produces bit-identical models and identical fold scores.
 import numpy as np
 import pytest
 
+from repro.ml import gbdt
 from repro.ml.gbdt import GBDTClassifier, GBRegressor
+from repro.ml.tree import RegressionTree
 from repro.profiling.crossval import cross_validate, kfold_indices
 
 
@@ -45,6 +47,32 @@ class TestParallelGBDT:
         assert np.array_equal(seq.predict(X), par.predict(X))
         assert len(par.trees_) == 12
         assert all(len(round_) == seq.n_classes_ for round_ in par.trees_)
+
+    def test_worker_presorts_once_per_round(self, dataset, monkeypatch):
+        # A worker runs class tasks back to back; those of one round
+        # share its rows, so only a new row sample is presorted.  Each
+        # tree equals a fit on freshly presorted rows.
+        X, y = dataset
+        presorts = []
+        real = gbdt.presort
+        monkeypatch.setattr(gbdt, "presort", lambda A: presorts.append(1) or real(A))
+        for name in ("_FIT_X", "_FIT_TREE_PARAMS", "_FIT_SORTED"):
+            monkeypatch.setattr(gbdt, name, None)  # restored afterwards
+        params = GBDTClassifier(max_depth=3)._tree_params()
+        gbdt._init_fit_worker(X, params)
+        rng = np.random.default_rng(3)
+        rounds = [np.sort(rng.choice(150, 120, replace=False)) for _ in range(3)]
+        for r, rows in enumerate(rounds):
+            for k in range(3):
+                g = rng.normal(size=rows.size)
+                h = rng.uniform(0.1, 1.0, size=rows.size)
+                tree = gbdt._fit_class_tree((rows, g, h))
+                ref = RegressionTree(**params).fit(X[rows], g, h)
+                assert np.array_equal(tree.predict(X), ref.predict(X))
+            assert len(presorts) == r + 1
+        gbdt._init_fit_worker(X[::-1].copy(), params)
+        gbdt._fit_class_tree((rounds[-1], g, h))
+        assert len(presorts) == 4  # a new matrix drops the memo
 
     def test_single_class_falls_back_to_sequential(self):
         X = np.ones((20, 3))

@@ -1,6 +1,6 @@
 """Regenerate the frozen frontier-size pin (``golden_frontiers.json``).
 
-The pin records the size of every engine batch the random strategy
+The pin records the size of every engine batch a tuning strategy
 sends to an array-math backend, so a change to how its speculative
 frontiers are sized shows up as a diff::
 
@@ -8,11 +8,15 @@ frontiers are sized shows up as a diff::
 
 Cases: one ``tune_lockstep`` call tuning five OCs of ``star2d2r`` at
 once (``RandomStrategy(6)`` each, the campaign's shape) on
-``VectorBackend`` and on ``make_backend("cached")``, one on a 3-D
-stencil, and a single ``tune(strategy="random", budget=24)``.  Each
-entry is ``[case, [batch sizes in call order]]``.  The file was
-produced on the code as it stood before frontier sizing read only
-``BackendInfo.vectorized``.
+``VectorBackend``, on ``make_backend("cached")`` and on the faulted
+campaign stack (one unit of ``FaultConfig.uniform(0.1)`` under the
+retry guard, as ``repro profile --fault-rate 0.1`` runs it),
+one on a 3-D stencil, a single ``tune(strategy="random", budget=24)``
+and a budgeted ``CoordinateDescentStrategy``.  Each entry is ``[case,
+[batch sizes in call order]]``.  The faulted and budgeted entries keep
+exact per-parameter descent frontiers, so they were produced before
+descent started asking for a whole pass at once and have not moved
+since; the other lockstep entries record the whole-pass frontiers.
 """
 
 from __future__ import annotations
@@ -21,7 +25,10 @@ import json
 from pathlib import Path
 
 from repro.engine import VectorBackend, make_backend
+from repro.gpu.faults import FaultConfig
 from repro.optimizations import OC
+from repro.profiling import CampaignHealth, RetryPolicy, SimClock
+from repro.profiling.runner import build_search, run_unit
 from repro.stencil import get
 from repro.tuning import RandomStrategy, tune, tune_lockstep
 
@@ -31,23 +38,15 @@ OCS = ("naive", "ST", "ST_RT", "ST_BM", "TB")
 
 
 class BatchLog:
-    """A backend that forwards to *inner* and records each batch size."""
+    """A backend that forwards to *inner* (``spec``, ``info``,
+    ``begin_unit``, ...) and records each batch size."""
 
     def __init__(self, inner):
         self.inner = inner
         self.sizes: list[int] = []
 
-    @property
-    def spec(self):
-        return self.inner.spec
-
-    @property
-    def sigma(self):
-        return self.inner.sigma
-
-    @property
-    def info(self):
-        return self.inner.info
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
     def evaluate_batch(self, requests):
         self.sizes.append(len(requests))
@@ -64,9 +63,22 @@ def _lockstep(stencil: str, backend) -> list[int]:
     return log.sizes
 
 
-def _single(backend) -> list[int]:
+def _single(backend, strategy: str = "random", budget: int = 24) -> list[int]:
     log = BatchLog(backend)
-    tune(get("star2d2r"), oc=OC.parse("ST"), backend=log, strategy="random", budget=24, seed=1)
+    tune(get("star2d2r"), oc=OC.parse("ST"), backend=log, strategy=strategy, budget=budget, seed=1)
+    return log.sizes
+
+
+def _faulted_unit() -> list[int]:
+    """One faulted campaign unit, as ``repro profile --fault-rate 0.1``
+    runs it: each OC a group of its own on retry(faults(vector)),
+    re-run after a device loss."""
+    faults = FaultConfig.uniform(0.1)
+    policy, clock, health = RetryPolicy(), SimClock(), CampaignHealth()
+    search = build_search("vector", "V100", 0.03, faults, 1, 6, policy, clock, health)
+    log = search.backend = BatchLog(search.backend)
+    ocs = tuple(OC.parse(name) for name in OCS)
+    run_unit(search, "V100", get("star2d2r"), 0, ocs, faults, policy, clock, health)
     return log.sizes
 
 
@@ -80,6 +92,11 @@ def cases() -> list[tuple[str, object]]:
         ),
         ("lockstep box3d1r vector A100", lambda: _lockstep("box3d1r", VectorBackend("A100"))),
         ("tune random budget=24 vector V100", lambda: _single(VectorBackend("V100"))),
+        ("unit star2d2r faulted V100", _faulted_unit),
+        (
+            "tune coordinate budget=40 vector V100",
+            lambda: _single(VectorBackend("V100"), "coordinate", 40),
+        ),
     ]
 
 

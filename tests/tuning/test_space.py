@@ -38,6 +38,24 @@ class TestConstruction:
         with pytest.raises(TuningError, match="no choices"):
             ParameterSpace({"block_x": ()})
 
+    @pytest.mark.parametrize(
+        "params,bad",
+        [
+            ({"block_x": (7, 32), "use_smem": (0, 1)}, "'block_x': choice 7"),
+            ({"use_smem": (0, 2)}, "'use_smem': choice 2"),
+            ({"temporal_steps": (1, 3)}, "'temporal_steps': choice 3"),
+        ],
+    )
+    def test_choice_outside_spec_rejected(self, params, bad):
+        # Drawn settings skip validation, so the space checks every
+        # choice against PARAM_SPECS (its choices or its default) up front.
+        with pytest.raises(TuningError, match=bad):
+            ParameterSpace(params)
+
+    def test_default_is_a_valid_choice(self):
+        space = ParameterSpace({"merge_factor": (1, 2), "stream_dim": (0, 1)})
+        assert space.choices("merge_factor") == (1, 2)
+
     def test_size_is_cartesian_product(self):
         space = ParameterSpace({"block_x": (32, 64, 128), "use_smem": (0, 1)})
         assert space.size == 6
@@ -55,6 +73,22 @@ class TestLegacySampling:
         a, b = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(32):
             assert space.sample(a).as_tuple() == sample_setting(oc, ndim, b).as_tuple()
+
+    @pytest.mark.parametrize("oc_name", ("naive", "ST_RT", "ST_CM_RT_TB"))
+    def test_sample_block_matches_sample(self, oc_name):
+        space = ParameterSpace.for_oc(OC.parse(oc_name), 3)
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        block = space.sample_block(64, a)
+        expected = [space.sample(b) for _ in range(64)]
+        assert block.keys == [s.as_tuple() for s in expected]
+        assert list(block) == expected and block[3:5] == expected[3:5]
+        assert all(dict(s) == dict(e) for s, e in zip(block, expected))
+        assert a.integers(2**32) == b.integers(2**32)  # same stream consumed
+
+    def test_sample_block_repeats_share_an_instance(self):
+        space = ParameterSpace({"use_smem": (0, 1)})
+        block = space.sample_block(8, np.random.default_rng(0))
+        assert block[0] is block[block.keys.index(block.keys[0], 1)]
 
     def test_sample_many_dedupes(self):
         space = ParameterSpace({"use_smem": (0, 1), "stream_dim": (0, 1)})
