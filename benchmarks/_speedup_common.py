@@ -2,8 +2,8 @@
 
 The evaluation protocol: hold out the tail of the random population, train
 the selector on the rest, then tune each held-out stencil three ways --
-StencilMART (predicted OC only), the baseline, and the exhaustive oracle --
-with the same per-OC random budget.
+StencilMART (predicted OC only), the baseline, and the all-OC oracle (every
+OC tuned, settings sampled within each) -- with the same per-OC random budget.
 """
 
 from __future__ import annotations

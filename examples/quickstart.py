@@ -4,7 +4,8 @@
 Builds a small profiled dataset of random 2-D stencils on the simulated
 V100, trains the GBDT selector, and uses it to pick and tune an
 optimization combination for the classic 5-point Jacobi stencil --
-comparing the result against the exhaustive oracle.
+comparing the result against the oracle that tunes every OC at the
+same per-OC sampling budget.
 
 Run:  python examples/quickstart.py
 """
@@ -45,7 +46,7 @@ def main() -> None:
     print(f"tuned setting = {setting!r}")
     print(f"simulated time = {t_ms:.3f} ms/step")
 
-    # 4. Compare against the exhaustive oracle at the same budget.
+    # 4. Compare against the all-OC oracle at the same budget.
     oracle_oc, _, oracle_t = OracleBaseline(GPU, 6, 7).tune(target)
     print(f"oracle: {oracle_oc.name} at {oracle_t:.3f} ms/step "
           f"(prediction is within {t_ms / oracle_t:.2f}x)")

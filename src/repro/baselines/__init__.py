@@ -1,4 +1,4 @@
-"""Comparison tuners: Artemis-style, AN5D-style and the exhaustive oracle."""
+"""Comparison tuners: Artemis-style, AN5D-style and the all-OC oracle."""
 
 from .an5d import AN5DBaseline
 from .artemis import ArtemisBaseline

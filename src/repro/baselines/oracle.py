@@ -1,7 +1,10 @@
-"""Exhaustive oracle: the best OC found by profiling every combination.
+"""All-OC oracle: the best OC found by tuning every combination.
 
-Not a paper baseline -- the upper bound every tuner is measured against,
-used by ablation benches and the speedup figures' sanity checks.
+Not a paper baseline -- the reference every tuner is measured against,
+used by ablation benches and the speedup figures' sanity checks.  It is
+exhaustive over OCs only: within each OC it samples ``n_settings``
+settings and polishes them, like every campaign, so its pick is the best
+point a sampled search found, not the exact optimum.
 """
 
 from __future__ import annotations
@@ -15,12 +18,14 @@ from ..tuning import RandomStrategy, tune_lockstep
 
 
 class OracleBaseline:
-    """Profiles every OC with the standard budget and keeps the best.
+    """Tunes every OC with the standard budget and keeps the best.
 
-    Exhausting the whole OC space makes the oracle the most
+    Covering the whole OC space makes the oracle the most
     measurement-hungry tuner in the repo, so every OC is tuned in
-    lockstep, one engine batch per round; ``backend="cached"`` memoizes
-    repeated points on top of the batched engine.
+    lockstep, one engine batch per round.  Each OC's walk already prices
+    a repeated setting once, so ``backend="cached"`` only pays when one
+    backend instance is shared across ``tune`` calls that ask for the
+    same points (the same stencil tuned again).
     """
 
     name = "Oracle"

@@ -102,7 +102,9 @@ class BackendInfo:
         Evaluating extra points changes nothing but the results: no
         attempt counter, clock or fault schedule advances with the
         points a batch carries, so callers may evaluate points they
-        might never read (speculative frontiers).  False for an enabled
+        might never read (speculative frontiers) and need not ask again
+        for a result they have already been sent (the tuning walks'
+        per-job memo).  False for an enabled
         :class:`~repro.engine.FaultBackend`.
     """
 

@@ -70,16 +70,23 @@ def write_checkpoint(
     The main checkpoint (``kind="campaign-checkpoint"``) and per-shard
     checkpoints (``kind="campaign-shard"``) share this one layout:
     the campaign config, completed :func:`profile_to_row` rows per GPU
-    (GPUs without rows left out) and the health counters.
+    (GPUs without rows left out) and the health counters.  Each row in
+    *rows_by_gpu* arrives already encoded as ``json.dumps`` text, so a
+    unit is encoded once when it completes rather than at every
+    checkpoint; the file is byte-identical to ``json.dumps`` of the
+    whole document.
     """
-    doc = {
-        "format": FORMAT_VERSION,
-        "kind": kind,
-        "config": config,
-        "completed": {gpu: list(r) for gpu, r in rows_by_gpu.items() if r},
-        "health": health.to_dict(),
-    }
-    atomic_write_text(path, json.dumps(doc))
+    head = json.dumps({"format": FORMAT_VERSION, "kind": kind, "config": config})
+    completed = ", ".join(
+        f"{json.dumps(gpu)}: [{', '.join(rows)}]"
+        for gpu, rows in rows_by_gpu.items()
+        if rows
+    )
+    atomic_write_text(
+        path,
+        f'{head[:-1]}, "completed": {{{completed}}}, '
+        f'"health": {json.dumps(health.to_dict())}}}',
+    )
 
 
 class SimClock:
@@ -482,6 +489,8 @@ class CampaignRunner:
         )
         self.clock = SimClock()
         self.health = CampaignHealth()
+        #: (gpu, stencil_id) -> (profile, its checkpoint row text)
+        self._row_texts: dict[tuple[str, int], tuple[StencilProfile, str]] = {}
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -508,11 +517,19 @@ class CampaignRunner:
             "campaign-checkpoint",
             self._config_doc(),
             {
-                gpu: [profile_to_row(units[sid]) for sid in sorted(units)]
+                gpu: [self._row_text(gpu, sid, units[sid]) for sid in sorted(units)]
                 for gpu, units in completed.items()
             },
             self.health,
         )
+
+    def _row_text(self, gpu: str, sid: int, profile: StencilProfile) -> str:
+        """*profile*'s checkpoint row as JSON text, encoded once per unit."""
+        cached = self._row_texts.get((gpu, sid))
+        if cached is None or cached[0] is not profile:
+            cached = (profile, json.dumps(profile_to_row(profile)))
+            self._row_texts[(gpu, sid)] = cached
+        return cached[1]
 
     def _fold_rows(
         self, completed: dict[str, dict[int, StencilProfile]], rows_by_gpu: dict

@@ -29,6 +29,7 @@ the main checkpoint uses -- so merge and resume share one codec.
 
 from __future__ import annotations
 
+import json
 import os
 from pathlib import Path
 
@@ -96,6 +97,7 @@ def run_shard(task: tuple) -> dict:
     health = CampaignHealth()
     searches: dict = {}
     rows: "dict[str, list]" = {}
+    texts: "dict[str, list[str]]" = {}  # the rows as checkpoint JSON text
     since = 0
     for gpu, sid in units:
         if (gpu, sid) in crash:
@@ -112,16 +114,18 @@ def run_shard(task: tuple) -> dict:
             search, gpu, cfg["stencils"][sid], sid, cfg["ocs"],
             cfg["faults"], cfg["policy"], clock, health,
         )
-        rows.setdefault(gpu, []).append(profile_to_row(profile))
+        row = profile_to_row(profile)
+        rows.setdefault(gpu, []).append(row)
+        texts.setdefault(gpu, []).append(json.dumps(row))
         since += 1
         if ckpt_path is not None and since >= cfg["checkpoint_every"]:
             write_checkpoint(
-                Path(ckpt_path), "campaign-shard", cfg["config_doc"], rows,
+                Path(ckpt_path), "campaign-shard", cfg["config_doc"], texts,
                 health,
             )
             since = 0
     if ckpt_path is not None and since:
         write_checkpoint(
-            Path(ckpt_path), "campaign-shard", cfg["config_doc"], rows, health
+            Path(ckpt_path), "campaign-shard", cfg["config_doc"], texts, health
         )
     return {"shard": shard_idx, "completed": rows, "health": health.to_dict()}

@@ -14,6 +14,17 @@ frontier sizes (``RandomStrategy._chunk_size`` and
 decide which points are evaluated, never the outcome;
 ``tests/tuning/golden_frontiers.json`` pins them.
 
+On a pure backend (see :class:`~repro.engine.BackendInfo`) a walk also
+keeps every result it has been sent, keyed by layout tuple, and asks
+the engine only for settings it has not settled yet: descent re-walks
+the same neighbours across passes and basins, and each of them is
+priced once per job.  The walk still reads and observes every
+candidate in order, so trajectories, trial logs and ``trials`` do not
+depend on the memo.  An impure backend (fault injection) advances its
+fault schedule per evaluated point, so it is asked again for every
+re-read candidate, as the schedule pinned by
+``tests/robustness/golden_faults.json`` expects.
+
 ``CoordinateDescentStrategy`` exposes the same descent loop as a
 standalone zoo member: multi-start greedy descent over one parameter at
 a time.  On a vectorized backend one engine batch carries the rest of a
@@ -40,6 +51,26 @@ ATTEMPTS_PER_SETTING = 12
 REFINE_PASSES = 3
 
 
+def _settle(ctx: StrategyContext, settings: "list[ParamSetting]", settled):
+    """Sub-generator returning the results of *settings*, in order.
+
+    *settled* maps the layout tuple of each setting this job has already
+    been sent to its result, or is ``None`` on an impure backend, which
+    is asked for every setting every time.  Only settings missing from
+    it go to the engine (a frontier holds distinct settings), and their
+    results are added to it.  A frontier that is wholly settled costs no
+    engine call; under a budget it is still yielded, as an empty batch,
+    because the driver checks the budget only when a batch is told.
+    """
+    if settled is None:
+        return (yield AskBatch(settings)) if settings else []
+    fresh = [s for s in settings if s.as_tuple() not in settled]
+    if fresh or (settings and ctx.budget is not None):
+        for s, res in zip(fresh, (yield AskBatch(fresh))):
+            settled[s.as_tuple()] = res
+    return [settled[s.as_tuple()] for s in settings]
+
+
 def coordinate_descent(
     strategy: GeneratorStrategy,
     ctx: StrategyContext,
@@ -47,6 +78,7 @@ def coordinate_descent(
     time_ms: float,
     seen: "set[tuple[int, ...]]",
     measurements: "list[tuple[ParamSetting, float]]",
+    settled: "dict | None",
     passes: int = REFINE_PASSES,
 ):
     """Polish *setting* one parameter at a time until a fixed point.
@@ -67,6 +99,9 @@ def coordinate_descent(
       budget is checked between batches, so a batch spanning several
       parameters could overshoot it, and on an impure backend (fault
       injection) every extra point advances the fault schedule.
+
+    Either way the batch holds only candidates missing from *settled*
+    (see :func:`_settle`).
     """
     info = ctx.backend_info
     speculate = info.vectorized and info.pure and ctx.budget is None
@@ -82,7 +117,7 @@ def coordinate_descent(
                     for n in (names[i:] if speculate else (name,))
                 ]
                 batch = [c for _, candidates in frontiers for c in candidates]
-                results = (yield AskBatch(batch)) if batch else []
+                results = yield from _settle(ctx, batch, settled)
                 lo = 0
                 for n, candidates in frontiers:
                     ahead[n] = (candidates, results[lo:lo + len(candidates)])
@@ -149,16 +184,23 @@ class RandomStrategy(GeneratorStrategy):
         """Settings per engine call while ``need`` are missing.
 
         A vectorized backend prices a batch with array math, so its
-        per-call overhead outweighs a point's cost and it gets generous
-        frontiers; most of the speculated points are never observed.
-        Every other backend pays per point -- the scalar path, and the
+        per-call overhead outweighs a point's cost and it gets
+        speculative frontiers; most of the speculated points are never
+        observed by the walk, but on a pure backend descent reads many
+        of them from the walk's results instead of asking again.  An
+        impure (fault-injecting) vectorized stack keeps the wider
+        frontiers its pinned fault schedule was drawn with.  Every
+        other backend pays per point -- the scalar path, and the
         analytical backend, which generates, parses and extracts each
         point even with its per-configuration memo -- so it evaluates
         exactly the points the walk observes.
         """
-        if self.ctx.backend_info.vectorized:
-            return max(4 * need, 32)
-        return max(need, 1)
+        info = self.ctx.backend_info
+        if not info.vectorized:
+            return max(need, 1)
+        if info.pure:
+            return max(2 * need, 8)
+        return max(4 * need, 32)
 
     def run(self, ctx: StrategyContext):
         n_settings = self.n_settings
@@ -248,6 +290,7 @@ class RandomStrategy(GeneratorStrategy):
                 start_time,
                 seen,
                 measurements,
+                results if ctx.backend_info.pure else None,
             )
 
 
@@ -275,6 +318,7 @@ class CoordinateDescentStrategy(GeneratorStrategy):
     def run(self, ctx: StrategyContext):
         seen: set[tuple[int, ...]] = set()
         measurements: list[tuple["ParamSetting", float]] = []
+        settled = {} if ctx.backend_info.pure else None
         first = True
         while first or (ctx.budget is not None and self.cost < ctx.budget):
             if first and self.start is not None:
@@ -285,9 +329,9 @@ class CoordinateDescentStrategy(GeneratorStrategy):
             key = start.as_tuple()
             if key not in seen:
                 seen.add(key)
-                results = yield AskBatch([start])
-                t = self.observe(start, results[0])
-                if not results[0].crashed:
+                (res,) = yield from _settle(ctx, [start], settled)
+                t = self.observe(start, res)
+                if not res.crashed:
                     measurements.append((start, t))
             else:
                 t = dict(
@@ -296,7 +340,7 @@ class CoordinateDescentStrategy(GeneratorStrategy):
             if t == float("inf"):
                 continue  # crashed start: resample
             yield from coordinate_descent(
-                self, ctx, start, t, seen, measurements, self.passes
+                self, ctx, start, t, seen, measurements, settled, self.passes
             )
             if ctx.budget is None:
                 break

@@ -37,7 +37,8 @@ class TuneResult:
     vectorized backend the random strategy evaluates ahead of its walk
     -- those points are invisible here, exactly as they were
     pre-refactor; on any other backend it evaluates only what it
-    observes.
+    observes.  On a pure backend the random and coordinate walks
+    evaluate a setting they observe repeatedly only once.
     ``cost`` is the fidelity-weighted evaluation spend (a reduced-grid
     rung of the multi-fidelity strategies costs a fraction of a full
     evaluation); for single-fidelity strategies ``cost == trials``.

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import CampaignInterrupted, DatasetError
 from repro.gpu.faults import FaultConfig
 from repro.profiling import CampaignRunner
-from repro.profiling.storage import campaign_to_dict
+from repro.profiling.storage import FORMAT_VERSION, campaign_to_dict, profile_to_row
 
 from .conftest import OCS
 
@@ -101,6 +101,31 @@ class TestCheckpointHygiene:
         assert doc["config"]["seed"] == 7
         assert sum(len(rows) for rows in doc["completed"].values()) == 3
         assert "call_retries" in doc["health"]
+
+    def test_checkpoint_text_is_json_dumps_of_the_document(
+        self, population, tmp_path
+    ):
+        # Rows are encoded once per unit and joined; the file must still
+        # be exactly json.dumps of the whole document, at every write.
+        ck = tmp_path / "ck.json"
+        runner = _runner(population, ck, max_units=3)
+        with pytest.raises(CampaignInterrupted):
+            runner.run()
+        text = ck.read_text()
+        assert text == json.dumps(json.loads(text))
+        runner = _runner(population, ck)
+        campaign = runner.run(resume=True)
+        doc = {
+            "format": FORMAT_VERSION,
+            "kind": "campaign-checkpoint",
+            "config": runner._config_doc(),
+            "completed": {
+                gpu: [profile_to_row(p) for p in campaign.profiles[gpu]]
+                for gpu in campaign.gpus
+            },
+            "health": runner.health.to_dict(),
+        }
+        assert ck.read_text() == json.dumps(doc)
 
     def test_mismatched_config_rejected(self, population, tmp_path):
         ck = tmp_path / "ck.json"

@@ -14,9 +14,13 @@ retry guard, as ``repro profile --fault-rate 0.1`` runs it),
 one on a 3-D stencil, a single ``tune(strategy="random", budget=24)``
 and a budgeted ``CoordinateDescentStrategy``.  Each entry is ``[case,
 [batch sizes in call order]]``.  The faulted and budgeted entries keep
-exact per-parameter descent frontiers, so they were produced before
-descent started asking for a whole pass at once and have not moved
-since; the other lockstep entries record the whole-pass frontiers.
+exact per-parameter descent frontiers; the other lockstep entries
+record the whole-pass frontiers.  Every entry but the faulted one runs
+on a pure backend, so its batches leave out settings the job has
+already been sent and its random phase speculates ``max(2*need, 8)``
+settings; the faulted entry re-asks every repeat with ``max(4*need,
+32)``-setting random frontiers and has not moved since it was first
+pinned.
 """
 
 from __future__ import annotations
