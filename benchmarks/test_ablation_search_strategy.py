@@ -2,17 +2,13 @@
 
 The paper's profiling uses random search; the authors' csTuner [25] uses
 a re-designed genetic algorithm.  The first bench compares those two at
-comparable budgets.  The second runs the whole ``repro.tuning`` strategy
-zoo through the unified ``tune()`` front door at an equal
-fidelity-weighted budget and asserts that informed
-strategies beat the random baseline on best-time-found.  The third
-measures the persistent memo's (``CachingBackend(root=)``) cold-vs-warm
-replay over the vector backend, the substrate ``repro tune --cache-dir``
-sits in front of, next to the bare vector backend re-simulating every
-point.
+comparable budgets through the unified ``tune()`` front door.  The
+second measures the persistent memo's (``CachingBackend(root=)``)
+cold-vs-warm replay over the vector backend, the substrate
+``repro tune --cache-dir`` sits in front of, next to the bare vector
+backend re-simulating every point.
 """
 
-import math
 import shutil
 import tempfile
 
@@ -21,14 +17,14 @@ import numpy as np
 from repro.engine import CachingBackend, make_backend
 from repro.gpu import GPUSimulator
 from repro.optimizations import OC
-from repro.tuning import RandomStrategy, available_strategies, tune
+from repro.tuning import RandomStrategy, tune
 from repro.stencil import generate_population
 
 from conftest import best_of, print_table
 
 #: Parameter-heavy OCs spanning the streaming / temporal / merging axes.
 OCS = ("ST", "ST_RT", "ST_CM_RT_TB")
-#: The budget every strategy gets, in full-fidelity evaluations.
+#: The budget of every replay-bench tuning call, in evaluations.
 BUDGET = 32
 SEED = 11
 
@@ -74,89 +70,6 @@ def test_ablation_search_strategy(scale, benchmark):
     benchmark.pedantic(
         lambda: ga(stencils[0], 0, OC.parse("ST")), rounds=1, iterations=1
     )
-
-
-def run_zoo(quick: bool):
-    """Tune random 2-D stencils x ``OCS`` x GPUs with every registered
-    strategy at equal budget through one cached vector backend per GPU.
-
-    Returns ``(rows, n_cells)``; a row holds a strategy's geometric-mean
-    best-time ratio against random search (< 1: it finds faster
-    configurations at equal spend), the cells it solved and its mean
-    trials per cell.
-    """
-    gpus = ("V100",) if quick else ("V100", "A100", "2080Ti")
-    stencils = generate_population(2, 3 if quick else 6, seed=55)
-    cells = [
-        (gpu, sid, stencil, OC.parse(name))
-        for gpu in gpus
-        for sid, stencil in enumerate(stencils)
-        for name in OCS
-    ]
-    backends = {gpu: make_backend("cached", gpu) for gpu in gpus}
-    times, rows = {}, {}
-    for strategy in available_strategies():
-        per_cell = {}
-        trials = 0
-        for gpu, sid, stencil, oc in cells:
-            result = tune(
-                stencil,
-                oc=oc,
-                backend=backends[gpu],
-                strategy=strategy,
-                budget=BUDGET,
-                seed=SEED,
-                stencil_id=sid,
-            )
-            trials += result.trials
-            if result.ok:
-                per_cell[gpu, sid, oc.name] = result.best_time_ms
-        times[strategy] = per_cell
-        rows[strategy] = {
-            "cells_solved": len(per_cell),
-            "mean_trials": trials / len(cells),
-        }
-    base = times["random"]
-    for strategy, per_cell in times.items():
-        logs = [math.log(t / base[k]) for k, t in per_cell.items() if k in base]
-        rows[strategy]["geomean_vs_random"] = (
-            math.exp(sum(logs) / len(logs)) if logs else float("nan")
-        )
-    return rows, len(cells)
-
-
-def test_strategy_zoo_equal_budget(scale, benchmark):
-    rows, n_cells = run_zoo(quick=scale.name == "small")
-
-    print_table(
-        f"Strategy zoo at equal budget ({BUDGET} evals, {n_cells} cells)",
-        ["strategy", "geomean vs random", "trials"],
-        [
-            [name, row["geomean_vs_random"], row["mean_trials"]]
-            for name, row in sorted(
-                rows.items(), key=lambda kv: kv[1]["geomean_vs_random"]
-            )
-        ],
-    )
-
-    # Every strategy solves every cell and respects the budget (halving
-    # spends its allowance on cheap low-fidelity trials, so its trial
-    # count is the one allowed above the budget).
-    for name, row in rows.items():
-        assert row["cells_solved"] == n_cells, name
-        if name != "halving":
-            assert row["mean_trials"] <= BUDGET + 4, name
-
-    # The point of the zoo: informed search beats random sampling at
-    # equal spend.  At least three of the new strategies must win.
-    winners = [
-        name
-        for name, row in rows.items()
-        if name != "random" and row["geomean_vs_random"] < 1.0
-    ]
-    assert len(winners) >= 3, winners
-
-    benchmark.pedantic(lambda: run_zoo(quick=True), rounds=1, iterations=1)
 
 
 def test_tuning_cache_replay_speedup(scale):

@@ -4,8 +4,8 @@
 <repro.engine.Backend>` protocol on top of
 :func:`~repro.analysis.perfmodel.estimate_kernel` instead of a
 simulator.  Every search strategy in :mod:`repro.tuning` -- the paper's
-random walk with coordinate refinement, the genetic / annealing /
-Bayesian zoo -- can therefore run *without a single measurement*:
+random walk with coordinate refinement, coordinate descent, the
+genetic algorithm -- can therefore run *without a single measurement*:
 ``tune(stencil, oc=oc, backend=AnalyticalBackend(gpu))`` autotunes the
 parameter space purely from generated source.
 

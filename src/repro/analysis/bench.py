@@ -1,4 +1,4 @@
-"""Analytical-model benchmark: selection accuracy and runtime fidelity.
+"""Analytical-model benchmark: selection and runtime-prediction accuracy.
 
 The static performance model's two claims (ISSUE 8) measured on held-out
 stencils the learned models never saw:
@@ -176,7 +176,7 @@ def run_selection_bench(train, test, seed: int = 29, quick: bool = False) -> dic
 # regression: hybrid vs plain GBDT vs raw analytical estimate
 # ----------------------------------------------------------------------
 def run_regression_bench(train, test, seed: int = 29) -> dict:
-    """Held-out runtime fidelity of gbr / hybrid / raw-analytical."""
+    """Held-out runtime-prediction accuracy of gbr / hybrid / raw-analytical."""
     from ..ml.analytical import AnalyticalPredictor
     from ..profiling.dataset import build_regression_dataset
     from ..profiling.train import (

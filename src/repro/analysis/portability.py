@@ -282,12 +282,12 @@ def run_transfer_selection(
 
 
 # ----------------------------------------------------------------------
-# regression: runtime fidelity on the unseen vendor
+# regression: runtime-prediction accuracy on the unseen vendor
 # ----------------------------------------------------------------------
 def run_transfer_regression(
     train, test, seed: int = 31, quick: bool = False
 ) -> dict:
-    """Held-out AMD runtime fidelity of the gbr / hybrid predictors."""
+    """Held-out AMD runtime-prediction accuracy of the gbr / hybrid predictors."""
     from ..ml.metrics import mape, pcc
     from ..profiling.dataset import build_regression_dataset
     from ..profiling.train import predict_rows, predictor_inputs, train_predictor_artifact

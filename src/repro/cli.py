@@ -308,14 +308,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--strategy",
         default="random",
         choices=available_strategies(),
-        help="zoo member (see docs/tuning.md)",
+        help="search strategy (see docs/tuning.md)",
     )
     tu.add_argument(
         "--budget",
         type=float,
         default=None,
-        help="evaluation allowance in full-fidelity units (strategies "
-        "size themselves to it; default: per-strategy defaults)",
+        help="evaluation allowance, counted in observed trials "
+        "(strategies size themselves to it; default: per-strategy "
+        "defaults)",
     )
     tu.add_argument(
         "--restrictions",
@@ -711,7 +712,7 @@ def cmd_tune(args) -> int:
     if args.trials:
         for i, rec in enumerate(result.trial_log):
             t = "crash" if rec.crashed else f"{rec.time_ms:.4f} ms"
-            print(f"  [{i:4d}] x{rec.fidelity:<6g} {t:>12}  {dict(rec.setting)}")
+            print(f"  [{i:4d}] {t:>12}  {dict(rec.setting)}")
     print(f"{stencil.name} / {result.oc} on {result.gpu}:")
     print(f"  {result.describe()}")
     if not result.ok:

@@ -299,7 +299,7 @@ class StencilMART:
         entirely on the OC the classifier selected.  Falls back to the
         next most likely class if the predicted OC cannot run at all.
 
-        ``strategy`` picks a member of the tuning zoo (see
+        ``strategy`` picks a registered tuning strategy (see
         :func:`repro.tuning.available_strategies`), with ``budget`` and
         ``**strategy_options`` forwarded to :func:`repro.tuning.tune`.
         The default (``"random"`` with no options) is the paper's tuner,

@@ -1,20 +1,17 @@
-"""Unified autotuning: one front door and a strategy zoo.
+"""Unified autotuning: one front door and three search strategies.
 
 :func:`tune` is the single entry point every parameter search goes
-through -- the paper's random walk + coordinate refinement, the
-csTuner-style genetic algorithm, simulated annealing, GBDT-surrogate
-Bayesian optimization, and reduced-grid successive halving are all
-:class:`Strategy` implementations driven by the same ask/evaluate/tell
-loop over the batched :mod:`repro.engine` backends.  See
-``docs/tuning.md`` for the strategy zoo, the restriction grammar, cache
-semantics and budget accounting.
+through -- the paper's random walk with coordinate refinement
+(``random``), standalone coordinate descent (``coordinate``) and the
+csTuner-style genetic algorithm (``genetic``) are all :class:`Strategy`
+implementations driven by the same ask/evaluate/tell loop over the
+batched :mod:`repro.engine` backends.  See ``docs/tuning.md`` for the
+strategies, the restriction grammar, cache semantics and budget
+accounting.
 """
 
-from .anneal import AnnealingStrategy
 from .api import tune, tune_lockstep
-from .bayes import BayesStrategy
 from .genetic import GeneticStrategy
-from .halving import HalvingStrategy
 from .random_search import CoordinateDescentStrategy, RandomStrategy
 from .result import TrialRecord, TuneResult
 from .rng import stream_key, stream_rng
@@ -31,13 +28,10 @@ from .strategy import (
 )
 
 __all__ = [
-    "AnnealingStrategy",
     "AskBatch",
-    "BayesStrategy",
     "CoordinateDescentStrategy",
     "GeneratorStrategy",
     "GeneticStrategy",
-    "HalvingStrategy",
     "ParameterSpace",
     "RandomStrategy",
     "Restriction",

@@ -1,10 +1,9 @@
 """The unified autotuning front door: :func:`tune`.
 
 Every parameter search in the repo -- the paper's random walk with
-coordinate refinement, the csTuner-style genetic algorithm, the zoo's
-annealing / Bayesian / successive-halving strategies -- runs through
-this one function.  ``tune()`` owns everything that is *not* search
-logic:
+coordinate refinement, standalone coordinate descent and the
+csTuner-style genetic algorithm -- runs through this one function.
+``tune()`` owns everything that is *not* search logic:
 
 - resolving the tuning space (a :class:`~repro.stencil.stencil.Stencil`
   plus OC, or an explicit :class:`~repro.tuning.ParameterSpace` with
@@ -17,7 +16,8 @@ logic:
   ``(seed, stencil_id, oc, strategy)`` so results are deterministic for
   a fixed (strategy, seed, budget) regardless of backend flavor or
   worker count,
-- the ask/evaluate/tell loop with fidelity-weighted budget enforcement,
+- the ask/evaluate/tell loop with budget enforcement, counted in
+  observed evaluations,
 - packaging the outcome as a :class:`~repro.tuning.TuneResult`.
 
 The loop's only contract with the strategy is the ask/tell protocol;
@@ -128,16 +128,16 @@ def tune(
         a backend kind from :data:`repro.engine.BACKEND_KINDS` plus a
         GPU, or just a GPU (a vector backend is built).
     strategy:
-        Zoo name (see :func:`repro.tuning.available_strategies`) with
-        ``**strategy_options`` forwarded to its constructor, or a
+        Registered name (see :func:`repro.tuning.available_strategies`)
+        with ``**strategy_options`` forwarded to its constructor, or a
         ready-made :class:`Strategy` instance.
     budget:
-        Evaluation allowance in full-fidelity units.  Strategies size
-        themselves to it (random samples ``budget`` settings, annealing
-        derives its step count, ...) and the driver enforces it as a
-        hard cap between frontiers; reduced-grid evaluations of the
-        multi-fidelity strategies charge their grid-cell fraction.
-        ``None`` (default) lets the strategy use its own defaults.
+        Evaluation allowance, counted in observed evaluations.
+        Strategies may size themselves to it (random samples
+        ``budget`` settings, genetic with ``generations=None`` derives
+        its generation count) and the driver enforces it as a hard cap
+        between frontiers.  ``None`` (default) lets the strategy use
+        its own defaults.
     seed / stencil_id:
         Entropy: the strategy's RNG stream is keyed by
         ``strategy.stream_components(seed, stencil_id, oc)`` (the named
@@ -270,7 +270,6 @@ def _tune_jobs(
             best_setting=outcome.best_setting,
             best_time_ms=outcome.best_time_ms,
             trials=trials,
-            cost=float(getattr(strat, "cost", trials)),
             crashed=outcome.crashed,
             seed=seed,
             budget=budget,
@@ -293,7 +292,8 @@ def _drive(
     Each round asks every live job for its next frontier and sends the
     union to *substrate* as one ``evaluate_batch``; each job is told
     exactly its own slice.  A job leaves the round robin when its
-    strategy stops asking or its cost reaches its context's budget.
+    strategy stops asking or the evaluations it has observed reach its
+    context's budget.
     """
     for strat, ctx in jobs:
         strat.prepare(ctx)
@@ -305,7 +305,7 @@ def _drive(
             if batch is not None:
                 asked.append((strat, ctx, batch))
         requests = [
-            EvalRequest(ctx.stencil, ctx.oc, s, grid=batch.grid or ctx.grid)
+            EvalRequest(ctx.stencil, ctx.oc, s, grid=ctx.grid)
             for _, ctx, batch in asked
             for s in batch.settings
         ]
@@ -316,6 +316,6 @@ def _drive(
             hi = lo + len(batch.settings)
             strat.tell(batch, results[lo:hi])
             lo = hi
-            if ctx.budget is None or getattr(strat, "cost", 0.0) < ctx.budget:
+            if ctx.budget is None or getattr(strat, "observed", 0) < ctx.budget:
                 live.append((strat, ctx))
     return [strat.finish() for strat, _ in jobs]

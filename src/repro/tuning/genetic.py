@@ -2,10 +2,11 @@
 
 The paper's related auto-tuning work (the authors' own csTuner)
 re-designs a genetic algorithm over stencil parameter settings.
-:class:`GeneticStrategy` provides that search as a zoo member: tournament
-selection, uniform crossover and per-gene mutation, with whole
-generations evaluated as single engine batches and crashing individuals
-scored ``inf``.  Run it with ``tune(..., strategy="genetic")``.
+:class:`GeneticStrategy` provides that search as a registered
+strategy: tournament selection, uniform crossover and per-gene
+mutation, with whole generations evaluated as single engine batches and
+crashing individuals scored ``inf``.  Run it with
+``tune(..., strategy="genetic")``.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class GeneticStrategy(GeneratorStrategy):
         if generations is None:
             total = int(ctx.budget) if ctx.budget else 6 * self.population
             generations = max(1, total // self.population - 1)
-        self._extras["generations"] = generations
+        # Counted as they are bred: a budget can stop the run early.
+        self._extras["generations"] = 0
         cache: dict[tuple[int, ...], float] = {}
 
         def ensure(settings):
@@ -112,6 +114,7 @@ class GeneticStrategy(GeneratorStrategy):
                 child = self._mutate(child, space, names, rng)
                 next_pop.append(child)
             pop = next_pop
+            self._extras["generations"] += 1
 
         yield from ensure(pop)
         # The exact legacy best-selection: min over the final population

@@ -26,7 +26,7 @@ re-read candidate, as the schedule pinned by
 ``tests/robustness/golden_faults.json`` expects.
 
 ``CoordinateDescentStrategy`` exposes the same descent loop as a
-standalone zoo member: multi-start greedy descent over one parameter at
+standalone strategy: multi-start greedy descent over one parameter at
 a time.  On a vectorized backend one engine batch carries the rest of a
 pass (every remaining parameter's frontier); see
 :func:`coordinate_descent` for when frontiers stay exact.
@@ -176,7 +176,7 @@ class RandomStrategy(GeneratorStrategy):
         self.measurements: list[tuple["ParamSetting", float]] = []
 
     def stream_components(self, seed: int, stencil_id: int, oc) -> tuple:
-        # The pre-zoo stream: no strategy component.  Campaign digests
+        # The pre-registry stream: no strategy component.  Campaign digests
         # depend on this exact key (see the module docstring).
         return (seed, stencil_id, oc.name)
 
@@ -320,7 +320,7 @@ class CoordinateDescentStrategy(GeneratorStrategy):
         measurements: list[tuple["ParamSetting", float]] = []
         settled = {} if ctx.backend_info.pure else None
         first = True
-        while first or (ctx.budget is not None and self.cost < ctx.budget):
+        while first or (ctx.budget is not None and self.observed < ctx.budget):
             if first and self.start is not None:
                 start = self.start
             else:

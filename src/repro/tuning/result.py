@@ -20,7 +20,6 @@ class TrialRecord:
 
     setting: ParamSetting
     time_ms: float  # inf for a crashed configuration
-    fidelity: float = 1.0  # fraction of a full-fidelity evaluation
 
     @property
     def crashed(self) -> bool:
@@ -38,10 +37,9 @@ class TuneResult:
     -- those points are invisible here, exactly as they were
     pre-refactor; on any other backend it evaluates only what it
     observes.  On a pure backend the random and coordinate walks
-    evaluate a setting they observe repeatedly only once.
-    ``cost`` is the fidelity-weighted evaluation spend (a reduced-grid
-    rung of the multi-fidelity strategies costs a fraction of a full
-    evaluation); for single-fidelity strategies ``cost == trials``.
+    evaluate a setting they observe repeatedly only once.  Under a
+    ``budget`` the driver stops at the first frontier boundary where
+    ``trials`` reaches it.
     ``cache_hits`` / ``cache_misses`` are this call's delta of the
     :class:`~repro.engine.CachingBackend` it measured through -- one
     built for ``cache_dir=``, ``backend="cached"`` or a passed instance
@@ -54,7 +52,6 @@ class TuneResult:
     best_setting: "ParamSetting | None"
     best_time_ms: float
     trials: int
-    cost: float
     crashed: int
     seed: int
     budget: "float | None"
@@ -73,7 +70,8 @@ class TuneResult:
 
     @property
     def generations(self) -> "int | None":
-        """Generations evolved (genetic strategy only)."""
+        """Generations evolved before the run ended (genetic strategy
+        only); a budget can stop the run short of the planned count."""
         return self.extras.get("generations")
 
     def describe(self) -> str:
@@ -86,7 +84,6 @@ class TuneResult:
         best = {k: v for k, v in self.best_setting.items() if v}
         return (
             f"{self.strategy}: {self.best_time_ms:.4f} ms/step in "
-            f"{self.trials} trials (cost {self.cost:g}, "
-            f"{self.crashed} crashed, cache {self.cache_hits}h/"
-            f"{self.cache_misses}m) via {best}"
+            f"{self.trials} trials ({self.crashed} crashed, cache "
+            f"{self.cache_hits}h/{self.cache_misses}m) via {best}"
         )

@@ -16,9 +16,9 @@ backend choice or worker count -- a strategy's draw sequence is
 identical no matter how the engine batches, caches, shards or reorders
 measurements.  The paper-default random search keys its stream as
 ``(seed, stencil_id, oc.name)`` with no strategy component (that exact
-stream predates the zoo and is pinned by campaign digests); every other
-strategy appends its registry name so two strategies never share a
-stream.
+stream predates the registry and is pinned by campaign digests); every
+other strategy appends its registry name so two strategies never share
+a stream.
 """
 
 from __future__ import annotations

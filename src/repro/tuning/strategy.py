@@ -14,7 +14,8 @@ search loop as a plain generator -- ``yield AskBatch([...])`` evaluates
 a batch and returns its results -- which keeps intricate legacy control
 flow (the random walk's frontier batching, coordinate descent's
 fixed-point passes) readable while the driver owns measurement, budget
-and cache concerns.
+and cache concerns.  A budget counts the evaluations a strategy
+observes, one per :meth:`GeneratorStrategy.observe` call.
 """
 
 from __future__ import annotations
@@ -63,15 +64,9 @@ class StrategyContext:
 
 @dataclass
 class AskBatch:
-    """One frontier of settings the strategy wants measured.
-
-    ``grid`` overrides the evaluation grid (the multi-fidelity rungs);
-    ``cost`` is the budget charge per setting in full-fidelity units.
-    """
+    """One frontier of settings the strategy wants measured."""
 
     settings: "list[ParamSetting]"
-    grid: "tuple[int, ...] | None" = None
-    cost: float = 1.0
 
 
 @dataclass
@@ -115,20 +110,16 @@ class GeneratorStrategy:
     back from the driver.  Bookkeeping helpers:
 
     - :meth:`observe` records one consumed evaluation (trial count,
-      crash count, best-so-far, optional trial log) -- strategies call
-      it only for results they actually *use*, which is what makes
-      ``TuneResult.trials`` backend-independent.
+      crash count, best-so-far, trial log) -- strategies call it only
+      for results they actually *use*, which is what makes
+      ``TuneResult.trials`` and the budget backend-independent.
     - ``self.best_setting`` / ``self.best_time_ms`` track the incumbent.
     """
 
     name = "abstract"
 
-    #: Record every observation in the trial log (disable for large runs).
-    keep_log = True
-
     def __init__(self) -> None:
         self.observed = 0
-        self.cost = 0.0
         self.crashed = 0
         self.best_setting: "ParamSetting | None" = None
         self.best_time_ms = float("inf")
@@ -143,8 +134,8 @@ class GeneratorStrategy:
         """Default: ``(seed, stencil_id, oc.name, self.name)``.
 
         The paper-default random strategy overrides this to drop its
-        strategy component (its stream predates the zoo and is pinned by
-        the profiling campaign digests).
+        strategy component (its stream predates the registry and is
+        pinned by the profiling campaign digests).
         """
         return (seed, stencil_id, oc.name, self.name)
 
@@ -184,26 +175,18 @@ class GeneratorStrategy:
         )
 
     # -- bookkeeping helpers ------------------------------------------
-    def observe(
-        self,
-        setting: "ParamSetting",
-        result: "EvalResult",
-        cost: float = 1.0,
-        track_best: bool = True,
-    ) -> float:
+    def observe(self, setting: "ParamSetting", result: "EvalResult") -> float:
         """Consume one outcome: returns its time (``inf`` on crash)."""
         self.observed += 1
-        self.cost += cost
         if result.crashed:
             self.crashed += 1
             time_ms = float("inf")
         else:
             time_ms = result.value()
-            if track_best and time_ms < self.best_time_ms:
+            if time_ms < self.best_time_ms:
                 self.best_time_ms = time_ms
                 self.best_setting = setting
-        if self.keep_log:
-            self._log.append(TrialRecord(setting, time_ms, fidelity=cost))
+        self._log.append(TrialRecord(setting, time_ms))
         return time_ms
 
     def run(self, ctx: StrategyContext):  # pragma: no cover - abstract
@@ -217,7 +200,7 @@ _REGISTRY: dict[str, type] = {}
 
 
 def register_strategy(cls: type) -> type:
-    """Class decorator adding a strategy to the zoo under ``cls.name``."""
+    """Class decorator adding a strategy to the registry under ``cls.name``."""
     name = getattr(cls, "name", None)
     if not name or name == "abstract":
         raise TuningError(f"{cls.__name__} must define a registry name")

@@ -4,11 +4,10 @@
 :class:`repro.ml.RegressionTree` through the estimators built on it:
 :class:`~repro.ml.GBRegressor` (with and without row subsampling),
 :class:`~repro.ml.GBDTClassifier` (sequential and with a 2-worker
-per-class pool) and one ``bayes`` autotuning trajectory, the one search
-strategy that fits GBR surrogates.  ``golden_models.json`` was written by
-this script from the tree implementation that re-sorted every column at
-every node, before the presorted search replaced it; regenerate it only
-from a commit known to reproduce those fits::
+per-class pool).  ``golden_models.json`` was written by this script
+from the tree implementation that re-sorted every column at every node,
+before the presorted search replaced it; regenerate it only from a
+commit known to reproduce those fits::
 
     PYTHONPATH=src python tests/ml/make_golden.py
 
@@ -16,8 +15,7 @@ The training data is tie-heavy and integer coded, as the campaign's
 encoded OC parameters are, so the tie-break rules of the split search
 (lowest feature, leftmost cut) decide many of the splits.  Each model is
 stored as ``repro.store.checksum(model_state(model))`` -- a digest over
-every threshold and leaf value -- and every float of the ``bayes``
-trajectory via ``repr`` (exact round trip through JSON).
+every threshold and leaf value.
 """
 
 from __future__ import annotations
@@ -29,10 +27,7 @@ import numpy as np
 
 from repro.ml import GBDTClassifier, GBRegressor
 from repro.ml.serialize import model_state
-from repro.optimizations import OC
-from repro.stencil import get
 from repro.store import checksum
-from repro.tuning import tune
 
 GOLDEN_PATH = Path(__file__).with_name("golden_models.json")
 
@@ -42,9 +37,6 @@ LEVELS = (2, 3, 4, 5, 8, 2, 6, 3)
 N_ROWS = 240
 N_ROUNDS = 12
 SEED = 11
-
-#: The bayes trajectory: one (stencil, OC) slot with a multi-parameter space.
-BAYES = dict(stencil="star2d2r", oc="ST_RT", gpu="V100", budget=24, seed=5)
 
 
 def training_data() -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
@@ -75,28 +67,12 @@ def fitted_models() -> "dict[str, object]":
     }
 
 
-def bayes_trajectory() -> dict:
-    """One ``strategy="bayes"`` tuning run, floats stored via ``repr``."""
-    result = tune(
-        get(BAYES["stencil"]), oc=OC.parse(BAYES["oc"]), gpu=BAYES["gpu"],
-        strategy="bayes", budget=BAYES["budget"], seed=BAYES["seed"],
-    )
-    return {
-        "best_setting": list(result.best_setting.as_tuple()),
-        "best_time_ms": repr(result.best_time_ms),
-        "trials": result.trials,
-        "cost": repr(result.cost),
-        "log": [repr((r.setting.as_tuple(), r.time_ms)) for r in result.trial_log],
-    }
-
-
 def main() -> None:
     golden = {
         "models": {
             name: checksum(model_state(model))
             for name, model in fitted_models().items()
         },
-        "bayes": bayes_trajectory(),
     }
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN_PATH}")

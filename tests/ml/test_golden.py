@@ -1,4 +1,4 @@
-"""Fitted boosting models and a ``bayes`` trajectory, pinned bit for bit.
+"""Fitted boosting models, pinned bit for bit.
 
 ``golden_models.json`` holds digests frozen by ``make_golden.py`` from
 the tree implementation that re-sorted every column at every node.  The
@@ -13,7 +13,7 @@ import pytest
 
 from repro.ml.serialize import model_state
 from repro.store import checksum
-from tests.ml.make_golden import GOLDEN_PATH, bayes_trajectory, fitted_models
+from tests.ml.make_golden import GOLDEN_PATH, fitted_models
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
 
@@ -26,7 +26,3 @@ def models():
 @pytest.mark.parametrize("name", sorted(GOLDEN["models"]))
 def test_fitted_model_digest(models, name):
     assert checksum(model_state(models[name])) == GOLDEN["models"][name]
-
-
-def test_bayes_trajectory():
-    assert bayes_trajectory() == GOLDEN["bayes"]

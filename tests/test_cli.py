@@ -94,6 +94,35 @@ class TestCommands:
         assert "select/gbdt on V100" in out
         assert "mean accuracy:" in out
 
+    def test_tune_trials_lists_every_observed_trial(self, capsys):
+        from repro.optimizations import OC
+        from repro.stencil import get
+        from repro.tuning import tune
+
+        rc = main([
+            "tune", "--stencil", "star2d2r", "--oc", "ST_RT", "--gpu", "V100",
+            "--strategy", "coordinate", "--budget", "8", "--seed", "5",
+            "--trials",
+        ])
+        assert rc == 0
+        *trials, header, summary = capsys.readouterr().out.splitlines()
+        result = tune(
+            get("star2d2r"), oc=OC.parse("ST_RT"), gpu="V100",
+            strategy="coordinate", budget=8, seed=5,
+        )
+        assert len(trials) == len(result.trial_log) == result.trials
+        for i, (line, rec) in enumerate(zip(trials, result.trial_log)):
+            # index, time (or crash), setting -- and no other column
+            index, rest = line.split("]", 1)
+            time_col, setting = rest.split("{", 1)
+            assert index == f"  [{i:4d}"
+            assert time_col.strip() == (
+                "crash" if rec.crashed else f"{rec.time_ms:.4f} ms"
+            )
+            assert "{" + setting == str(dict(rec.setting))
+        assert header == "star2d2r / ST_RT on V100:"
+        assert summary == f"  {result.describe()}"
+
     @pytest.mark.parametrize(
         "argv, error",
         [

@@ -129,7 +129,7 @@ def test_speculation_changes_nothing_observable(stencil):
         observed = [
             (
                 s.measurements, r.trial_log,
-                s.observed, s.cost, s.crashed, s.walk_crashed,
+                s.observed, s.crashed, s.walk_crashed,
                 r.best_setting, repr(r.best_time_ms),
             )
             for (_, s), r in zip(jobs, results)
@@ -175,7 +175,7 @@ def test_pure_coordinate_walk_prices_each_setting_once():
         strategy="coordinate", budget=40, seed=1,
     )
     assert max(log.asked.values()) == 1 and result.trials > len(log.asked)
-    assert (result.trial_log, result.cost) == (scalar.trial_log, scalar.cost)
+    assert (result.trial_log, result.trials) == (scalar.trial_log, scalar.trials)
 
 
 def test_faulted_stack_asks_again_for_repeats():

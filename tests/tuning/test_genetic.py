@@ -51,6 +51,16 @@ class TestGeneticSearch:
         t_long = _ga(sim, s, oc, seed=1, population=8, generations=6).best_time_ms
         assert t_long <= t_short * 1.05
 
+    def test_budget_stop_reports_generations_evolved(self):
+        # 50 planned generations, but the budget stops the run after 24
+        # trials: only the generations bred before the stop count.
+        result = tune(
+            get("star2d2r"), oc=OC.parse("ST"), gpu="V100", strategy="genetic",
+            budget=20, seed=1, population=8, generations=50,
+        )
+        assert result.trials == 24
+        assert result.generations == 5
+
     def test_crashy_oc_is_not_ok(self, sim):
         # TB without ST cannot run on 3-D order-4 stencils.
         result = _ga(sim, box(3, 4), OC.parse("TB"), population=8, generations=2)

@@ -1,9 +1,9 @@
-"""The tune() front door and its strategy zoo.
+"""The tune() front door and its registered strategies.
 
 Covers: every registered strategy finds a valid optimum through the same
 driver; results are deterministic for a fixed (strategy, seed, budget)
-regardless of backend flavor; fidelity-weighted budget accounting; and
-front-door misuse surfacing as TuningError.
+regardless of backend flavor; the budget as a hard cap on observed
+trials; and front-door misuse surfacing as TuningError.
 """
 
 import pytest
@@ -27,7 +27,7 @@ from repro.tuning import (
 STENCIL = get("star2d2r")
 ST = OC.parse("ST")
 
-ZOO = ("random", "coordinate", "genetic", "annealing", "bayes", "halving")
+ZOO = ("random", "coordinate", "genetic")
 
 
 class TestZoo:
@@ -53,7 +53,7 @@ class TestZoo:
         assert result.ok and result.strategy == name
         assert result.trials > 0 and result.crashed >= 0
         assert len(result.trial_log) == result.trials
-        # The reported best is a real full-fidelity measurement.
+        # The reported best is a real measurement.
         sim = GPUSimulator("2080Ti")
         assert sim.time(STENCIL, ST, result.best_setting) == pytest.approx(
             result.best_time_ms
@@ -65,16 +65,17 @@ class TestZoo:
         b = tune(STENCIL, oc=ST, gpu="P100", strategy=name, budget=16, seed=9)
         assert a.best_setting == b.best_setting
         assert a.best_time_ms == b.best_time_ms
-        assert a.trials == b.trials and a.cost == b.cost
+        assert a.trials == b.trials
         assert [r.setting.as_tuple() for r in a.trial_log] == [
             r.setting.as_tuple() for r in b.trial_log
         ]
 
     def test_strategies_use_distinct_streams(self):
-        # Same seed, different zoo members: different named RNG streams,
-        # so their initial designs must differ.
-        a = tune(STENCIL, oc=ST, gpu="P100", strategy="annealing", budget=12, seed=2)
-        b = tune(STENCIL, oc=ST, gpu="P100", strategy="bayes", budget=12, seed=2)
+        # Same seed, different strategies: different named RNG streams,
+        # so their initial designs must differ.  (``random`` drops the
+        # strategy component of its stream by design.)
+        a = tune(STENCIL, oc=ST, gpu="P100", strategy="coordinate", budget=12, seed=2)
+        b = tune(STENCIL, oc=ST, gpu="P100", strategy="genetic", budget=12, seed=2)
         assert [r.setting.as_tuple() for r in a.trial_log[:8]] != [
             r.setting.as_tuple() for r in b.trial_log[:8]
         ]
@@ -96,7 +97,7 @@ class TestBackendIndependence:
 
     KINDS = ("scalar", "vector", "cached")
 
-    @pytest.mark.parametrize("name", ("random", "genetic", "halving"))
+    @pytest.mark.parametrize("name", ("random", "genetic"))
     def test_same_decisions_on_every_backend(self, name):
         results = [
             tune(
@@ -109,7 +110,6 @@ class TestBackendIndependence:
         for other in results[1:]:
             assert other.best_setting == ref.best_setting
             assert other.trials == ref.trials
-            assert other.cost == ref.cost
             # Every kind evaluates the one array pipeline, so times are
             # bit-identical (the engine contract).
             assert other.best_time_ms == ref.best_time_ms
@@ -145,32 +145,14 @@ class TestLockstep:
 class TestBudgetAccounting:
     def test_budget_is_a_hard_cap_between_frontiers(self):
         result = tune(
-            STENCIL, oc=ST, gpu="V100", strategy="annealing", budget=20,
-            seed=1, chains=2, steps=50,
+            STENCIL, oc=ST, gpu="V100", strategy="genetic", budget=20,
+            seed=1, population=8, generations=50,
         )
-        # 50 steps of 2 chains would cost 102; the driver stops at the
-        # first frontier boundary at/after the budget.
-        assert 20 <= result.cost <= 22
-
-    def test_halving_charges_fidelity_fractions(self):
-        result = tune(
-            STENCIL, oc=ST, gpu="V100", strategy="halving", budget=20, seed=3
-        )
-        # Reduced-grid rungs cost their grid-cell fraction, so the
-        # strategy observes far more trials than the budget.
-        assert result.trials > result.cost * 2
-        assert result.cost <= 22
-        assert any(r.fidelity < 1.0 for r in result.trial_log)
-        assert result.extras["rungs"] == 3
-
-    def test_halving_best_comes_from_full_fidelity(self):
-        result = tune(
-            STENCIL, oc=ST, gpu="2080Ti", strategy="halving", budget=16, seed=8
-        )
-        sim = GPUSimulator("2080Ti")
-        assert sim.time(STENCIL, ST, result.best_setting) == pytest.approx(
-            result.best_time_ms
-        )
+        # 51 generations of 8 would schedule 408 trials; the driver
+        # stops at the first frontier (one generation's fresh
+        # individuals) at/after the budget.
+        assert 20 <= result.trials <= 20 + 8
+        assert len(result.trial_log) == result.trials
 
     def test_invalid_budget(self):
         with pytest.raises(TuningError, match="budget"):
