@@ -3,7 +3,7 @@
 The batched evaluation engine exists to make profiling campaigns cheap:
 ``repro profile`` spends essentially all of its time evaluating (stencil,
 OC, setting) points, so points/second through a backend *is* campaign
-throughput.  This bench times every backend kind over a representative
+throughput.  This bench times every backend over a representative
 campaign slice -- random stencils x all 30 OCs x sampled frontiers,
 crashes included, cold model caches -- and asserts the engine's headline
 guarantees: the vectorized backend clears >=5x the scalar path, a cold
@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from perfbench.common import clear_memo_caches
-from repro.engine import EvalRequest, make_backend
+from repro.engine import CachingBackend, EvalRequest, ScalarBackend, VectorBackend
 from repro.ml.nn import ConvND
 from repro.optimizations.combos import ALL_OCS
 from repro.optimizations.params import default_setting, sample_setting
@@ -54,8 +54,12 @@ def _evaluate(backend, workload) -> None:
 def test_engine_throughput(benchmark):
     workload = make_workload(n_stencils=3, settings_per_oc=32)
     seconds = {}
-    for kind in ("scalar", "vector", "cached"):
-        backend = make_backend(kind, GPU)
+    backends = {
+        "scalar": ScalarBackend(GPU),
+        "vector": VectorBackend(GPU),
+        "cached": CachingBackend(VectorBackend(GPU)),
+    }
+    for kind, backend in backends.items():
 
         def cold():
             # Each rep measures a fresh campaign start.
@@ -85,8 +89,8 @@ def test_engine_throughput(benchmark):
     # interned-key miss path keeps that overhead under ~10%.  Shared
     # runners add +-10% timer noise, so gate on the best paired trial
     # (vector and cached timed back to back under the same load).
-    vec = make_backend("vector", GPU)
-    cac = make_backend("cached", GPU)
+    vec = VectorBackend(GPU)
+    cac = CachingBackend(VectorBackend(GPU))
     best_ratio = 0.0
     for _ in range(5):
         clear_memo_caches()
@@ -106,7 +110,7 @@ def test_engine_throughput(benchmark):
 
     # Representative timing unit: one vectorized batch over a quick slice.
     workload = make_workload(n_stencils=1, settings_per_oc=4)
-    be = make_backend("vector", GPU)
+    be = VectorBackend(GPU)
     benchmark(be.evaluate_batch, workload)
 
 

@@ -11,7 +11,7 @@ combination cannot run for the stencil/GPU at hand.
 
 from __future__ import annotations
 
-from ..engine import make_backend
+from ..engine import VectorBackend
 from ..errors import DatasetError
 from ..optimizations.combos import OC
 from ..optimizations.params import ParamSetting
@@ -28,8 +28,8 @@ class AN5DBaseline:
     name = "AN5D"
 
     def __init__(self, gpu: str, n_settings: int, seed: int,
-                 sigma: float = 0.03, backend: str = "vector"):
-        self.backend = make_backend(backend, gpu, sigma=sigma)
+                 sigma: float = 0.03):
+        self.backend = VectorBackend(gpu, sigma=sigma)
         self.n_settings = int(n_settings)
         self.seed = int(seed)
 

@@ -20,7 +20,7 @@ settings remains the same".
 
 from __future__ import annotations
 
-from ..engine import make_backend
+from ..engine import VectorBackend
 from ..errors import ConstraintViolation, DatasetError
 from ..optimizations.combos import OC
 from ..optimizations.params import ParamSetting
@@ -47,9 +47,8 @@ class ArtemisBaseline:
         seed: int,
         sigma: float = 0.03,
         n_candidates: int = 2,
-        backend: str = "vector",
     ):
-        self.backend = make_backend(backend, gpu, sigma=sigma)
+        self.backend = VectorBackend(gpu, sigma=sigma)
         self.n_settings = int(n_settings)
         self.seed = int(seed)
         self.n_candidates = int(n_candidates)

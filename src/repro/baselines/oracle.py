@@ -9,7 +9,7 @@ point a sampled search found, not the exact optimum.
 
 from __future__ import annotations
 
-from ..engine import make_backend
+from ..engine import VectorBackend
 from ..errors import DatasetError
 from ..optimizations.combos import ALL_OCS, OC
 from ..optimizations.params import ParamSetting
@@ -22,17 +22,16 @@ class OracleBaseline:
 
     Covering the whole OC space makes the oracle the most
     measurement-hungry tuner in the repo, so every OC is tuned in
-    lockstep, one engine batch per round.  Each OC's walk already prices
-    a repeated setting once, so ``backend="cached"`` only pays when one
-    backend instance is shared across ``tune`` calls that ask for the
-    same points (the same stencil tuned again).
+    lockstep, one engine batch per round, on a
+    :class:`~repro.engine.VectorBackend`.  Each OC's walk prices a
+    repeated setting once, so no memo sits in front of it.
     """
 
     name = "Oracle"
 
     def __init__(self, gpu: str, n_settings: int, seed: int,
-                 sigma: float = 0.03, backend: str = "vector"):
-        self.backend = make_backend(backend, gpu, sigma=sigma)
+                 sigma: float = 0.03):
+        self.backend = VectorBackend(gpu, sigma=sigma)
         self.n_settings = int(n_settings)
         self.seed = int(seed)
 

@@ -57,7 +57,6 @@ import argparse
 import sys
 
 from .config import DEFAULT_SEED
-from .engine import BACKEND_KINDS
 from .errors import ReproError, UnknownStencilError
 from .gpu.specs import ALL_GPU_ORDER, GPU_ORDER
 
@@ -160,12 +159,6 @@ _OPTIONS: "dict[str, dict]" = {
         type=int, default=6,
         help="random parameter settings per (stencil, OC)",
     ),
-    "backend": dict(
-        default="vector",
-        choices=tuple(k for k in BACKEND_KINDS if k != "scalar"),
-        help="measurement backend: NumPy-vectorized batches (default) "
-        "or vectorized with content-keyed memoization (identical results)",
-    ),
     "workers": dict(
         type=_workers, default=1,
         help="worker processes for (gpu, stencil) shards, cross-validation "
@@ -251,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--gpus", nargs="+", default=list(GPU_ORDER),
         choices=list(ALL_GPU_ORDER),
     )
-    _add(p, "n-settings", "backend", "workers", "chunk-size")
+    _add(p, "n-settings", "workers", "chunk-size")
     p.add_argument("-o", "--output", required=True, help="campaign JSON path")
     p.add_argument(
         "--checkpoint",
@@ -332,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="persistent tuning cache directory (settled results are "
         "replayed across runs; see docs/tuning.md)",
     )
-    _add(tu, "backend")
     tu.add_argument(
         "--trials",
         action="store_true",
@@ -353,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add(e, ("gpu", _REQUIRED))
     e.add_argument("--folds", type=int, default=5)
-    _add(e, "ndim", "count", "n-settings", "backend", "workers", "chunk-size")
+    _add(e, "ndim", "count", "n-settings", "workers", "chunk-size")
 
     t = sub.add_parser("predict", help="predict execution time cross-architecture")
     _add(t, "campaign", ("stencil", _REQUIRED), ("oc", _REQUIRED))
@@ -591,7 +583,6 @@ def _campaign_runner(args, gpus: tuple, **options):
         gpus=gpus,
         n_settings=args.n_settings,
         seed=args.seed,
-        backend=args.backend,
         workers=args.workers,
         chunk_size=args.chunk_size,
         **options,
@@ -702,7 +693,6 @@ def cmd_tune(args) -> int:
         stencil,
         oc=args.oc,
         gpu=args.gpu,
-        backend=args.backend,
         strategy=args.strategy,
         budget=args.budget,
         seed=args.seed,

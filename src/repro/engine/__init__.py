@@ -36,8 +36,8 @@ from .retry import RetryBackend
 from .scalar import ScalarBackend
 from .vector import VectorBackend
 
-#: Backend kinds selectable from the CLI / campaign runner.
-BACKEND_KINDS = ("scalar", "vector", "cached")
+#: Backend kinds the campaign runner and ``tune(backend=...)`` accept.
+BACKEND_KINDS = ("scalar", "vector")
 
 
 def make_backend(kind: str, gpu, sigma: float = 0.03) -> Backend:
@@ -45,8 +45,7 @@ def make_backend(kind: str, gpu, sigma: float = 0.03) -> Backend:
 
     ``vector`` evaluates batches through the array pipeline; ``scalar``
     loops the same pipeline one point at a time (a per-point reference,
-    bit-identical and much slower); ``cached`` memoizes on top of
-    ``vector``.  *gpu* may be a GPU name, a
+    bit-identical and much slower).  *gpu* may be a GPU name, a
     :class:`~repro.gpu.specs.GPUSpec` or an existing simulator.  Any
     other *kind* is an :class:`~repro.errors.UnknownBackendError`.
     """
@@ -54,8 +53,6 @@ def make_backend(kind: str, gpu, sigma: float = 0.03) -> Backend:
         return ScalarBackend(gpu, sigma=sigma)
     if kind == "vector":
         return VectorBackend(gpu, sigma=sigma)
-    if kind == "cached":
-        return CachingBackend(VectorBackend(gpu, sigma=sigma))
     raise UnknownBackendError(
         f"unknown backend kind {kind!r} (choose from {BACKEND_KINDS})"
     )

@@ -1,10 +1,11 @@
 """Content-keyed memoization of evaluation results, optionally on disk.
 
 ``CachingBackend`` wraps any backend and serves repeated requests from
-memory: search restarts, cross-validation folds and genetic generations
-re-visit the same (stencil, OC, setting, grid) points constantly, and
-results are pure functions of that identity (noise included), so replays
-are free.
+memory.  Results are pure functions of the (stencil, OC, setting, grid)
+identity (noise included), so replays are free.  Strategies price each
+setting once per job on a pure backend, so the memo pays only where a
+point is asked for again: under the campaign's fault layer (one work
+unit at a time) and across processes with ``root=``.
 
 Only settled outcomes are cached -- times and deterministic
 :class:`~repro.errors.KernelLaunchError` crashes.  Transient errors a
@@ -112,6 +113,11 @@ class CachingBackend(BackendBase):
         self._groups.clear()
         self.hits = 0
         self.misses = 0
+
+    def begin_unit(self, unit_key: object) -> None:
+        """Forget the memo at the start of a campaign work unit: units are
+        self-contained, so no hit is lost and memory holds one unit."""
+        self.clear()
 
     def evaluate_batch(self, requests: Sequence[EvalRequest]) -> list[EvalResult]:
         # Cold-path discipline: each request's key is hashed at most

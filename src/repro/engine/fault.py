@@ -101,10 +101,14 @@ class FaultBackend(BackendBase):
         faults forever.  Scoping draws to the unit makes each unit's
         fault schedule independent of whatever ran before it, which is
         what makes checkpoint/resume provably equivalent to an
-        uninterrupted run.
+        uninterrupted run.  Forwarded to the inner backend, so a memo
+        under this layer is scoped to the same unit.
         """
         self._unit_key = unit_key
         self._attempts.clear()
+        begin = getattr(self.inner, "begin_unit", None)
+        if begin is not None:
+            begin(unit_key)
 
     # -- draw primitives -------------------------------------------------
     # Attempt counters are sequenced through a local overlay, so draws can

@@ -81,7 +81,7 @@ def run_campaign(
     :class:`~repro.profiling.runner.CampaignRunner`; extra keyword
     arguments (``backend``, ``faults``, ``policy``, ``checkpoint_path``,
     ...) pass through to it, and ``resume=True`` continues from an
-    existing checkpoint.  ``backend="vector"`` (or ``"cached"``) runs the
+    existing checkpoint.  ``backend="vector"`` (the default) runs the
     campaign on the batched evaluation engine's vectorized substrate (see
     :mod:`repro.engine`).
     """

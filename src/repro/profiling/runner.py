@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..config import DEFAULT_SEED
-from ..engine import BACKEND_KINDS, FaultBackend, RetryBackend, make_backend
+from ..engine import BACKEND_KINDS, CachingBackend, FaultBackend, RetryBackend, make_backend
 from ..errors import (
     CampaignInterrupted,
     DatasetError,
@@ -282,15 +282,17 @@ def build_search(
     """One GPU's measurement stack, wrapped in a :class:`UnitTuner`.
 
     Module-level (rather than a runner method) so shard worker processes
-    build the *same* stack from the same code path: backend, then --
-    when injection is enabled -- faults wrapped *around* any cache
-    (transients must not be memoized) and the retry guard wrapped around
-    the faults.
+    build the *same* stack from the same code path.  Fault-free, it is
+    the bare backend: every strategy already prices each setting once
+    per job.  Under faults the walk and the retries re-ask points, so a
+    memo answers them *under* the fault layer (transients must not be
+    memoized, and every request still draws its faults), with the retry
+    guard around the faults; ``begin_unit`` clears the memo per unit.
     """
     be: object = make_backend(backend_kind, gpu, sigma=sigma)
     if faults.enabled:
         be = RetryBackend(
-            FaultBackend(be, faults, seed=seed), policy, clock, health
+            FaultBackend(CachingBackend(be), faults, seed=seed), policy, clock, health
         )
     return UnitTuner(be, n_settings, seed)
 
@@ -379,10 +381,11 @@ class CampaignRunner:
     backend:
         Measurement backend kind, one of
         :data:`repro.engine.BACKEND_KINDS` (any other is a
-        :class:`DatasetError` at construction).  All kinds evaluate the
-        same array pipeline and produce identical campaigns; ``cached``
-        trades memory for repeat throughput.  Part of the checkpoint
-        identity.
+        :class:`DatasetError` at construction).  Both kinds evaluate the
+        same array pipeline and produce identical campaigns; ``scalar``
+        is the slow per-point reference.  A faulted campaign memoizes
+        under its fault layer on its own (see :func:`build_search`).
+        Part of the checkpoint identity.
     faults:
         Optional :class:`FaultConfig`; ``None`` or an all-zero config
         runs the bare simulator with no injection layer at all.

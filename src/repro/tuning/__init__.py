@@ -17,7 +17,6 @@ from .result import TrialRecord, TuneResult
 from .rng import stream_key, stream_rng
 from .space import ParameterSpace, Restriction, compile_restriction
 from .strategy import (
-    AskBatch,
     GeneratorStrategy,
     Strategy,
     StrategyContext,
@@ -28,7 +27,6 @@ from .strategy import (
 )
 
 __all__ = [
-    "AskBatch",
     "CoordinateDescentStrategy",
     "GeneratorStrategy",
     "GeneticStrategy",

@@ -21,12 +21,11 @@ csTuner-style genetic algorithm -- runs through this one function.
 - packaging the outcome as a :class:`~repro.tuning.TuneResult`.
 
 The loop's only contract with the strategy is the ask/tell protocol;
-whole frontiers go to the backend as single batches, so vectorized,
-cached, and multi-process backends amortize.  :func:`tune_lockstep`
-runs the same loop over several (OC, strategy) jobs of one stencil at
-once: every round sends the union of their frontiers as one batch,
-which is how the campaign runner tunes a whole unit.  ``tune()`` is
-that loop's one-job case.
+whole frontiers go to the backend as single batches, so vectorized
+backends amortize.  :func:`tune_lockstep` runs the same loop over
+several (OC, strategy) jobs of one stencil at once: every round sends
+the union of their frontiers as one batch, which is how the campaign
+runner tunes a whole unit.  ``tune()`` is that loop's one-job case.
 """
 
 from __future__ import annotations
@@ -148,8 +147,9 @@ def tune(
     cache_dir:
         When set, measure through a persistent
         :class:`~repro.engine.CachingBackend` rooted there (in place of
-        the backend's own in-memory memo, if it has one), flushed when
-        the call ends.
+        the passed backend's own memo, if it is a
+        :class:`~repro.engine.CachingBackend`), flushed when the call
+        ends.
     """
     space, inferred = _resolve_space(space_or_stencil, oc, restrictions)
     stencil = stencil if stencil is not None else inferred
@@ -307,14 +307,14 @@ def _drive(
         requests = [
             EvalRequest(ctx.stencil, ctx.oc, s, grid=ctx.grid)
             for _, ctx, batch in asked
-            for s in batch.settings
+            for s in batch
         ]
         results = substrate.evaluate_batch(requests) if requests else []
         live = []
         lo = 0
         for strat, ctx, batch in asked:
-            hi = lo + len(batch.settings)
-            strat.tell(batch, results[lo:hi])
+            hi = lo + len(batch)
+            strat.tell(results[lo:hi])
             lo = hi
             if ctx.budget is None or getattr(strat, "observed", 0) < ctx.budget:
                 live.append((strat, ctx))

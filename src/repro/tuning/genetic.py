@@ -12,7 +12,7 @@ crashing individuals scored ``inf``.  Run it with
 from __future__ import annotations
 
 from ..optimizations.params import PARAM_NAMES, ParamSetting
-from .strategy import AskBatch, GeneratorStrategy, StrategyContext, register_strategy
+from .strategy import GeneratorStrategy, StrategyContext, register_strategy
 
 __all__ = ["GeneticStrategy"]
 
@@ -91,7 +91,7 @@ class GeneticStrategy(GeneratorStrategy):
                 fresh.append(s)
             if not fresh:
                 return
-            results = yield AskBatch(fresh)
+            results = yield fresh
             for s, res in zip(fresh, results):
                 # Incremental incumbent tracking covers budget-truncated
                 # runs; a completed run overwrites it with the exact

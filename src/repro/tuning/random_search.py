@@ -37,7 +37,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from ..errors import TuningError
-from .strategy import AskBatch, GeneratorStrategy, StrategyContext, register_strategy
+from .strategy import GeneratorStrategy, StrategyContext, register_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..optimizations.params import ParamSetting
@@ -63,10 +63,10 @@ def _settle(ctx: StrategyContext, settings: "list[ParamSetting]", settled):
     because the driver checks the budget only when a batch is told.
     """
     if settled is None:
-        return (yield AskBatch(settings)) if settings else []
+        return (yield settings) if settings else []
     fresh = [s for s in settings if s.as_tuple() not in settled]
     if fresh or (settings and ctx.budget is not None):
-        for s, res in zip(fresh, (yield AskBatch(fresh))):
+        for s, res in zip(fresh, (yield fresh)):
             settled[s.as_tuple()] = res
     return [settled[s.as_tuple()] for s in settings]
 
@@ -90,12 +90,12 @@ def coordinate_descent(
     the frontiers are batched:
 
     - On a vectorized, pure backend (see
-      :class:`~repro.engine.BackendInfo`) with no budget, one
-      :class:`AskBatch` carries the frontiers of every parameter the
+      :class:`~repro.engine.BackendInfo`) with no budget, one asked
+      batch carries the frontiers of every parameter the
       pass has still to visit, built from the current setting.  A
       parameter that improves the setting voids the later frontiers,
       which are asked for again from the new setting.
-    - Otherwise each :class:`AskBatch` is one parameter's frontier: a
+    - Otherwise each asked batch is one parameter's frontier: a
       budget is checked between batches, so a batch spanning several
       parameters could overshoot it, and on an impure backend (fault
       injection) every extra point advances the fault schedule.
@@ -247,7 +247,7 @@ class RandomStrategy(GeneratorStrategy):
                     frontier + self._chunk_size(n_settings - len(measurements)),
                 )
                 batch = [draws[i] for i in order[frontier:end]]
-                batch_results = yield AskBatch(batch)
+                batch_results = yield batch
                 for s, res in zip(batch, batch_results):
                     results[s.as_tuple()] = res
                 frontier = end

@@ -42,8 +42,7 @@ class TuneResult:
     ``trials`` reaches it.
     ``cache_hits`` / ``cache_misses`` are this call's delta of the
     :class:`~repro.engine.CachingBackend` it measured through -- one
-    built for ``cache_dir=``, ``backend="cached"`` or a passed instance
-    -- and both zero when the substrate is no ``CachingBackend``; they
+    built for ``cache_dir=`` or a passed instance -- and both zero when the substrate is no ``CachingBackend``; they
     describe the substrate, not the search, and may vary with cache
     state.
     """

@@ -1,16 +1,16 @@
 """The Strategy protocol: ask/tell search over a ParameterSpace.
 
-A strategy never measures anything itself.  It *asks* for a batch of
-settings, the :func:`repro.tuning.tune` driver evaluates the batch on
-the configured :class:`~repro.engine.Backend` (whole frontiers at a
-time, so vectorized and cached backends amortize), and *tells* the
-strategy the outcomes.  Crashes arrive as data
+A strategy never measures anything itself.  It *asks* for a list of
+settings, the :func:`repro.tuning.tune` driver evaluates it on the
+configured :class:`~repro.engine.Backend` as one batch (whole frontiers
+at a time, so vectorized backends amortize), and *tells* the strategy
+the outcomes.  Crashes arrive as data
 (:class:`~repro.engine.EvalResult` with ``crashed=True``), exactly as
 the engine delivers them; each strategy decides what a crash means for
 its search (skip, score ``inf``, reject the move...).
 
 Concrete strategies subclass :class:`GeneratorStrategy` and write the
-search loop as a plain generator -- ``yield AskBatch([...])`` evaluates
+search loop as a plain generator -- ``yield [settings...]`` evaluates
 a batch and returns its results -- which keeps intricate legacy control
 flow (the random walk's frontier batching, coordinate descent's
 fixed-point passes) readable while the driver owns measurement, budget
@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .space import ParameterSpace
 
 __all__ = [
-    "AskBatch",
     "GeneratorStrategy",
     "Strategy",
     "StrategyContext",
@@ -63,13 +62,6 @@ class StrategyContext:
 
 
 @dataclass
-class AskBatch:
-    """One frontier of settings the strategy wants measured."""
-
-    settings: "list[ParamSetting]"
-
-
-@dataclass
 class StrategyOutcome:
     """What a finished (or budget-stopped) strategy reports back."""
 
@@ -93,11 +85,13 @@ class Strategy(Protocol):
 
     def prepare(self, ctx: StrategyContext) -> None: ...  # pragma: no cover
 
-    def ask(self) -> "AskBatch | None": ...  # pragma: no cover
+    def ask(self) -> "list[ParamSetting] | None":
+        """The next frontier to measure, or ``None`` when done."""
+        ...  # pragma: no cover
 
-    def tell(
-        self, batch: AskBatch, results: "list[EvalResult]"
-    ) -> None: ...  # pragma: no cover
+    def tell(self, results: "list[EvalResult]") -> None:
+        """The outcomes of the last :meth:`ask`, in its order."""
+        ...  # pragma: no cover
 
     def finish(self) -> StrategyOutcome: ...  # pragma: no cover
 
@@ -105,9 +99,9 @@ class Strategy(Protocol):
 class GeneratorStrategy:
     """Base class implementing ask/tell over a ``run()`` generator.
 
-    Subclasses implement ``run(ctx)`` as a generator that yields
-    :class:`AskBatch` objects and receives the matching result lists
-    back from the driver.  Bookkeeping helpers:
+    Subclasses implement ``run(ctx)`` as a generator that yields lists
+    of settings and receives the matching result lists back from the
+    driver.  Bookkeeping helpers:
 
     - :meth:`observe` records one consumed evaluation (trial count,
       crash count, best-so-far, trial log) -- strategies call it only
@@ -125,8 +119,8 @@ class GeneratorStrategy:
         self.best_time_ms = float("inf")
         self._log: list[TrialRecord] = []
         self._extras: dict[str, Any] = {}
-        self._gen: "Iterator[AskBatch] | None" = None
-        self._pending: "AskBatch | None" = None
+        self._gen: "Iterator[list[ParamSetting]] | None" = None
+        self._pending: "list[ParamSetting] | None" = None
         self._done = False
 
     # -- stream convention --------------------------------------------
@@ -144,7 +138,7 @@ class GeneratorStrategy:
         self.ctx = ctx
         self._gen = self.run(ctx)
 
-    def ask(self) -> "AskBatch | None":
+    def ask(self) -> "list[ParamSetting] | None":
         if self._done:
             return None
         if self._pending is None:
@@ -155,7 +149,7 @@ class GeneratorStrategy:
                 return None
         return self._pending
 
-    def tell(self, batch: AskBatch, results: "list[EvalResult]") -> None:
+    def tell(self, results: "list[EvalResult]") -> None:
         if self._pending is None:
             raise TuningError(f"{self.name}: tell() without a pending ask()")
         self._pending = None

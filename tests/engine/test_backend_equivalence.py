@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.engine import (
+    BACKEND_KINDS,
     CachingBackend,
     EvalRequest,
     ScalarBackend,
@@ -208,10 +209,10 @@ def test_noise_prefix_memo_is_keyed_by_content():
 
 
 def test_make_backend_kinds():
+    assert BACKEND_KINDS == ("scalar", "vector")
     for kind, vectorized in (
         ("scalar", False),
         ("vector", True),
-        ("cached", True),
     ):
         be = make_backend(kind, "V100")
         assert be.spec.name == "V100"
@@ -219,8 +220,10 @@ def test_make_backend_kinds():
         assert be.info.pure
     with pytest.raises(ValueError):
         make_backend("quantum", "V100")
-    with pytest.raises(UnknownBackendError, match="'parallel'"):
-        make_backend("parallel", "V100")
+    # Retired kinds fail closed: memoization is a decorator, not a kind.
+    for retired in ("parallel", "cached"):
+        with pytest.raises(UnknownBackendError, match=repr(retired)):
+            make_backend(retired, "V100")
 
 
 def test_scalar_backend_time_matches_simulator():

@@ -101,9 +101,9 @@ class TestCampaign:
     @pytest.mark.parametrize(
         "kwargs",
         [{"gpus": ()}, {"ocs": ()}, {"n_settings": 0}, {"n_settings": -3},
-         {"backend": "parallel"}, {"backend": "bogus"}],
+         {"backend": "parallel"}, {"backend": "bogus"}, {"backend": "cached"}],
         ids=["no-gpus", "no-ocs", "zero-settings", "negative-settings",
-             "removed-backend", "unknown-backend"],
+             "removed-backend", "unknown-backend", "retired-cached-backend"],
     )
     def test_rejects_a_campaign_that_measures_nothing(self, kwargs, tmp_path):
         # Rejected at construction: no worker spawns, no checkpoint.

@@ -142,6 +142,18 @@ class TestCheckpointHygiene:
             with pytest.raises(DatasetError, match=field):
                 other.run(resume=True)
 
+    def test_retired_backend_kind_rejected(self, population, tmp_path):
+        # A checkpoint written by a campaign on the retired "cached"
+        # backend kind belongs to no campaign this runner can build.
+        ck = tmp_path / "ck.json"
+        with pytest.raises(CampaignInterrupted):
+            _runner(population, ck, max_units=1).run()
+        doc = json.loads(ck.read_text())
+        doc["config"]["backend"] = "cached"
+        ck.write_text(json.dumps(doc))
+        with pytest.raises(DatasetError, match="mismatched: backend"):
+            _runner(population, ck).run(resume=True)
+
     def test_wrong_kind_rejected(self, population, tmp_path):
         ck = tmp_path / "ck.json"
         ck.write_text(json.dumps({"format": 1, "kind": "something-else"}))

@@ -2,9 +2,13 @@
 
 import pytest
 
+from repro.engine import CachingBackend, VectorBackend
 from repro.errors import DatasetError
 from repro.gpu.faults import FaultConfig
-from repro.profiling import CampaignRunner, RetryPolicy, SimClock, run_campaign
+from repro.profiling import (
+    CampaignHealth, CampaignRunner, RetryPolicy, SimClock, run_campaign,
+)
+from repro.profiling.runner import build_search, run_unit
 from repro.profiling.storage import campaign_to_dict
 
 from .conftest import OCS
@@ -256,3 +260,45 @@ class TestValidation:
     def test_retry_policy_accepts_edge_budgets(self):
         RetryPolicy(max_call_retries=0, max_point_retries=0,
                     backoff_base_s=0.0, backoff_factor=1.0, backoff_max_s=0.0)
+
+
+class TestMeasurementStack:
+    """What ``build_search`` stacks: a memo only under the fault layer."""
+
+    @staticmethod
+    def _search(faults):
+        return build_search(
+            "vector", "V100", 0.03, faults, 7, 3, RetryPolicy(), SimClock(),
+            CampaignHealth(),
+        )
+
+    @staticmethod
+    def _layers(search):
+        layers = [search.backend]
+        while hasattr(layers[-1], "inner"):
+            layers.append(layers[-1].inner)
+        return layers
+
+    def _memo(self, search, faults, units):
+        """The stack's one memo after running *units* through it."""
+        for sid, stencil in units:
+            run_unit(search, "V100", stencil, sid, OCS, faults,
+                     RetryPolicy(), SimClock(), CampaignHealth())
+        (memo,) = [b for b in self._layers(search) if isinstance(b, CachingBackend)]
+        return memo
+
+    def test_fault_free_stack_is_the_bare_backend(self):
+        search = self._search(FaultConfig())
+        assert [type(b) for b in self._layers(search)] == [VectorBackend]
+
+    def test_faulted_memo_holds_one_unit(self, population):
+        faults = FaultConfig.uniform(0.05)
+        units = [(0, population[0]), (1, population[1])]
+        memo = self._memo(self._search(faults), faults, units)
+        # begin_unit cleared unit 0's points: the memo holds exactly what
+        # a fresh stack holds after running unit 1 alone.
+        alone = self._memo(self._search(faults), faults, units[1:])
+        assert memo.cache_info() == alone.cache_info()
+        # Retries re-ask faulted points, and the memo answers them.
+        assert memo.cache_info()["size"] > 0
+        assert memo.cache_info()["hits"] > 0

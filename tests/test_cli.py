@@ -298,7 +298,7 @@ class TestServeCommands:
         rc = main(
             [
                 "profile", "--ndim", "2", "--count", "6", "--gpus", "V100",
-                "A100", "--n-settings", "3", "--backend", "cached",
+                "A100", "--n-settings", "3",
                 "-o", str(path), "--seed", "9",
             ]
         )
@@ -522,27 +522,13 @@ class TestEvaluateParity:
         rc = main(
             [
                 "evaluate", "--task", "select", "--gpu", "V100", "--ndim",
-                "2", "--count", "6", "--n-settings", "3", "--backend",
-                "cached", "--folds", "2", "--seed", "6",
+                "2", "--count", "6", "--n-settings", "3",
+                "--folds", "2", "--seed", "6",
             ]
         )
         assert rc == 0
         out = capsys.readouterr().out
         assert "select/gbdt on V100" in out and "mean accuracy" in out
-
-    def test_evaluate_backend_invariance(self, capsys):
-        """Backend choice shapes speed, never scores: the cached and
-        vector paths must report identical fold accuracies."""
-        argv = [
-            "evaluate", "--task", "select", "--gpu", "V100", "--ndim", "2",
-            "--count", "6", "--n-settings", "3", "--folds", "2",
-            "--seed", "6",
-        ]
-        assert main(argv + ["--backend", "vector"]) == 0
-        vector = capsys.readouterr().out
-        assert main(argv + ["--backend", "cached"]) == 0
-        cached = capsys.readouterr().out
-        assert vector == cached
 
     def test_evaluate_without_campaign_needs_ndim(self, capsys):
         rc = main(["evaluate", "--gpu", "V100"])
@@ -551,10 +537,9 @@ class TestEvaluateParity:
 
     def test_parser_accepts_parity_flags(self):
         args = build_parser().parse_args(
-            ["evaluate", "--gpu", "V100", "--ndim", "2", "--backend",
-             "cached", "--workers", "2", "--chunk-size", "3"]
+            ["evaluate", "--gpu", "V100", "--ndim", "2",
+             "--workers", "2", "--chunk-size", "3"]
         )
-        assert args.backend == "cached"
         assert args.chunk_size == 3
 
 

@@ -8,7 +8,7 @@ frontiers are sized shows up as a diff::
 
 Cases: one ``tune_lockstep`` call tuning five OCs of ``star2d2r`` at
 once (``RandomStrategy(6)`` each, the campaign's shape) on
-``VectorBackend``, on ``make_backend("cached")`` and on the faulted
+``VectorBackend``, on ``CachingBackend(VectorBackend)`` and on the faulted
 campaign stack (one unit of ``FaultConfig.uniform(0.1)`` under the
 retry guard, as ``repro profile --fault-rate 0.1`` runs it),
 one on a 3-D stencil, a single ``tune(strategy="random", budget=24)``
@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.engine import VectorBackend, make_backend
+from repro.engine import CachingBackend, VectorBackend
 from repro.gpu.faults import FaultConfig
 from repro.optimizations import OC
 from repro.profiling import CampaignHealth, RetryPolicy, SimClock
@@ -92,7 +92,7 @@ def cases() -> list[tuple[str, object]]:
         ("lockstep star2d2r vector V100", lambda: _lockstep("star2d2r", VectorBackend("V100"))),
         (
             "lockstep star2d2r cached V100",
-            lambda: _lockstep("star2d2r", make_backend("cached", "V100")),
+            lambda: _lockstep("star2d2r", CachingBackend(VectorBackend("V100"))),
         ),
         ("lockstep box3d1r vector A100", lambda: _lockstep("box3d1r", VectorBackend("A100"))),
         ("tune random budget=24 vector V100", lambda: _single(VectorBackend("V100"))),

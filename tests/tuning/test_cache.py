@@ -247,14 +247,14 @@ class TestCounters:
             assert cache.cache_info() == {"hits": 1, "misses": 3, "size": 3}
 
     def test_cached_backend_reports_per_call_delta(self):
-        kwargs = dict(oc=ST, gpu="V100", backend="cached", budget=6, seed=1)
-        plain = tune(STENCIL, **{**kwargs, "backend": "vector"})
-        cached = tune(STENCIL, **kwargs)
+        kwargs = dict(oc=ST, budget=6, seed=1)
+        plain = tune(STENCIL, gpu="V100", **kwargs)
+        cached = tune(STENCIL, backend=CachingBackend(VectorBackend("V100")), **kwargs)
         assert plain.cache_hits == plain.cache_misses == 0
         assert cached.cache_misses > 0
         assert cached.best_time_ms == plain.best_time_ms
         # A shared memo: the second call's delta is all hits.
-        memo = make_backend("cached", "V100")
+        memo = CachingBackend(VectorBackend("V100"))
         a = tune(STENCIL, oc=ST, backend=memo, budget=6, seed=1)
         b = tune(STENCIL, oc=ST, backend=memo, budget=6, seed=1)
         assert (a.cache_hits, a.cache_misses) == (cached.cache_hits, cached.cache_misses)
@@ -269,8 +269,8 @@ class TestCounters:
         assert memo.cache_info() == {"hits": 0, "misses": 0, "size": 0}
         assert cold.cache_misses > 0
         warm = tune(
-            STENCIL, oc=ST, gpu="V100", backend="cached", budget=6, seed=1,
-            cache_dir=tmp_path,
+            STENCIL, oc=ST, backend=CachingBackend(VectorBackend("V100")),
+            budget=6, seed=1, cache_dir=tmp_path,
         )
         assert warm.cache_misses == 0
         assert warm.cache_hits == cold.cache_hits + cold.cache_misses
@@ -313,12 +313,11 @@ class TestFrontDoorIntegration:
                 if self._asked:
                     raise RuntimeError("strategy exploded")
                 self._asked = True
-                from repro.tuning import AskBatch
                 from repro.optimizations.params import default_setting
 
-                return AskBatch([default_setting()])
+                return [default_setting()]
 
-            def tell(self, batch, results):
+            def tell(self, results):
                 pass
 
             def finish(self):  # pragma: no cover - never reached

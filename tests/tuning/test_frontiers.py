@@ -19,7 +19,7 @@ import pytest
 
 from repro.analysis import AnalyticalBackend
 from repro.engine import (
-    CachingBackend, FaultBackend, ScalarBackend, VectorBackend, make_backend,
+    CachingBackend, FaultBackend, ScalarBackend, VectorBackend,
 )
 from repro.gpu.faults import FaultConfig
 from repro.ml.analytical import AnalyticalSelector
@@ -147,7 +147,7 @@ def test_speculation_changes_nothing_observable(stencil):
     "backend",
     [
         lambda: VectorBackend("V100"),
-        lambda: make_backend("cached", "V100"),
+        lambda: CachingBackend(VectorBackend("V100")),
         lambda: AnalyticalBackend("V100"),
     ],
     ids=["vector", "cached-vector", "analytical"],

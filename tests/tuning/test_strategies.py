@@ -8,7 +8,7 @@ trials; and front-door misuse surfacing as TuningError.
 
 import pytest
 
-from repro.engine import make_backend
+from repro.engine import CachingBackend, ScalarBackend, VectorBackend, make_backend
 from repro.errors import TuningError, UnknownBackendError
 from repro.gpu import GPUSimulator
 from repro.optimizations import OC
@@ -95,14 +95,18 @@ class TestZoo:
 class TestBackendIndependence:
     """trials and the draw sequence never depend on the substrate."""
 
-    KINDS = ("scalar", "vector", "cached")
+    KINDS = (
+        lambda: ScalarBackend("A100"),
+        lambda: VectorBackend("A100"),
+        lambda: CachingBackend(VectorBackend("A100")),
+    )
 
     @pytest.mark.parametrize("name", ("random", "genetic"))
     def test_same_decisions_on_every_backend(self, name):
         results = [
             tune(
-                STENCIL, oc=ST, backend=make_backend(kind, "A100"),
-                strategy=name, budget=18, seed=4,
+                STENCIL, oc=ST, backend=kind(), strategy=name, budget=18,
+                seed=4,
             )
             for kind in self.KINDS
         ]
@@ -177,7 +181,7 @@ class TestBudgetAccounting:
 
 
 class TestFrontDoorValidation:
-    @pytest.mark.parametrize("kind", ("parallel", "bogus"))
+    @pytest.mark.parametrize("kind", ("parallel", "bogus", "cached"))
     def test_unknown_backend_kind_is_named(self, kind):
         with pytest.raises(UnknownBackendError, match=repr(kind)):
             tune(STENCIL, oc=ST, gpu="V100", backend=kind, budget=4)

@@ -26,7 +26,6 @@ def run_paper_scale(args) -> int:
         gpus=tuple(args.gpus),
         n_settings=args.n_settings,
         seed=args.seed,
-        backend=args.backend,
         workers=args.workers,
         mp_context=args.context,
     )
@@ -52,7 +51,6 @@ def run_paper_scale(args) -> int:
         "measurements": per_gpu,
         "cpu_count": os.cpu_count() or 1,
         "workers": runner.workers,
-        "backend": args.backend,
     }
     version = registry.publish(campaign, args.name, meta=meta)
     path = registry.path(args.name, version)
@@ -104,12 +102,6 @@ def main(argv=None) -> int:
         nargs="+",
         default=["V100"],
         help="GPUs to profile",
-    )
-    ap.add_argument(
-        "--backend",
-        default="vector",
-        choices=("scalar", "vector", "cached"),
-        help="measurement backend",
     )
     ap.add_argument("--seed", type=int, default=2022)
     args = ap.parse_args(argv)
