@@ -161,9 +161,9 @@ _OPTIONS: "dict[str, dict]" = {
     ),
     "workers": dict(
         type=_workers, default=1,
-        help="worker processes for (gpu, stencil) shards, cross-validation "
-        "folds or GBDT training (0 = one per CPU; results are identical "
-        "for every count, and checkpoints resume across counts)",
+        help="worker processes for (gpu, stencil) shards or cross-validation "
+        "folds (0 = one per CPU; results are identical for every count, "
+        "and checkpoints resume across counts)",
     ),
     "chunk-size": dict(
         type=_chunk_size, default=None,
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("select", help="predict the best OC for a stencil")
     _add(s, "campaign", ("stencil", _REQUIRED), ("gpu", _REQUIRED))
     s.add_argument("--method", default="gbdt", choices=("gbdt", "convnet", "fcnet"))
-    _add(s, "workers", "model")
+    _add(s, "model")
 
     tu = sub.add_parser(
         "tune",
@@ -431,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="gbdt/convnet/fcnet/analytical for select, "
         "gbr/mlp/convmlp/hybrid/analytical for predict (defaults: gbdt / gbr)",
     )
-    _add(tr, "gpu", "workers")
+    _add(tr, "gpu")
     tr.add_argument(
         "--max-rows",
         type=int,
@@ -675,7 +675,7 @@ def cmd_select(args) -> int:
             method, args.gpu, art.model, representatives=art.representatives
         )
     else:
-        mart.fit_selector(method, args.gpu, workers=args.workers)
+        mart.fit_selector(method, args.gpu)
     stencil = args.stencil
     oc = mart.predict_best_oc(stencil, args.gpu, method=method)
     print(f"predicted best OC for {stencil.name} on {args.gpu}: {oc.name}")
@@ -962,7 +962,6 @@ def cmd_train(args) -> int:
             args.gpu,
             method=args.method or "gbdt",
             seed=args.seed,
-            workers=args.workers,
         )
     else:
         artifact = train_predictor_artifact(

@@ -36,7 +36,7 @@ from .retry import RetryBackend
 from .scalar import ScalarBackend
 from .vector import VectorBackend
 
-#: Backend kinds the campaign runner and ``tune(backend=...)`` accept.
+#: Backend kinds the campaign runner accepts (``CampaignRunner(backend=)``).
 BACKEND_KINDS = ("scalar", "vector")
 
 

@@ -3,8 +3,8 @@
 ``RetryBackend`` reproduces the campaign runner's call-level guard (the
 pre-engine ``_GuardedSimulator``) on the batched protocol: transient
 errors recorded by a fault-injecting inner backend are retried with
-exponential backoff on the simulated clock, implausible timings are
-rejected and re-measured, and health counters account for every event.
+simulated exponential backoff, implausible timings are rejected and
+re-measured, and health counters account for every event.
 
 The retry loop is round-based: each round re-submits only the requests
 that still need a value, so the clean bulk of a batch is measured once
@@ -45,20 +45,16 @@ class RetryBackend(BackendBase):
         A :class:`~repro.profiling.runner.RetryPolicy` (or compatible):
         ``max_call_retries``, ``backoff_base_s``, ``backoff_factor``,
         ``backoff_max_s``.
-    clock:
-        A :class:`~repro.profiling.runner.SimClock` (or compatible
-        ``sleep``/``now``) charged for backoff waits.
     health:
         A :class:`~repro.profiling.runner.CampaignHealth` ledger whose
         counters (``timeouts``, ``transients``, ``corrupt_rejected``,
-        ``device_lost``, ``call_retries``, ``backoff_s``) this decorator
-        increments.
+        ``device_lost``, ``call_retries``) this decorator increments;
+        each backoff wait is charged to its ``backoff_s``, never slept.
     """
 
-    def __init__(self, inner, policy, clock, health):
+    def __init__(self, inner, policy, health):
         self.inner = as_backend(inner)
         self.policy = policy
-        self.clock = clock
         self.health = health
 
     @property
@@ -122,7 +118,6 @@ class RetryBackend(BackendBase):
                     raise err
                 retries_left[i] -= 1
                 health.call_retries += 1
-                self.clock.sleep(delay[i])
                 health.backoff_s += delay[i]
                 delay[i] = min(
                     delay[i] * policy.backoff_factor, policy.backoff_max_s

@@ -12,48 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError, NotFittedError
-from ..parallel import WorkerPool
 from .preprocess import one_hot
-from .tree import Presorted, RegressionTree, presort
-
-# Per-worker state for parallel per-class tree fitting: the training
-# matrix and tree hyperparameters ship once per worker through the pool
-# initializer; per-task payloads then carry only row indices and the
-# per-class gradient/hessian vectors.  A round's K class tasks share
-# their rows, so the worker keeps its last presorted row sample and
-# presorts once per round, as the sequential fit does.
-_FIT_X: "np.ndarray | None" = None
-_FIT_TREE_PARAMS: "dict | None" = None
-_FIT_SORTED: "tuple[np.ndarray, Presorted] | None" = None
-
-
-def _init_fit_worker(X: np.ndarray, tree_params: dict) -> None:
-    global _FIT_X, _FIT_TREE_PARAMS, _FIT_SORTED
-    _FIT_X = X
-    _FIT_TREE_PARAMS = tree_params
-    _FIT_SORTED = None
-
-
-def _fit_class_tree(task: tuple) -> RegressionTree:
-    """Fit one class's tree for one boosting round (pool task)."""
-    global _FIT_SORTED
-    rows, grad, hess = task
-    assert _FIT_X is not None and _FIT_TREE_PARAMS is not None
-    if _FIT_SORTED is None or not np.array_equal(_FIT_SORTED[0], rows):
-        _FIT_SORTED = (rows, presort(_FIT_X[rows]))
-    return RegressionTree(**_FIT_TREE_PARAMS)._fit_sorted(_FIT_SORTED[1], grad, hess)
+from .tree import RegressionTree, presort
 
 
 class _GBBase:
-    """Shared hyperparameters and helpers.
-
-    ``workers`` parallelizes the per-class tree fits inside each
-    boosting round of :class:`GBDTClassifier` across a process pool
-    (bit-identical to the sequential fit: every class's gradients come
-    from the softmax of the round-start scores, so the K fits of a round
-    are independent).  :class:`GBRegressor` grows one tree per round and
-    has nothing to fan out, so it accepts but ignores the parameter.
-    """
+    """Shared hyperparameters and helpers."""
 
     def __init__(
         self,
@@ -65,8 +29,6 @@ class _GBBase:
         gamma: float = 0.0,
         subsample: float = 1.0,
         seed: int = 0,
-        workers: int = 1,
-        pool_context: str = "spawn",
     ):
         if not 0.0 < subsample <= 1.0:
             raise ModelError(f"subsample must be in (0, 1], got {subsample}")
@@ -80,8 +42,6 @@ class _GBBase:
         self.gamma = float(gamma)
         self.subsample = float(subsample)
         self.seed = int(seed)
-        self.workers = int(workers) if workers is not None else 1
-        self.pool_context = pool_context
 
     def _tree_params(self) -> dict:
         return dict(
@@ -106,11 +66,7 @@ class _GBBase:
             yield rows, full if full is not None else presort(X[rows])
 
     def _hyper_state(self) -> dict:
-        """Constructor arguments needed to rebuild this estimator.
-
-        ``workers``/``pool_context`` only shape *training* concurrency,
-        so they are deliberately not part of a fitted model's identity.
-        """
+        """Constructor arguments needed to rebuild this estimator."""
         return dict(
             n_rounds=self.n_rounds,
             learning_rate=self.learning_rate,
@@ -193,12 +149,7 @@ class GBDTClassifier(_GBBase):
     """Multiclass gradient boosting with a softmax objective.
 
     One tree per class per round, fitted to the softmax gradients
-    ``p_k - y_k`` with hessians ``p_k (1 - p_k)``.  With ``workers > 1``
-    the K per-class fits of each round run on a process pool: the
-    probabilities ``P`` come from the round-start scores, so class k's
-    tree never depends on class j's tree from the same round, and the
-    score updates are applied in class order afterwards -- the fitted
-    model is bit-identical to the sequential one.
+    ``p_k - y_k`` with hessians ``p_k (1 - p_k)``.
     """
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GBDTClassifier":
@@ -213,9 +164,6 @@ class GBDTClassifier(_GBBase):
         n = labels.shape[0]
         F = np.zeros((n, self.n_classes_))
         self.trees_: list[list[RegressionTree]] = []
-        if self.workers > 1 and self.n_classes_ > 1:
-            self._fit_parallel(X, Y, F, rng)
-            return self
         for rows, data in self._rounds(X, rng):
             P = _softmax(F)
             round_trees: list[RegressionTree] = []
@@ -229,39 +177,6 @@ class GBDTClassifier(_GBBase):
                 F[:, k] += self.learning_rate * tree.predict(X)
             self.trees_.append(round_trees)
         return self
-
-    def _fit_parallel(
-        self,
-        X: np.ndarray,
-        Y: np.ndarray,
-        F: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        """Boost with per-class tree fits fanned out to a worker pool.
-
-        The pool persists across rounds (X ships once per worker via the
-        initializer); each round submits K small (rows, grad, hess)
-        tasks and gathers the trees in class order.
-        """
-        n = Y.shape[0]
-        with WorkerPool(
-            self.workers,
-            context=self.pool_context,
-            initializer=_init_fit_worker,
-            initargs=(X, self._tree_params()),
-        ) as pool:
-            for _ in range(self.n_rounds):
-                P = _softmax(F)
-                rows = self._sample_rows(n, rng)
-                tasks = []
-                for k in range(self.n_classes_):
-                    grad = P[:, k] - Y[:, k]
-                    hess = np.maximum(P[:, k] * (1.0 - P[:, k]), 1e-6)
-                    tasks.append((rows, grad[rows], hess[rows]))
-                round_trees = pool.map(_fit_class_tree, tasks)
-                for k, tree in enumerate(round_trees):
-                    F[:, k] += self.learning_rate * tree.predict(X)
-                self.trees_.append(round_trees)
 
     def state_dict(self) -> dict:
         """Fitted state for :mod:`repro.ml.serialize`."""

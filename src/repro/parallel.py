@@ -1,10 +1,14 @@
 """Shared multi-core worker-pool utility.
 
-Everything in this repo that fans work out across processes -- the
-sharded :class:`~repro.profiling.runner.CampaignRunner`, per-class GBDT
-tree fitting and fold-parallel cross-validation -- goes through one
-:class:`WorkerPool` so process lifecycle, context selection and
-worker-death reporting behave identically everywhere.
+Work fans out across processes only in whole units: the sharded
+:class:`~repro.profiling.runner.CampaignRunner` dispatches (gpu, stencil)
+shards and :func:`~repro.profiling.crossval.cross_validate` dispatches
+folds.  Both go through one :class:`WorkerPool` and its one dispatch
+method, :meth:`WorkerPool.map_unordered`, so process lifecycle, context
+selection and worker-death reporting behave identically everywhere.
+Finer grains, such as a boosting round's per-class trees (about a
+millisecond each), cost more to ship than to compute, so they run
+in-process.
 
 Design rules:
 
@@ -105,8 +109,8 @@ class WorkerPool:
         return self._executor
 
     def restart(self) -> None:
-        """Discard a (possibly broken) executor; the next map builds a
-        fresh one.  Used by callers that treat a worker death as a
+        """Discard a (possibly broken) executor; the next dispatch builds
+        a fresh one.  Used by callers that treat a worker death as a
         retryable fault."""
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
@@ -124,46 +128,15 @@ class WorkerPool:
         self.close()
 
     # ------------------------------------------------------------------
-    def map(self, fn: Callable, tasks: "Sequence | Iterable") -> list:
-        """Apply *fn* to every task, returning results in task order.
-
-        With ``workers=1`` this is literally ``[fn(t) for t in tasks]``
-        (after running the initializer in-process once).  Otherwise the
-        tasks are submitted to the pool and gathered in order; a worker
-        death raises :class:`WorkerLostError` once every submitted
-        future has settled, so no zombie work stays in flight.
-        """
-        tasks = list(tasks)
-        if self.workers <= 1:
-            if self._initializer is not None and not self._initialized_inline:
-                self._initializer(*self._initargs)
-                self._initialized_inline = True
-            return [fn(t) for t in tasks]
-        ex = self._ensure_executor()
-        futures = [ex.submit(fn, t) for t in tasks]
-        wait(futures)
-        out = []
-        lost = None
-        for fut in futures:
-            try:
-                out.append(fut.result())
-            except BrokenProcessPool as e:
-                lost = WorkerLostError(
-                    f"worker process died while executing {getattr(fn, '__name__', fn)!r}"
-                )
-                lost.__cause__ = e
-                break
-        if lost is not None:
-            self.restart()
-            raise lost
-        return out
-
     def map_unordered(self, fn: Callable, tasks: "Sequence | Iterable"):
         """Yield ``(index, result)`` pairs as tasks finish.
 
-        The sequential path yields in task order; the pooled path yields
-        in completion order.  Worker deaths raise :class:`WorkerLostError`
-        exactly as :meth:`map` does.
+        With ``workers=1`` this is a plain loop in task order (after
+        running the initializer in-process once).  Otherwise the tasks
+        go to the pool and pairs arrive in completion order; callers that
+        need task order place each result by its index.  A worker death
+        raises :class:`WorkerLostError` after restarting the pool, and
+        the tasks still pending are cancelled.
         """
         tasks = list(tasks)
         if self.workers <= 1:

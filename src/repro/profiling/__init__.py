@@ -20,7 +20,7 @@ from .merge import (
 from .profiler import ProfileCampaign, run_campaign
 from .records import Measurement, OCResult, StencilProfile
 from .registry import DatasetRegistry, resolve_dataset_path
-from .runner import CampaignHealth, CampaignRunner, RetryPolicy, SimClock
+from .runner import CampaignHealth, CampaignRunner, RetryPolicy
 from .storage import load_campaign, save_campaign
 from .train import train_predictor_artifact, train_selector_artifact
 
@@ -37,7 +37,6 @@ __all__ = [
     "ProfileCampaign",
     "RegressionDataset",
     "RetryPolicy",
-    "SimClock",
     "StencilProfile",
     "build_classification_dataset",
     "build_regression_dataset",

@@ -119,4 +119,7 @@ def cross_validate(
         initializer=_init_fold_worker,
         initargs=(fold_fn, data),
     ) as pool:
-        return pool.map(_run_fold, folds)
+        results: list = [None] * len(folds)
+        for i, result in pool.map_unordered(_run_fold, folds):
+            results[i] = result
+    return results

@@ -24,9 +24,9 @@ timings the fault-free campaign records.  That is what makes the
 determinism and kill--resume equivalence properties testable instead of
 hopeful.
 
-Time never comes from the wall clock: backoff waits advance a
-:class:`SimClock`, keeping every retry schedule deterministic and tests
-instant.
+Time never comes from the wall clock: backoff waits are charged to
+``CampaignHealth.backoff_s`` instead of slept, keeping every retry
+schedule deterministic and tests instant.
 """
 
 from __future__ import annotations
@@ -89,16 +89,6 @@ def write_checkpoint(
     )
 
 
-class SimClock:
-    """A monotonically advancing simulated clock for backoff waits."""
-
-    def __init__(self) -> None:
-        self.now_s = 0.0
-
-    def sleep(self, seconds: float) -> None:
-        self.now_s += float(seconds)
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
     """Bounded-retry and exponential-backoff parameters.
@@ -108,8 +98,8 @@ class RetryPolicy:
     point retries re-run a whole group of (stencil, OC) tuning points
     after a :class:`DeviceLostError` (which voids all in-flight
     measurements) or after a call exhausted its per-call budget.
-    Backoff doubles from ``backoff_base_s`` up to ``backoff_max_s`` on
-    the simulated clock.
+    Backoff doubles from ``backoff_base_s`` up to ``backoff_max_s``; the
+    waits are simulated, accumulated in ``CampaignHealth.backoff_s``.
 
     Budgets that would drop or hang work are rejected: a negative point
     budget never tries a group, and a negative call budget never runs
@@ -276,7 +266,6 @@ def build_search(
     seed: int,
     n_settings: int,
     policy: RetryPolicy,
-    clock: SimClock,
     health: CampaignHealth,
 ) -> UnitTuner:
     """One GPU's measurement stack, wrapped in a :class:`UnitTuner`.
@@ -292,7 +281,7 @@ def build_search(
     be: object = make_backend(backend_kind, gpu, sigma=sigma)
     if faults.enabled:
         be = RetryBackend(
-            FaultBackend(CachingBackend(be), faults, seed=seed), policy, clock, health
+            FaultBackend(CachingBackend(be), faults, seed=seed), policy, health
         )
     return UnitTuner(be, n_settings, seed)
 
@@ -305,7 +294,6 @@ def run_unit(
     ocs: "tuple[OC, ...]",
     faults: FaultConfig,
     policy: RetryPolicy,
-    clock: SimClock,
     health: CampaignHealth,
 ) -> StencilProfile:
     """One (gpu, stencil) work unit, its OCs tuned in lockstep with retries.
@@ -355,7 +343,6 @@ def run_unit(
                     )
                     break
                 health.point_retries += 1
-                clock.sleep(delay)
                 health.backoff_s += delay
                 delay = min(delay * policy.backoff_factor,
                             policy.backoff_max_s)
@@ -490,7 +477,6 @@ class CampaignRunner:
         self.worker_crash_units = tuple(
             (str(g), int(s)) for g, s in (worker_crash_units or ())
         )
-        self.clock = SimClock()
         self.health = CampaignHealth()
         #: (gpu, stencil_id) -> (profile, its checkpoint row text)
         self._row_texts: dict[tuple[str, int], tuple[StencilProfile, str]] = {}
@@ -681,7 +667,7 @@ class CampaignRunner:
         searches = {
             gpu: build_search(
                 self.backend, gpu, self.sigma, self.faults, self.seed,
-                self.n_settings, self.policy, self.clock, self.health,
+                self.n_settings, self.policy, self.health,
             )
             for gpu in self.gpus
         }
@@ -692,7 +678,7 @@ class CampaignRunner:
                 raise self._interrupt(completed, processed)
             completed[gpu][sid] = run_unit(
                 searches[gpu], gpu, self.stencils[sid], sid, self.ocs,
-                self.faults, self.policy, self.clock, self.health,
+                self.faults, self.policy, self.health,
             )
             self.health.units_completed += 1
             processed += 1
@@ -724,7 +710,7 @@ class CampaignRunner:
         """Execute pending units as contiguous shards on a worker pool.
 
         Each shard runs :func:`run_unit` over its units with a fresh
-        clock/health/search stack -- units are self-contained, so the
+        health/search stack -- units are self-contained, so the
         merged result is bit-identical to the sequential run for any
         worker count, chunk size or completion order.  Worker deaths are
         absorbed: partial progress is recovered from per-shard

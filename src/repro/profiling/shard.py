@@ -4,8 +4,8 @@ A shard is a contiguous slice of a campaign's pending (gpu, stencil)
 units.  The parent :class:`~repro.profiling.runner.CampaignRunner` ships
 the campaign config once per worker through the pool initializer
 (:func:`_init_shard_worker`), then dispatches shards as small picklable
-tasks; :func:`run_shard` executes each one with a **fresh** clock,
-health ledger and per-GPU search stack built by the same
+tasks; :func:`run_shard` executes each one with a **fresh** health
+ledger and per-GPU search stack built by the same
 :func:`~repro.profiling.runner.build_search` /
 :func:`~repro.profiling.runner.run_unit` code the sequential runner
 uses.
@@ -83,7 +83,6 @@ def run_shard(task: tuple) -> dict:
     # top-level back-import would be circular in the parent process.
     from .runner import (
         CampaignHealth,
-        SimClock,
         build_search,
         run_unit,
         write_checkpoint,
@@ -93,7 +92,6 @@ def run_shard(task: tuple) -> dict:
     cfg = _CFG
     shard_idx, units, crash_units, ckpt_path = task
     crash = {(str(g), int(s)) for g, s in crash_units}
-    clock = SimClock()
     health = CampaignHealth()
     searches: dict = {}
     rows: "dict[str, list]" = {}
@@ -106,13 +104,12 @@ def run_shard(task: tuple) -> dict:
         if search is None:
             search = build_search(
                 cfg["backend"], gpu, cfg["sigma"], cfg["faults"],
-                cfg["seed"], cfg["n_settings"], cfg["policy"],
-                clock, health,
+                cfg["seed"], cfg["n_settings"], cfg["policy"], health,
             )
             searches[gpu] = search
         profile = run_unit(
             search, gpu, cfg["stencils"][sid], sid, cfg["ocs"],
-            cfg["faults"], cfg["policy"], clock, health,
+            cfg["faults"], cfg["policy"], health,
         )
         row = profile_to_row(profile)
         rows.setdefault(gpu, []).append(row)

@@ -66,11 +66,7 @@ _LOG_TARGET = ("gbr", "hybrid")
 
 
 def make_classifier(method: str, n_classes: int, seed: int, **hyper):
-    """Construct a selection classifier by name.
-
-    ``workers`` in *hyper* reaches only models that parallelize
-    internally (currently GBDT); it is dropped for the rest.
-    """
+    """Construct a selection classifier by name."""
     method = method.lower()
     seed = hyper.pop("seed", seed)
     if method == "gbdt":
@@ -79,8 +75,6 @@ def make_classifier(method: str, n_classes: int, seed: int, **hyper):
         )
         defaults.update(hyper)
         return GBDTClassifier(seed=seed, **defaults)
-    hyper.pop("workers", None)
-    hyper.pop("pool_context", None)
     if method == "convnet":
         return ConvNetClassifier(n_classes=n_classes, seed=seed, **hyper)
     if method == "fcnet":
@@ -92,8 +86,6 @@ def make_regressor(method: str, seed: int, **hyper):
     """Construct a time-prediction regressor by name."""
     method = method.lower()
     seed = hyper.pop("seed", seed)
-    hyper.pop("workers", None)
-    hyper.pop("pool_context", None)
     if method in ("gbr", "hybrid"):
         defaults = dict(n_rounds=80, learning_rate=0.15, max_depth=5)
         defaults.update(hyper)
@@ -241,7 +233,6 @@ def train_selector_artifact(
     n_classes: int = N_MERGED_CLASSES,
     max_order: int = MAX_ORDER,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
     **hyper,
 ):
     """Train an OC-selection model on *campaign* and wrap it.
@@ -267,7 +258,6 @@ def train_selector_artifact(
     else:
         grouping = merge_ocs(campaign, n_classes=n_classes)
         ds = build_classification_dataset(campaign, grouping, gpu, max_order)
-        hyper.setdefault("workers", workers)
         model = fit_selector_model(
             method, selector_inputs(ds, method), ds.labels, ds.n_classes,
             seed, **hyper,

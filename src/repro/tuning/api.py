@@ -8,10 +8,10 @@ csTuner-style genetic algorithm -- runs through this one function.
 - resolving the tuning space (a :class:`~repro.stencil.stencil.Stencil`
   plus OC, or an explicit :class:`~repro.tuning.ParameterSpace` with
   ``restrictions=``),
-- resolving the measurement substrate (a backend instance, a backend
-  kind name, or a GPU to build one for) and optionally giving it a
-  persistent memo, a :class:`~repro.engine.CachingBackend` with
-  ``root=``,
+- resolving the measurement substrate (a backend or simulator
+  instance, or a GPU to build a vector backend for) and optionally
+  giving it a persistent memo, a :class:`~repro.engine.CachingBackend`
+  with ``root=``,
 - deriving the strategy's named RNG stream from
   ``(seed, stencil_id, oc, strategy)`` so results are deterministic for
   a fixed (strategy, seed, budget) regardless of backend flavor or
@@ -72,11 +72,10 @@ def _resolve_backend(backend, gpu, sigma) -> Backend:
         if gpu is None:
             raise TuningError("tune() needs backend= or gpu= to measure on")
         return make_backend("vector", gpu, sigma=sigma)
-    if isinstance(backend, str):
-        if gpu is None:
-            raise TuningError(f"backend={backend!r} needs gpu= to target")
-        return make_backend(backend, gpu, sigma=sigma)
-    return as_backend(backend)
+    try:
+        return as_backend(backend)
+    except TypeError as e:
+        raise TuningError(f"backend=: {e}") from None
 
 
 def _resolve_strategy(strategy, options) -> Strategy:
@@ -101,7 +100,7 @@ def tune(
     oc: "OC | None" = None,
     stencil: "Stencil | None" = None,
     gpu=None,
-    backend: "Backend | str | None" = None,
+    backend: "Backend | None" = None,
     strategy: "Strategy | str" = "random",
     budget: "float | None" = None,
     seed: int = 0,
@@ -124,8 +123,8 @@ def tune(
         The optimization combination whose parameters are being tuned.
     gpu / backend / sigma:
         The measurement substrate: an existing backend (or simulator),
-        a backend kind from :data:`repro.engine.BACKEND_KINDS` plus a
-        GPU, or just a GPU (a vector backend is built).
+        or just a GPU (a vector backend is built).  Anything else is a
+        :class:`TuningError` naming its type.
     strategy:
         Registered name (see :func:`repro.tuning.available_strategies`)
         with ``**strategy_options`` forwarded to its constructor, or a

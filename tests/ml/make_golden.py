@@ -2,9 +2,8 @@
 
 ``test_golden.py`` pins the exact-greedy split search of
 :class:`repro.ml.RegressionTree` through the estimators built on it:
-:class:`~repro.ml.GBRegressor` (with and without row subsampling),
-:class:`~repro.ml.GBDTClassifier` (sequential and with a 2-worker
-per-class pool).  ``golden_models.json`` was written by this script
+:class:`~repro.ml.GBRegressor` (with and without row subsampling) and
+:class:`~repro.ml.GBDTClassifier`.  ``golden_models.json`` was written by this script
 from the tree implementation that re-sorted every column at every node,
 before the presorted search replaced it; regenerate it only from a
 commit known to reproduce those fits::
@@ -61,9 +60,6 @@ def fitted_models() -> "dict[str, object]":
             n_rounds=N_ROUNDS, subsample=0.7, seed=SEED
         ).fit(X, y),
         "gbdt": GBDTClassifier(n_rounds=N_ROUNDS, seed=SEED).fit(X, labels),
-        "gbdt_workers2": GBDTClassifier(
-            n_rounds=N_ROUNDS, seed=SEED, workers=2
-        ).fit(X, labels),
     }
 
 

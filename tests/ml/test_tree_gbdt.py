@@ -228,8 +228,16 @@ class TestSplitSearch:
         for key, value in ones.to_arrays().items():
             assert unit.to_arrays()[key].tobytes() == value.tobytes(), key
 
-    @pytest.mark.parametrize("subsample, sorts", [(1.0, 1), (0.7, 6)])
-    def test_regressor_presorts_once_per_fit(self, monkeypatch, subsample, sorts):
+    @pytest.mark.parametrize("estimator, subsample, sorts", [
+        pytest.param(GBRegressor, 1.0, 1, id="1.0-1"),
+        pytest.param(GBRegressor, 0.7, 6, id="0.7-6"),
+        pytest.param(GBDTClassifier, 1.0, 1, id="classifier-1.0-1"),
+        pytest.param(GBDTClassifier, 0.7, 6, id="classifier-0.7-6"),
+    ])
+    def test_regressor_presorts_once_per_fit(self, monkeypatch, estimator,
+                                             subsample, sorts):
+        # The classifier's K class trees of a round share its row sample,
+        # so it presorts no more often than the regressor.
         calls = []
 
         def counting(X):
@@ -238,8 +246,12 @@ class TestSplitSearch:
 
         monkeypatch.setattr(gbdt_mod, "presort", counting)
         X, y = _make_regression(120)
-        GBRegressor(n_rounds=6, subsample=subsample).fit(X, y)
+        if estimator is GBDTClassifier:
+            y = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3]))
+        model = estimator(n_rounds=6, subsample=subsample).fit(X, y)
         assert len(calls) == sorts
+        if estimator is GBDTClassifier:
+            assert model.n_classes_ == 3
 
     def test_first_maximum_skips_nan_features(self):
         # A zero hessian with lambda 0: column 0's first cut scores 0/0, a
@@ -423,6 +435,15 @@ class TestGBDTClassifier:
     def test_not_fitted(self):
         with pytest.raises(NotFittedError):
             GBDTClassifier().predict(np.ones((1, 2)))
+
+    def test_single_class_fit(self):
+        X = np.ones((20, 3))
+        y = np.zeros(20, dtype=int)
+        model = GBDTClassifier(n_rounds=2).fit(X, y)
+        assert model.n_classes_ == 1
+        assert [len(r) for r in model.trees_] == [1, 1]
+        assert np.array_equal(model.predict(X), y)
+        assert np.array_equal(model.predict_proba(X), np.ones((20, 1)))
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 100))

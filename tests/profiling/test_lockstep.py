@@ -10,7 +10,6 @@ from repro.profiling.records import StencilProfile
 from repro.profiling.runner import (
     CampaignHealth,
     RetryPolicy,
-    SimClock,
     UnitTuner,
     run_unit,
 )
@@ -69,7 +68,7 @@ def _unit(stencil, backend, faults=FaultConfig(), policy=RetryPolicy()):
     health = CampaignHealth()
     profile = run_unit(
         UnitTuner(backend, N_SETTINGS, SEED), "V100", stencil, 0, ALL_OCS,
-        faults, policy, SimClock(), health,
+        faults, policy, health,
     )
     return profile, health
 

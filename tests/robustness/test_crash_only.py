@@ -19,7 +19,6 @@ from repro.profiling import (
 from repro.profiling.runner import (
     CampaignHealth,
     RetryPolicy,
-    SimClock,
     UnitTuner,
     run_unit,
 )
@@ -57,7 +56,7 @@ class TestCrashOnlyOC:
         search = UnitTuner(as_backend(_AlwaysCrashSim()), n_settings=3, seed=0)
         profile = run_unit(
             search, "V100", star(2, 1), 0, OCS, FaultConfig(), RetryPolicy(),
-            SimClock(), CampaignHealth(),
+            CampaignHealth(),
         )
         assert profile.oc_results == {}
         assert profile.measurements == []

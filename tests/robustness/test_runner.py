@@ -6,7 +6,7 @@ from repro.engine import CachingBackend, VectorBackend
 from repro.errors import DatasetError
 from repro.gpu.faults import FaultConfig
 from repro.profiling import (
-    CampaignHealth, CampaignRunner, RetryPolicy, SimClock, run_campaign,
+    CampaignHealth, CampaignRunner, RetryPolicy, run_campaign,
 )
 from repro.profiling.runner import build_search, run_unit
 from repro.profiling.storage import campaign_to_dict
@@ -190,12 +190,6 @@ class TestUnknownGPU:
 
 
 class TestClockAndPolicy:
-    def test_sim_clock_advances(self):
-        clock = SimClock()
-        clock.sleep(0.5)
-        clock.sleep(1.0)
-        assert clock.now_s == pytest.approx(1.5)
-
     def test_backoff_is_simulated_not_wall_clock(self, population):
         import time
 
@@ -210,9 +204,9 @@ class TestClockAndPolicy:
             policy=RetryPolicy(max_call_retries=2, max_point_retries=1),
         )
         runner.run()
-        assert runner.clock.now_s > 0
+        assert runner.health.backoff_s > 0
         # Generous bound: simulated seconds must not consume wall seconds.
-        assert time.monotonic() - start < runner.clock.now_s + 30
+        assert time.monotonic() - start < runner.health.backoff_s + 30
 
     def test_health_summary_mentions_everything(self, population):
         runner = CampaignRunner(
@@ -268,7 +262,7 @@ class TestMeasurementStack:
     @staticmethod
     def _search(faults):
         return build_search(
-            "vector", "V100", 0.03, faults, 7, 3, RetryPolicy(), SimClock(),
+            "vector", "V100", 0.03, faults, 7, 3, RetryPolicy(),
             CampaignHealth(),
         )
 
@@ -283,7 +277,7 @@ class TestMeasurementStack:
         """The stack's one memo after running *units* through it."""
         for sid, stencil in units:
             run_unit(search, "V100", stencil, sid, OCS, faults,
-                     RetryPolicy(), SimClock(), CampaignHealth())
+                     RetryPolicy(), CampaignHealth())
         (memo,) = [b for b in self._layers(search) if isinstance(b, CachingBackend)]
         return memo
 

@@ -120,16 +120,6 @@ class TestEstimatorRoundTrips:
             model.predict(TENSORS, AUX), clone.predict(TENSORS, AUX)
         )
 
-    def test_workers_not_serialized(self):
-        """Parallelism knobs are runtime config, not model state: a
-        model trained with a pool round-trips to a sequential clone
-        with identical predictions."""
-        model = GBDTClassifier(n_rounds=4, seed=3, workers=2)
-        model.fit(X, Y_CLS)
-        clone = round_trip(model)
-        assert np.array_equal(model.predict(X), clone.predict(X))
-        assert "workers" not in model_state(model)["state"]["hyper"]
-
 
 class TestStateValidation:
     def test_unknown_class_rejected(self):

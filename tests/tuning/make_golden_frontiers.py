@@ -31,7 +31,7 @@ from pathlib import Path
 from repro.engine import CachingBackend, VectorBackend
 from repro.gpu.faults import FaultConfig
 from repro.optimizations import OC
-from repro.profiling import CampaignHealth, RetryPolicy, SimClock
+from repro.profiling import CampaignHealth, RetryPolicy
 from repro.profiling.runner import build_search, run_unit
 from repro.stencil import get
 from repro.tuning import RandomStrategy, tune, tune_lockstep
@@ -78,11 +78,11 @@ def _faulted_unit() -> list[int]:
     runs it: each OC a group of its own on retry(faults(vector)),
     re-run after a device loss."""
     faults = FaultConfig.uniform(0.1)
-    policy, clock, health = RetryPolicy(), SimClock(), CampaignHealth()
-    search = build_search("vector", "V100", 0.03, faults, 1, 6, policy, clock, health)
+    policy, health = RetryPolicy(), CampaignHealth()
+    search = build_search("vector", "V100", 0.03, faults, 1, 6, policy, health)
     log = search.backend = BatchLog(search.backend)
     ocs = tuple(OC.parse(name) for name in OCS)
-    run_unit(search, "V100", get("star2d2r"), 0, ocs, faults, policy, clock, health)
+    run_unit(search, "V100", get("star2d2r"), 0, ocs, faults, policy, health)
     return log.sizes
 
 
