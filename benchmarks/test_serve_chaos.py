@@ -3,15 +3,15 @@
 The hardened service's claim (ISSUE 6) is that overload, corrupt
 publishes, torn tags, and poisoned models degrade answers -- they never
 break them. This runs the scripted chaos scenario from
-``repro.serve.chaos`` (the same one ``repro serve-chaos --report``
-writes out) and asserts the acceptance bar:
+``tools/serve_chaos.py`` (the same one its ``--report`` writes out)
+and asserts the acceptance bar:
 zero non-503 errors, every admitted request answered, the breaker pins
 the last good model and recovers, and the degraded swap rolls back.
 """
 
 import tempfile
 
-from repro.serve.chaos import (
+from tools.serve_chaos import (
     ChaosConfig,
     chaos_passed,
     run_chaos,
@@ -65,7 +65,7 @@ def test_serve_chaos(benchmark):
     # Representative timing unit: a light-traffic pass through a warm
     # hardened service (admission accounting on the hot path).
     from repro.serve import AdmissionPolicy, PredictionService
-    from repro.serve.chaos import _drive, _Outcomes
+    from tools.serve_chaos import _drive, _Outcomes
     from repro.stencil.generator import generate_population
 
     service = PredictionService(

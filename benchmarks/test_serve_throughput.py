@@ -29,7 +29,7 @@ from repro.config import DEFAULT_SEED, MAX_ORDER
 from repro.optimizations.combos import ALL_OCS
 from repro.optimizations.params import sample_setting
 from repro.serve import FeatureCache, PredictionService
-from repro.serve.chaos import train_bench_artifacts
+from tools.serve_chaos import train_bench_artifacts
 from repro.serve.service import PredictRequest, SelectRequest
 from repro.stencil.generator import generate_population
 

@@ -14,7 +14,6 @@ Subcommands mirror the pipeline stages::
         --registry models/                                 # persist a model
     python -m repro serve --registry models/ --port 8340   # HTTP service
     python -m repro query --stencil star2d2r --gpu V100    # ask the service
-    python -m repro serve-chaos --quick                    # robustness drill
 
 ``generate`` and ``profile`` run standalone; ``select`` and ``predict``
 train on a saved campaign so repeated queries do not re-simulate, or
@@ -25,9 +24,7 @@ finding.  ``train`` turns a campaign into a checksummed model artifact
 (written to a file and/or published into a registry), ``serve`` exposes
 artifacts over a stdlib HTTP endpoint with micro-batching, admission
 control (bounded queue, 503 load shedding), optional hot model reload,
-and telemetry, and ``query`` is the matching client.  ``serve-chaos``
-runs the scripted fault-injection scenario against the whole serving
-stack and exits nonzero if any robustness invariant is violated.
+and telemetry, and ``query`` is the matching client.
 
 Options that several subcommands share (``--stencil``, ``--oc``,
 ``--gpu``, ``--workers``, ...) are specified once in :data:`_OPTIONS`.
@@ -39,8 +36,7 @@ Exit status:
 * 0 -- success;
 * 1 -- no result: ``tune`` found no feasible setting, ``codegen`` or
   ``estimate`` produced nothing, ``lint`` findings at or above
-  ``--fail-on``, ``serve-chaos`` invariant violations, or ``query``
-  could not reach the server;
+  ``--fail-on``, or ``query`` could not reach the server;
 * 2 -- bad input or unusable data: argparse rejects the arguments, or a
   command raises a :class:`~repro.errors.ReproError` (printed as one
   ``<command>: <message>`` line on stderr).
@@ -506,18 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument(
         "-v", "--verbose", action="store_true", help="log every request"
     )
-
-    ch = sub.add_parser(
-        "serve-chaos",
-        help="run the scripted fault-injection scenario against the "
-        "serving stack (overload, corrupt publishes, torn tags, hot "
-        "swap, poisoned model); nonzero exit on any violated invariant",
-    )
-    ch.add_argument(
-        "--quick", action="store_true",
-        help="smaller artifacts and traffic mix (the CI smoke setting)",
-    )
-    ch.add_argument("--report", help="write the full JSON report here")
 
     q = sub.add_parser(
         "query",
@@ -1081,45 +1065,6 @@ def cmd_serve(args) -> int:
     return 0
 
 
-def cmd_serve_chaos(args) -> int:
-    import json
-    import tempfile
-
-    from .serve.chaos import ChaosConfig, chaos_passed, run_chaos, train_bench_artifacts
-
-    print("training artifacts for the chaos scenario...", flush=True)
-    selector, predictor = train_bench_artifacts(args.quick, args.seed)
-    cfg = ChaosConfig.make(quick=args.quick, seed=args.seed)
-    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
-        report = run_chaos(selector, predictor, cfg, workdir)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-        print(f"report -> {args.report}")
-    t = report["totals"]
-    print(
-        f"{t['requests']} requests: {t['ok']} ok, {t['shed']} shed, "
-        f"{t['deadline']} deadline, {report['non_503_errors']} failed"
-    )
-    print(
-        f"availability {report['availability']:.3f} "
-        f"(excluding shed: {report['availability_excluding_shed']:.3f}); "
-        f"p99 under overload {report['p99_under_overload_ms']:.1f} ms"
-    )
-    b, r = report["breaker"], report["reload"]
-    print(
-        f"breaker: opened={b['opened']} pinned={b['pinned_last_good']} "
-        f"recovered={b['recovered']} final={b['final_state']}; "
-        f"swaps={r['swaps']} rollbacks={r['rollbacks']}"
-    )
-    problems = chaos_passed(report)
-    for problem in problems:
-        print(f"FAIL: {problem}", file=sys.stderr)
-    if not problems:
-        print("all robustness invariants held")
-    return 1 if problems else 0
-
-
 def cmd_query(args) -> int:
     import json
 
@@ -1171,7 +1116,6 @@ _COMMANDS = {
     "estimate": cmd_estimate,
     "train": cmd_train,
     "serve": cmd_serve,
-    "serve-chaos": cmd_serve_chaos,
     "query": cmd_query,
 }
 

@@ -1,7 +1,6 @@
 """The StencilMART framework: selection, prediction and GPU choice."""
 
 from .cost import CaseStudyResult, RentalAdvisor
-from .report import campaign_summary, gap_report, grouping_summary, win_table
 from .framework import (
     CLASSIFIERS,
     REGRESSORS,
@@ -24,10 +23,6 @@ __all__ = [
     "RentalAdvisor",
     "SelectorResult",
     "StencilMART",
-    "campaign_summary",
-    "gap_report",
-    "grouping_summary",
-    "win_table",
     "build_cross_gpu_instances",
     "ground_truth_shares",
 ]

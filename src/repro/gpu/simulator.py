@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..optimizations.combos import OC
-from ..optimizations.kernelmodel import KernelProfile, build_profile, default_grid
+from ..optimizations.kernelmodel import KernelProfile, build_profile
 from ..optimizations.params import ParamSetting
 from ..stencil.stencil import Stencil
 from . import model
@@ -75,13 +75,8 @@ class GPUSimulator:
         oc: OC,
         setting: ParamSetting,
         grid: tuple[int, ...] | None = None,
-        boundary=None,
     ) -> SimResult:
         """Simulate *stencil* under *oc*/*setting*; returns per-step timing.
-
-        ``boundary`` (a :class:`repro.stencil.Boundary`) enables the
-        future-work extension: boundary handling scales the time by its
-        overhead factor (divergent edge blocks, ghost traffic).
 
         Raises
         ------
@@ -92,12 +87,6 @@ class GPUSimulator:
             stencil, oc, setting, grid=grid, warp_size=self.spec.warp_size
         )
         result = self.time_profile(profile)
-        if boundary is not None:
-            from ..stencil.boundary import boundary_overhead_factor
-
-            dims = default_grid(stencil.ndim) if grid is None else tuple(grid)
-            factor = boundary_overhead_factor(stencil, dims, boundary)
-            result = replace(result, time_ms=result.time_ms * factor)
         if self.sigma > 0:
             jitter = noise_factor(
                 self.spec.name,

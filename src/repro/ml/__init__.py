@@ -7,7 +7,7 @@ from .analytical import (
     AnalyticalSelector,
 )
 from .gbdt import GBDTClassifier, GBRegressor
-from .metrics import accuracy, confusion_matrix, kendall_tau, mape, pcc, top_k_accuracy
+from .metrics import accuracy, kendall_tau, mape, pcc
 from .nn import ConvMLPRegressor, ConvNetClassifier, FcNetClassifier, MLPRegressor
 from .preprocess import LogTimeTransform, MaxNormalizer, augment_features, one_hot
 from .serialize import model_from_state, model_state
@@ -30,11 +30,9 @@ __all__ = [
     "RegressionTree",
     "accuracy",
     "augment_features",
-    "confusion_matrix",
     "kendall_tau",
     "mape",
     "nn",
     "one_hot",
     "pcc",
-    "top_k_accuracy",
 ]

@@ -57,28 +57,3 @@ def kendall_tau(a: np.ndarray, b: np.ndarray) -> float:
     x, y = _check_same_shape(a, b)
     tau = kendalltau(x, y).statistic
     return float(tau) if np.isfinite(tau) else 0.0
-
-
-def confusion_matrix(
-    y_true: np.ndarray, y_pred: np.ndarray, n_classes: int
-) -> np.ndarray:
-    """``(n_classes, n_classes)`` matrix; rows true, columns predicted."""
-    t = np.asarray(y_true, dtype=np.int64).ravel()
-    p = np.asarray(y_pred, dtype=np.int64).ravel()
-    if t.shape != p.shape:
-        raise ModelError(f"shape mismatch: {t.shape} vs {p.shape}")
-    if t.size and (t.min() < 0 or t.max() >= n_classes or p.min() < 0 or p.max() >= n_classes):
-        raise ModelError("labels out of range")
-    m = np.zeros((n_classes, n_classes), dtype=np.int64)
-    np.add.at(m, (t, p), 1)
-    return m
-
-
-def top_k_accuracy(y_true: np.ndarray, scores: np.ndarray, k: int) -> float:
-    """Fraction of samples whose true label is among the top-k scores."""
-    t = np.asarray(y_true, dtype=np.int64).ravel()
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != t.shape[0]:
-        raise ModelError(f"scores shape {s.shape} incompatible with {t.shape}")
-    topk = np.argsort(-s, axis=1)[:, :k]
-    return float((topk == t[:, None]).any(axis=1).mean())

@@ -266,14 +266,6 @@ class RegressionTree:
 
         return d(0)
 
-    def feature_importance(self, n_feats: int) -> np.ndarray:
-        """Split counts per feature (simple frequency importance)."""
-        out = np.zeros(n_feats)
-        for node in self._nodes:
-            if node.feature >= 0:
-                out[node.feature] += 1
-        return out
-
     # ------------------------------------------------------------------
     # serialization hooks (see repro.ml.serialize)
     # ------------------------------------------------------------------

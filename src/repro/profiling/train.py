@@ -21,6 +21,8 @@ outputs move in the last bit between a one-row and an n-row matmul.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from ..config import DEFAULT_SEED, MAX_ORDER, N_MERGED_CLASSES
@@ -65,6 +67,18 @@ _TENSOR_INPUT = ("convnet", "fcnet", "convmlp")
 _LOG_TARGET = ("gbr", "hybrid")
 
 
+def _construct(method: str, cls, **kwargs):
+    """``cls(**kwargs)``, failing closed on keywords it does not take."""
+    accepted = inspect.signature(cls).parameters
+    unknown = sorted(set(kwargs) - set(accepted))
+    if unknown:
+        raise ModelError(
+            f"method {method!r} has no hyperparameter(s) {', '.join(unknown)}; "
+            f"it takes {', '.join(accepted)}"
+        )
+    return cls(**kwargs)
+
+
 def make_classifier(method: str, n_classes: int, seed: int, **hyper):
     """Construct a selection classifier by name."""
     method = method.lower()
@@ -74,11 +88,15 @@ def make_classifier(method: str, n_classes: int, seed: int, **hyper):
             n_rounds=60, learning_rate=0.15, max_depth=3, subsample=0.8
         )
         defaults.update(hyper)
-        return GBDTClassifier(seed=seed, **defaults)
+        return _construct(method, GBDTClassifier, seed=seed, **defaults)
     if method == "convnet":
-        return ConvNetClassifier(n_classes=n_classes, seed=seed, **hyper)
+        return _construct(
+            method, ConvNetClassifier, n_classes=n_classes, seed=seed, **hyper
+        )
     if method == "fcnet":
-        return FcNetClassifier(n_classes=n_classes, seed=seed, **hyper)
+        return _construct(
+            method, FcNetClassifier, n_classes=n_classes, seed=seed, **hyper
+        )
     raise ModelError(f"unknown classifier {method!r}; known: {CLASSIFIERS}")
 
 
@@ -89,11 +107,11 @@ def make_regressor(method: str, seed: int, **hyper):
     if method in ("gbr", "hybrid"):
         defaults = dict(n_rounds=80, learning_rate=0.15, max_depth=5)
         defaults.update(hyper)
-        return GBRegressor(seed=seed, **defaults)
+        return _construct(method, GBRegressor, seed=seed, **defaults)
     if method == "mlp":
-        return MLPRegressor(seed=seed, **hyper)
+        return _construct(method, MLPRegressor, seed=seed, **hyper)
     if method == "convmlp":
-        return ConvMLPRegressor(seed=seed, **hyper)
+        return _construct(method, ConvMLPRegressor, seed=seed, **hyper)
     raise ModelError(f"unknown regressor {method!r}; known: {REGRESSORS}")
 
 
@@ -248,7 +266,9 @@ def train_selector_artifact(
         # No training: the selector ranks the campaign's OCs with the
         # static performance model, and they are its representatives.
         representatives = [oc.name for oc in campaign.ocs]
-        model = AnalyticalSelector(
+        model = _construct(
+            method,
+            AnalyticalSelector,
             candidates=tuple(representatives),
             n_settings=int(hyper.pop("n_settings", 2)),
             seed=seed,
@@ -293,7 +313,7 @@ def train_predictor_artifact(
     meta = _campaign_meta(campaign)
     if method == "analytical":
         # No training: the predictor estimates from generated source.
-        model = AnalyticalPredictor(**hyper)
+        model = _construct(method, AnalyticalPredictor, **hyper)
         meta["train_rows"] = 0
     else:
         ds = build_regression_dataset(campaign, gpus, max_order)

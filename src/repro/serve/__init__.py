@@ -23,8 +23,9 @@ Everything upstream of this package *trains* models; everything in it
   that validates and atomically swaps new artifacts, with a circuit
   breaker pinning the last good model through bad publishes and
   automatic rollback of models that degrade after the swap.
-- :mod:`~repro.serve.chaos` -- the chaos harness driving all of the
-  above through scripted faults (``repro serve-chaos``).
+
+The chaos drill that drives all of the above through scripted faults
+lives beside its gate, in ``tools/serve_chaos.py``.
 """
 
 from .admission import AdmissionController, AdmissionPolicy
@@ -35,7 +36,6 @@ from .artifacts import (
     save_artifact,
 )
 from .batching import MicroBatcher
-from .chaos import ChaosConfig, ChaosRegistry, chaos_passed, run_chaos
 from .client import ClientRetryPolicy, ServeClient
 from .fallback import HeuristicSelector
 from .features import FeatureCache
@@ -48,8 +48,6 @@ __all__ = [
     "SERVE_FORMAT_VERSION",
     "AdmissionController",
     "AdmissionPolicy",
-    "ChaosConfig",
-    "ChaosRegistry",
     "CircuitBreaker",
     "ClientRetryPolicy",
     "FeatureCache",
@@ -65,8 +63,6 @@ __all__ = [
     "SelectResult",
     "ServeClient",
     "ServiceStats",
-    "chaos_passed",
     "load_artifact",
-    "run_chaos",
     "save_artifact",
 ]

@@ -11,14 +11,6 @@ Public surface:
 - :data:`LIBRARY` -- the named benchmark stencils of the evaluation.
 """
 
-from .boundary import (
-    BOUNDARY_CODES,
-    Boundary,
-    apply_with_boundary,
-    boundary_feature,
-    boundary_fraction,
-    boundary_overhead_factor,
-)
 from .features import (
     batch_features,
     describe,
@@ -38,13 +30,7 @@ from .stencil import Stencil
 from .tensorize import assign_tensor, batch_tensors, from_tensor, tensor_shape
 
 __all__ = [
-    "BOUNDARY_CODES",
-    "Boundary",
     "LIBRARY",
-    "apply_with_boundary",
-    "boundary_feature",
-    "boundary_fraction",
-    "boundary_overhead_factor",
     "Offset",
     "Shape",
     "Stencil",

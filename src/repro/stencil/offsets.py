@@ -112,17 +112,6 @@ def on_axis(offset: Offset) -> bool:
     return sum(1 for c in offset if c != 0) <= 1
 
 
-def on_diagonal(offset: Offset) -> bool:
-    """True when all nonzero coordinates of *offset* share one magnitude.
-
-    The central point and axis points are also "on a diagonal" under this
-    definition; use together with :func:`on_axis` to isolate true diagonal
-    points.
-    """
-    mags = {abs(c) for c in offset if c != 0}
-    return len(mags) <= 1 and all(abs(c) in mags or c == 0 for c in offset)
-
-
 def is_full_diagonal(offset: Offset) -> bool:
     """True when every coordinate is nonzero with the same magnitude."""
     mags = {abs(c) for c in offset}

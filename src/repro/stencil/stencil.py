@@ -110,19 +110,6 @@ class Stencil:
         )
 
     @cached_property
-    def footprint_points(self) -> int:
-        """Volume of the bounding box of the access pattern.
-
-        This is the per-point working-set extent used by the shared-memory
-        tile model: a tile of ``T`` points along a dimension with extent
-        ``e`` needs ``T + 2e`` input points along that dimension.
-        """
-        v = 1
-        for e in self.axis_extents:
-            v *= 2 * e + 1
-        return v
-
-    @cached_property
     def is_symmetric(self) -> bool:
         """True when the pattern is invariant under point reflection."""
         return all(tuple(-c for c in p) in self.offsets for p in self.offsets)

@@ -322,22 +322,6 @@ class ParameterSpace:
             layout[:, slot] = self._choice_arrays[j][idx[:, j]]
         return SampledBlock(list(map(tuple, layout.tolist())))
 
-    def sample_many(
-        self, count: int, rng: np.random.Generator
-    ) -> list[ParamSetting]:
-        """*count* distinct settings (deduplicated, bounded retries)."""
-        out: list[ParamSetting] = []
-        seen: set[tuple[int, ...]] = set()
-        attempts = 0
-        while len(out) < count and attempts < count * 40:
-            attempts += 1
-            s = self.sample(rng)
-            if s.as_tuple() in seen:
-                continue
-            seen.add(s.as_tuple())
-            out.append(s)
-        return out
-
     def enumerate(self) -> Iterator[ParamSetting]:
         """Every setting of the space, restrictions applied, layout order."""
         names = self.names

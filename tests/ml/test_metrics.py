@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.ml import accuracy, confusion_matrix, kendall_tau, mape, pcc, top_k_accuracy
+from repro.ml import accuracy, kendall_tau, mape, pcc
 
 
 class TestAccuracy:
@@ -72,33 +72,3 @@ class TestKendall:
 
     def test_reversed(self):
         assert kendall_tau([1, 2, 3, 4], [4, 3, 2, 1]) == pytest.approx(-1.0)
-
-
-class TestConfusion:
-    def test_diagonal(self):
-        m = confusion_matrix([0, 1, 2], [0, 1, 2], 3)
-        assert np.array_equal(m, np.eye(3, dtype=int))
-
-    def test_off_diagonal(self):
-        m = confusion_matrix([0, 0], [1, 1], 2)
-        assert m[0, 1] == 2 and m.sum() == 2
-
-    def test_out_of_range(self):
-        with pytest.raises(ModelError):
-            confusion_matrix([0, 3], [0, 1], 3)
-
-
-class TestTopK:
-    def test_top1_equals_accuracy(self):
-        scores = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
-        y = np.array([0, 1, 1])
-        assert top_k_accuracy(y, scores, 1) == accuracy(y, scores.argmax(axis=1))
-
-    def test_top_n_is_one(self):
-        scores = np.random.default_rng(0).random((10, 4))
-        y = np.array([0, 1, 2, 3] * 2 + [0, 1])
-        assert top_k_accuracy(y, scores, 4) == 1.0
-
-    def test_bad_shape(self):
-        with pytest.raises(ModelError):
-            top_k_accuracy([0, 1], np.zeros((3, 2)), 1)

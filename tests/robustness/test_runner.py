@@ -105,22 +105,6 @@ class TestQuarantine:
         for q in runner.health.quarantined:
             assert "lost" in q["reason"]
 
-    def test_quarantined_campaign_summary(self, population):
-        from repro.core.report import campaign_summary
-
-        runner = CampaignRunner(
-            population[:2],
-            gpus=("V100",),
-            ocs=OCS[:2],
-            n_settings=2,
-            seed=7,
-            faults=FaultConfig(transient_rate=1.0),
-            policy=RetryPolicy(max_call_retries=0, max_point_retries=0),
-        )
-        campaign = runner.run()
-        text = campaign_summary(campaign)
-        assert "crashed" in text
-
     def test_classification_dataset_rejects_all_quarantined(self, population):
         from repro.profiling import build_classification_dataset
         from repro.profiling.merge import OCGrouping

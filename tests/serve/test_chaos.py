@@ -6,10 +6,13 @@ publishes and pins the last good model, the hot swap lands under live
 traffic with zero failures, and the poisoned model rolls back.
 """
 
+import copy
+
 import pytest
 
 from repro.errors import ArtifactError
-from repro.serve.chaos import (
+from tools import serve_chaos
+from tools.serve_chaos import (
     ChaosConfig,
     ChaosRegistry,
     chaos_passed,
@@ -87,3 +90,37 @@ class TestScenario:
         # past a handful of entries.
         cache = report["stats"]["feature_cache"]
         assert cache["size"] >= report["config"]["n_stencils"]
+
+
+class TestMain:
+    """``main()`` exits 1 on any violated invariant, 0 when all hold."""
+
+    def run_main(self, monkeypatch, fed, *argv):
+        monkeypatch.setattr(
+            serve_chaos, "train_bench_artifacts", lambda quick, seed: (None, None)
+        )
+        monkeypatch.setattr(
+            serve_chaos, "run_chaos", lambda sel, pred, cfg, workdir: fed
+        )
+        return serve_chaos.main(["--quick", *argv])
+
+    def test_clean_report_exits_0(self, monkeypatch, tmp_path, capsys, report):
+        out_path = tmp_path / "r.json"
+        rc = self.run_main(monkeypatch, report, "--report", str(out_path))
+        out, err = capsys.readouterr()
+        assert rc == 0
+        assert "all robustness invariants held" in out
+        assert "FAIL:" not in err
+        assert out_path.exists()
+
+    def test_violated_invariants_exit_1(self, monkeypatch, capsys, report):
+        bad = copy.deepcopy(report)
+        bad["non_503_errors"] = 3
+        bad["breaker"]["opened"] = False
+        rc = self.run_main(monkeypatch, bad)
+        out, err = capsys.readouterr()
+        assert rc == 1
+        fails = [line for line in err.splitlines() if line.startswith("FAIL: ")]
+        assert fails == [f"FAIL: {p}" for p in chaos_passed(bad)]
+        assert len(fails) == 2
+        assert "all robustness invariants held" not in out

@@ -62,10 +62,6 @@ class TestProperties:
         s = Stencil.from_points([(3, 0), (0, 1)])
         assert s.axis_extents == (3, 1)
 
-    def test_footprint(self):
-        s = star(2, 1)
-        assert s.footprint_points == 9
-
     def test_symmetric(self):
         assert star(3, 2).is_symmetric
         assert not Stencil.from_points([(1, 0)]).is_symmetric

@@ -778,6 +778,9 @@ class TestServeShutdown:
         assert args.reload_interval == 2.0
         assert args.drain_timeout == 1.5
 
-    def test_serve_chaos_in_parser(self):
-        args = build_parser().parse_args(["serve-chaos", "--quick"])
-        assert args.command == "serve-chaos" and args.quick is True
+    def test_serve_chaos_is_not_a_command(self, capsys):
+        # The chaos drill is tools/serve_chaos.py, not a subcommand.
+        assert main(["serve-chaos", "--quick"]) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'serve-chaos'" in err
+        assert "Traceback" not in err

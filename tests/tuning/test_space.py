@@ -90,12 +90,6 @@ class TestLegacySampling:
         block = space.sample_block(8, np.random.default_rng(0))
         assert block[0] is block[block.keys.index(block.keys[0], 1)]
 
-    def test_sample_many_dedupes(self):
-        space = ParameterSpace({"use_smem": (0, 1), "stream_dim": (0, 1)})
-        got = space.sample_many(10, np.random.default_rng(0))
-        keys = [s.as_tuple() for s in got]
-        assert len(keys) == len(set(keys)) <= 4
-
 
 class TestRestrictionGrammar:
     def test_arithmetic_comparisons_and_bool_ops(self):

@@ -1,5 +1,4 @@
-"""Chaos harness: synthetic traffic plus fault injection for the serve
-stack.
+"""Chaos harness: synthetic traffic plus fault injection for the serve stack.
 
 The robustness claims of the serving tier -- load shedding instead of
 collapse, a circuit breaker pinning the last good model through bad
@@ -37,26 +36,34 @@ Traffic uses many distinct generated stencils, so the feature cache is
 exercised under growth, not just hits.  All faults are injected through
 public seams (:class:`ChaosRegistry`, a wrapped batch function, a
 poisoned model object); the service code under test is unmodified.
+
+Run: PYTHONPATH=src python tools/serve_chaos.py [--quick] [--report PATH]
+[--seed N].  It exits 1 when any invariant :func:`chaos_passed` checks
+is violated, and 0 when all of them hold.
 """
 
 from __future__ import annotations
 
+import argparse
+import json
+import sys
+import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass
 
-from ..config import DEFAULT_SEED, MAX_ORDER
-from ..errors import OverloadError, ReproError
-from ..optimizations.params import ParamSetting
-from ..profiling import run_campaign
-from ..profiling.train import train_predictor_artifact, train_selector_artifact
-from ..store import LATEST, atomic_write_text
-from ..stencil.generator import generate_population
-from .admission import AdmissionPolicy
-from .features import FeatureCache
-from .registry import ModelRegistry
-from .reload import ModelReloader, ReloadPolicy
-from .service import PredictionService
+from repro.config import DEFAULT_SEED, MAX_ORDER
+from repro.errors import OverloadError, ReproError
+from repro.optimizations.params import ParamSetting
+from repro.profiling import run_campaign
+from repro.profiling.train import train_predictor_artifact, train_selector_artifact
+from repro.serve.admission import AdmissionPolicy
+from repro.serve.features import FeatureCache
+from repro.serve.registry import ModelRegistry
+from repro.serve.reload import ModelReloader, ReloadPolicy
+from repro.serve.service import PredictionService
+from repro.stencil.generator import generate_population
+from repro.store import LATEST, atomic_write_text
 
 SELECTOR_NAME = "select-chaos"
 PREDICTOR_NAME = "predict-chaos"
@@ -435,3 +442,50 @@ def chaos_passed(report: dict) -> "list[str]":
             "while the model was poisoned"
         )
     return problems
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument(
+        "--quick", action="store_true",
+        help="smaller artifacts and traffic mix (the CI smoke setting)",
+    )
+    ap.add_argument("--report", help="write the full JSON report here")
+    ap.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed")
+    args = ap.parse_args(argv)
+
+    print("training artifacts for the chaos scenario...", flush=True)
+    selector, predictor = train_bench_artifacts(args.quick, args.seed)
+    cfg = ChaosConfig.make(quick=args.quick, seed=args.seed)
+    with tempfile.TemporaryDirectory(prefix="repro-chaos-") as workdir:
+        report = run_chaos(selector, predictor, cfg, workdir)
+    if args.report:
+        with open(args.report, "w", encoding="utf-8") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+        print(f"report -> {args.report}")
+    t = report["totals"]
+    print(
+        f"{t['requests']} requests: {t['ok']} ok, {t['shed']} shed, "
+        f"{t['deadline']} deadline, {report['non_503_errors']} failed"
+    )
+    print(
+        f"availability {report['availability']:.3f} "
+        f"(excluding shed: {report['availability_excluding_shed']:.3f}); "
+        f"p99 under overload {report['p99_under_overload_ms']:.1f} ms"
+    )
+    b, r = report["breaker"], report["reload"]
+    print(
+        f"breaker: opened={b['opened']} pinned={b['pinned_last_good']} "
+        f"recovered={b['recovered']} final={b['final_state']}; "
+        f"swaps={r['swaps']} rollbacks={r['rollbacks']}"
+    )
+    problems = chaos_passed(report)
+    for problem in problems:
+        print(f"FAIL: {problem}", file=sys.stderr)
+    if not problems:
+        print("all robustness invariants held")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
