@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ModelError, NotFittedError
+from .hyper import from_hyper, hyper_state
 from .preprocess import one_hot
 from .tree import RegressionTree, presort
 
@@ -65,19 +66,6 @@ class _GBBase:
             rows = self._sample_rows(X.shape[0], rng)
             yield rows, full if full is not None else presort(X[rows])
 
-    def _hyper_state(self) -> dict:
-        """Constructor arguments needed to rebuild this estimator."""
-        return dict(
-            n_rounds=self.n_rounds,
-            learning_rate=self.learning_rate,
-            max_depth=self.max_depth,
-            min_child_weight=self.min_child_weight,
-            reg_lambda=self.reg_lambda,
-            gamma=self.gamma,
-            subsample=self.subsample,
-            seed=self.seed,
-        )
-
 
 class GBRegressor(_GBBase):
     """Gradient boosting for regression (squared loss)."""
@@ -117,32 +105,20 @@ class GBRegressor(_GBBase):
         if not hasattr(self, "trees_"):
             raise NotFittedError("GBRegressor.state_dict before fit")
         return {
-            "hyper": self._hyper_state(),
+            "hyper": hyper_state(self),
             "base_score": self.base_score_,
             "trees": [t.to_arrays() for t in self.trees_],
         }
 
     @classmethod
     def from_state(cls, state: dict) -> "GBRegressor":
-        model = cls(**state["hyper"])
+        model = from_hyper(cls, state["hyper"])
         model.base_score_ = float(state["base_score"])
         model.trees_ = [
             RegressionTree.from_arrays(a, **model._tree_params())
             for a in state["trees"]
         ]
         return model
-
-    def staged_predict(self, X: np.ndarray) -> "list[np.ndarray]":
-        """Predictions after each boosting round (learning curves)."""
-        if not hasattr(self, "trees_"):
-            raise NotFittedError("GBRegressor.staged_predict before fit")
-        X = np.asarray(X, dtype=np.float64)
-        pred = np.full(X.shape[0], self.base_score_)
-        out = []
-        for tree in self.trees_:
-            pred = pred + self.learning_rate * tree.predict(X)
-            out.append(pred.copy())
-        return out
 
 
 class GBDTClassifier(_GBBase):
@@ -183,7 +159,7 @@ class GBDTClassifier(_GBBase):
         if not hasattr(self, "trees_"):
             raise NotFittedError("GBDTClassifier.state_dict before fit")
         return {
-            "hyper": self._hyper_state(),
+            "hyper": hyper_state(self),
             "n_classes": self.n_classes_,
             "trees": [
                 [t.to_arrays() for t in round_trees]
@@ -193,7 +169,7 @@ class GBDTClassifier(_GBBase):
 
     @classmethod
     def from_state(cls, state: dict) -> "GBDTClassifier":
-        model = cls(**state["hyper"])
+        model = from_hyper(cls, state["hyper"])
         model.n_classes_ = int(state["n_classes"])
         params = model._tree_params()
         model.trees_ = [

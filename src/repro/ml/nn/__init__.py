@@ -1,6 +1,6 @@
 """A small NumPy neural-network library (the TensorFlow substitute)."""
 
-from .layers import ConvND, Dense, Dropout, Flatten, Layer, ReLU
+from .layers import ConvND, Dense, Flatten, Layer, ReLU
 from .losses import MSELoss, SoftmaxCrossEntropy
 from .models import (
     ConvMLPRegressor,
@@ -9,7 +9,7 @@ from .models import (
     MLPRegressor,
 )
 from .network import Sequential, TwoBranch, train_epochs
-from .optimizers import SGD, Adam, Optimizer
+from .optimizers import Adam
 
 __all__ = [
     "Adam",
@@ -17,15 +17,12 @@ __all__ = [
     "ConvND",
     "ConvNetClassifier",
     "Dense",
-    "Dropout",
     "FcNetClassifier",
     "Flatten",
     "Layer",
     "MLPRegressor",
     "MSELoss",
-    "Optimizer",
     "ReLU",
-    "SGD",
     "Sequential",
     "SoftmaxCrossEntropy",
     "TwoBranch",

@@ -20,6 +20,12 @@ Regression (Section IV-E):
 Execution times are modeled in ``log2`` space and converted back in
 :meth:`predict` so MAPE is reported on real milliseconds.
 
+All four share one skeleton: ``fit(*inputs, target)`` seeds one RNG,
+builds the network and runs :func:`train_epochs` with Adam; the state's
+``hyper`` block is the constructor's own parameters
+(:mod:`repro.ml.hyper`).  A subclass only declares its constructor, how
+raw inputs become network inputs and which network to build.
+
 Training defaults follow Section V-A3 (Adam; batch 50 for classifiers,
 256 for regressors).  The paper trains 100 epochs at lr 1e-4 / 5e-4; the
 scaled-down default here uses 1e-3 with proportionally fewer epochs --
@@ -33,8 +39,9 @@ import math
 import numpy as np
 
 from ...errors import ModelError, NotFittedError
+from ..hyper import from_hyper, hyper_state
 from ..preprocess import LogTimeTransform, MaxNormalizer
-from .layers import ConvND, Dense, Flatten, ReLU
+from .layers import ConvND, Dense, Flatten, Layer, ReLU
 from .losses import MSELoss, SoftmaxCrossEntropy
 from .network import Sequential, TwoBranch, train_epochs
 from .optimizers import Adam
@@ -49,7 +56,134 @@ def _as_tensor_batch(tensors: np.ndarray) -> np.ndarray:
     return t[:, None, ...]
 
 
-class ConvNetClassifier:
+def _conv_trunk(
+    channels: "tuple[int, int]", kernel: int, spatial: "tuple[int, ...]",
+    rng: np.random.Generator,
+) -> "tuple[list[Layer], int]":
+    """Two valid ReLU convolutions, flattened; also returns the flat width."""
+    c1, c2 = channels
+    first = ConvND(1, c1, spatial, kernel, rng)
+    second = ConvND(c1, c2, first.out_spatial, kernel, rng)
+    flat = c2 * math.prod(second.out_spatial)
+    return [first, ReLU(), second, ReLU(), Flatten()], flat
+
+
+def _dense_stack(
+    width: int, hidden: "tuple[int, ...]", rng: np.random.Generator,
+    out: "int | None" = None,
+) -> "list[Layer]":
+    """Dense -> ReLU for each hidden width, then a linear ``out`` layer."""
+    layers: list = []
+    for h in hidden:
+        layers += [Dense(width, h, rng), ReLU()]
+        width = h
+    if out is not None:
+        layers.append(Dense(width, out, rng))
+    return layers
+
+
+class _NeuralEstimator:
+    """The fit/predict/state skeleton the four networks share.
+
+    A subclass supplies ``_loss``, ``_inputs`` (raw arrays to the network
+    inputs), ``_targets`` and ``_build`` (the network for given inputs).
+    """
+
+    _loss: type
+
+    def __init__(self, lr: float, epochs: int, batch_size: int, seed: int):
+        self.lr = float(lr)
+        self.epochs = int(epochs)
+        self.batch_size = int(batch_size)
+        self.seed = int(seed)
+        self._net: "Sequential | TwoBranch | None" = None
+
+    def fit(self, *arrays: np.ndarray):
+        """Train on the raw inputs followed by the target (class labels
+        or execution times in milliseconds)."""
+        *raw, target = arrays
+        inputs = self._inputs(*raw, fit=True)
+        targets = self._targets(target)
+        rng = np.random.default_rng(self.seed)
+        self._net = net = self._build(inputs, rng)
+        loss = self._loss()
+
+        def fwd_bwd(batch, batch_targets):
+            value = loss.forward(net.forward(*batch, training=True), batch_targets)
+            net.backward(loss.backward())
+            return value
+
+        self.history_ = train_epochs(
+            inputs, targets, fwd_bwd, net.params_and_grads, Adam(self.lr),
+            self.epochs, self.batch_size, rng,
+        )
+        return self
+
+    def _check_fitted(self, what: str) -> None:
+        if self._net is None:
+            raise NotFittedError(f"{type(self).__name__}.{what} before fit")
+
+    def _forward(self, *raw: np.ndarray) -> np.ndarray:
+        self._check_fitted("predict")
+        return self._net.forward(*self._inputs(*raw))
+
+    def state_dict(self) -> dict:
+        """Fitted state for :mod:`repro.ml.serialize`."""
+        self._check_fitted("state_dict")
+        return {"hyper": hyper_state(self), "net": net_state(self._net)}
+
+    @classmethod
+    def from_state(cls, state: dict):
+        model = from_hyper(cls, state["hyper"])
+        model._net = net_from_state(state["net"])
+        return model
+
+
+class _Classifier(_NeuralEstimator):
+    """Softmax over the merged OC classes."""
+
+    _loss = SoftmaxCrossEntropy
+
+    def _targets(self, labels: np.ndarray) -> np.ndarray:
+        return np.asarray(labels, dtype=np.int64).ravel()
+
+    def predict_proba(self, tensors: np.ndarray) -> np.ndarray:
+        return SoftmaxCrossEntropy.probabilities(self._forward(tensors))
+
+    def predict(self, tensors: np.ndarray) -> np.ndarray:
+        return np.argmax(self.predict_proba(tensors), axis=1)
+
+
+class _Regressor(_NeuralEstimator):
+    """``log2`` execution time from max-normalized flat features."""
+
+    _loss = MSELoss
+
+    def _flat(self, X: np.ndarray, fit: bool) -> np.ndarray:
+        X = np.asarray(X, dtype=np.float64)
+        if fit:
+            self._norm = MaxNormalizer()
+            return self._norm.fit_transform(X)
+        return self._norm.transform(X)
+
+    def _targets(self, times_ms: np.ndarray) -> np.ndarray:
+        return LogTimeTransform.forward(times_ms)[:, None]
+
+    def predict(self, *raw: np.ndarray) -> np.ndarray:
+        """Predicted execution times in milliseconds."""
+        return LogTimeTransform.inverse(self._forward(*raw).ravel())
+
+    def state_dict(self) -> dict:
+        return {**super().state_dict(), "norm_scale": self._norm.state_dict()}
+
+    @classmethod
+    def from_state(cls, state: dict):
+        model = super().from_state(state)
+        model._norm = MaxNormalizer.from_state(state["norm_scale"])
+        return model
+
+
+class ConvNetClassifier(_Classifier):
     """CNN over assigned tensors predicting the best merged OC class."""
 
     def __init__(
@@ -63,92 +197,25 @@ class ConvNetClassifier:
         batch_size: int = 50,
         seed: int = 0,
     ):
+        super().__init__(lr, epochs, batch_size, seed)
         self.n_classes = int(n_classes)
         self.channels = channels
         self.dense = int(dense)
         self.kernel = int(kernel)
-        self.lr = float(lr)
-        self.epochs = int(epochs)
-        self.batch_size = int(batch_size)
-        self.seed = int(seed)
-        self._net: Sequential | None = None
 
-    def _build(self, spatial: tuple[int, ...], rng: np.random.Generator) -> Sequential:
-        c1, c2 = self.channels
-        s1 = tuple(s - self.kernel + 1 for s in spatial)
-        s2 = tuple(s - self.kernel + 1 for s in s1)
-        flat = c2 * math.prod(s2)
+    def _inputs(self, tensors: np.ndarray, fit: bool = False) -> tuple:
+        return (_as_tensor_batch(tensors),)
+
+    def _build(self, inputs: tuple, rng: np.random.Generator) -> Sequential:
+        trunk, flat = _conv_trunk(
+            self.channels, self.kernel, inputs[0].shape[2:], rng
+        )
         return Sequential(
-            [
-                ConvND(1, c1, spatial, self.kernel, rng),
-                ReLU(),
-                ConvND(c1, c2, s1, self.kernel, rng),
-                ReLU(),
-                Flatten(),
-                Dense(flat, self.dense, rng),
-                ReLU(),
-                Dense(self.dense, self.n_classes, rng),
-            ]
+            trunk + _dense_stack(flat, (self.dense,), rng, out=self.n_classes)
         )
 
-    def fit(self, tensors: np.ndarray, labels: np.ndarray) -> "ConvNetClassifier":
-        X = _as_tensor_batch(tensors)
-        y = np.asarray(labels, dtype=np.int64).ravel()
-        rng = np.random.default_rng(self.seed)
-        self._net = self._build(X.shape[2:], rng)
-        loss = SoftmaxCrossEntropy()
-        net = self._net
 
-        def fwd_bwd(batch, targets):
-            (xb,) = batch
-            logits = net.forward(xb, training=True)
-            value = loss.forward(logits, targets)
-            net.backward(loss.backward())
-            return value
-
-        self.history_ = train_epochs(
-            (X,), y, fwd_bwd, net.params_and_grads, Adam(self.lr),
-            self.epochs, self.batch_size, rng,
-        )
-        return self
-
-    def predict_proba(self, tensors: np.ndarray) -> np.ndarray:
-        if self._net is None:
-            raise NotFittedError("ConvNetClassifier.predict before fit")
-        logits = self._net.forward(_as_tensor_batch(tensors), training=False)
-        return SoftmaxCrossEntropy.probabilities(logits)
-
-    def predict(self, tensors: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(tensors), axis=1)
-
-    def state_dict(self) -> dict:
-        """Fitted state for :mod:`repro.ml.serialize`."""
-        if self._net is None:
-            raise NotFittedError("ConvNetClassifier.state_dict before fit")
-        return {
-            "hyper": dict(
-                n_classes=self.n_classes,
-                channels=list(self.channels),
-                dense=self.dense,
-                kernel=self.kernel,
-                lr=self.lr,
-                epochs=self.epochs,
-                batch_size=self.batch_size,
-                seed=self.seed,
-            ),
-            "net": net_state(self._net),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ConvNetClassifier":
-        hyper = dict(state["hyper"])
-        hyper["channels"] = tuple(hyper["channels"])
-        model = cls(**hyper)
-        model._net = net_from_state(state["net"])
-        return model
-
-
-class FcNetClassifier:
+class FcNetClassifier(_Classifier):
     """Fully connected classifier over flattened assigned tensors."""
 
     def __init__(
@@ -162,75 +229,20 @@ class FcNetClassifier:
     ):
         if not hidden:
             raise ModelError("FcNet needs at least one hidden layer")
+        super().__init__(lr, epochs, batch_size, seed)
         self.n_classes = int(n_classes)
         self.hidden = tuple(int(h) for h in hidden)
-        self.lr = float(lr)
-        self.epochs = int(epochs)
-        self.batch_size = int(batch_size)
-        self.seed = int(seed)
-        self._net: Sequential | None = None
 
-    def fit(self, tensors: np.ndarray, labels: np.ndarray) -> "FcNetClassifier":
-        X = np.asarray(tensors, dtype=np.float64).reshape(len(tensors), -1)
-        y = np.asarray(labels, dtype=np.int64).ravel()
-        rng = np.random.default_rng(self.seed)
-        layers: list = []
-        width = X.shape[1]
-        for h in self.hidden:
-            layers += [Dense(width, h, rng), ReLU()]
-            width = h
-        layers.append(Dense(width, self.n_classes, rng))
-        self._net = Sequential(layers)
-        loss = SoftmaxCrossEntropy()
-        net = self._net
+    def _inputs(self, tensors: np.ndarray, fit: bool = False) -> tuple:
+        return (np.asarray(tensors, dtype=np.float64).reshape(len(tensors), -1),)
 
-        def fwd_bwd(batch, targets):
-            (xb,) = batch
-            value = loss.forward(net.forward(xb, training=True), targets)
-            net.backward(loss.backward())
-            return value
-
-        self.history_ = train_epochs(
-            (X,), y, fwd_bwd, net.params_and_grads, Adam(self.lr),
-            self.epochs, self.batch_size, rng,
+    def _build(self, inputs: tuple, rng: np.random.Generator) -> Sequential:
+        return Sequential(
+            _dense_stack(inputs[0].shape[1], self.hidden, rng, out=self.n_classes)
         )
-        return self
-
-    def predict_proba(self, tensors: np.ndarray) -> np.ndarray:
-        if self._net is None:
-            raise NotFittedError("FcNetClassifier.predict before fit")
-        X = np.asarray(tensors, dtype=np.float64).reshape(len(tensors), -1)
-        return SoftmaxCrossEntropy.probabilities(self._net.forward(X))
-
-    def predict(self, tensors: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(tensors), axis=1)
-
-    def state_dict(self) -> dict:
-        """Fitted state for :mod:`repro.ml.serialize`."""
-        if self._net is None:
-            raise NotFittedError("FcNetClassifier.state_dict before fit")
-        return {
-            "hyper": dict(
-                n_classes=self.n_classes,
-                hidden=list(self.hidden),
-                lr=self.lr,
-                epochs=self.epochs,
-                batch_size=self.batch_size,
-                seed=self.seed,
-            ),
-            "net": net_state(self._net),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "FcNetClassifier":
-        hyper = dict(state["hyper"])
-        hyper["hidden"] = tuple(hyper["hidden"])
-        model = cls(**hyper)
-        model._net = net_from_state(state["net"])
-        return model
 
 
-class MLPRegressor:
+class MLPRegressor(_Regressor):
     """Multilayer perceptron predicting ``log2`` execution time.
 
     ``n_layers`` and ``layer_size`` span the Fig. 13 sensitivity grid
@@ -248,74 +260,19 @@ class MLPRegressor:
     ):
         if n_layers < 1:
             raise ModelError(f"n_layers must be >= 1, got {n_layers}")
+        super().__init__(lr, epochs, batch_size, seed)
         self.n_layers = int(n_layers)
         self.layer_size = int(layer_size)
-        self.lr = float(lr)
-        self.epochs = int(epochs)
-        self.batch_size = int(batch_size)
-        self.seed = int(seed)
-        self._net: Sequential | None = None
-        self._norm = MaxNormalizer()
 
-    def fit(self, X: np.ndarray, times_ms: np.ndarray) -> "MLPRegressor":
-        Xn = self._norm.fit_transform(np.asarray(X, dtype=np.float64))
-        y = LogTimeTransform.forward(times_ms)[:, None]
-        rng = np.random.default_rng(self.seed)
-        layers: list = []
-        width = Xn.shape[1]
-        for _ in range(self.n_layers):
-            layers += [Dense(width, self.layer_size, rng), ReLU()]
-            width = self.layer_size
-        layers.append(Dense(width, 1, rng))
-        self._net = Sequential(layers)
-        loss = MSELoss()
-        net = self._net
+    def _inputs(self, X: np.ndarray, fit: bool = False) -> tuple:
+        return (self._flat(X, fit),)
 
-        def fwd_bwd(batch, targets):
-            (xb,) = batch
-            value = loss.forward(net.forward(xb, training=True), targets)
-            net.backward(loss.backward())
-            return value
-
-        self.history_ = train_epochs(
-            (Xn,), y, fwd_bwd, net.params_and_grads, Adam(self.lr),
-            self.epochs, self.batch_size, rng,
-        )
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted execution times in milliseconds."""
-        if self._net is None:
-            raise NotFittedError("MLPRegressor.predict before fit")
-        Xn = self._norm.transform(np.asarray(X, dtype=np.float64))
-        return LogTimeTransform.inverse(self._net.forward(Xn).ravel())
-
-    def state_dict(self) -> dict:
-        """Fitted state for :mod:`repro.ml.serialize`."""
-        if self._net is None:
-            raise NotFittedError("MLPRegressor.state_dict before fit")
-        return {
-            "hyper": dict(
-                n_layers=self.n_layers,
-                layer_size=self.layer_size,
-                lr=self.lr,
-                epochs=self.epochs,
-                batch_size=self.batch_size,
-                seed=self.seed,
-            ),
-            "net": net_state(self._net),
-            "norm_scale": self._norm.state_dict(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "MLPRegressor":
-        model = cls(**state["hyper"])
-        model._net = net_from_state(state["net"])
-        model._norm = MaxNormalizer.from_state(state["norm_scale"])
-        return model
+    def _build(self, inputs: tuple, rng: np.random.Generator) -> Sequential:
+        hidden = (self.layer_size,) * self.n_layers
+        return Sequential(_dense_stack(inputs[0].shape[1], hidden, rng, out=1))
 
 
-class ConvMLPRegressor:
+class ConvMLPRegressor(_Regressor):
     """Fig. 8: CNN over the assigned tensor + MLP over the flat features."""
 
     def __init__(
@@ -329,101 +286,22 @@ class ConvMLPRegressor:
         batch_size: int = 256,
         seed: int = 0,
     ):
+        super().__init__(lr, epochs, batch_size, seed)
         self.channels = channels
         self.mlp_hidden = tuple(int(h) for h in mlp_hidden)
         self.head_hidden = int(head_hidden)
         self.kernel = int(kernel)
-        self.lr = float(lr)
-        self.epochs = int(epochs)
-        self.batch_size = int(batch_size)
-        self.seed = int(seed)
-        self._net: TwoBranch | None = None
-        self._norm = MaxNormalizer()
 
-    def fit(
-        self, tensors: np.ndarray, aux: np.ndarray, times_ms: np.ndarray
-    ) -> "ConvMLPRegressor":
-        Xt = _as_tensor_batch(tensors)
-        Xa = self._norm.fit_transform(np.asarray(aux, dtype=np.float64))
-        y = LogTimeTransform.forward(times_ms)[:, None]
-        rng = np.random.default_rng(self.seed)
+    def _inputs(
+        self, tensors: np.ndarray, aux: np.ndarray, fit: bool = False
+    ) -> tuple:
+        return _as_tensor_batch(tensors), self._flat(aux, fit)
 
-        c1, c2 = self.channels
-        spatial = Xt.shape[2:]
-        s1 = tuple(s - self.kernel + 1 for s in spatial)
-        s2 = tuple(s - self.kernel + 1 for s in s1)
-        cnn = Sequential(
-            [
-                ConvND(1, c1, spatial, self.kernel, rng),
-                ReLU(),
-                ConvND(c1, c2, s1, self.kernel, rng),
-                ReLU(),
-                Flatten(),
-            ]
+    def _build(self, inputs: tuple, rng: np.random.Generator) -> TwoBranch:
+        Xt, Xa = inputs
+        trunk, flat = _conv_trunk(self.channels, self.kernel, Xt.shape[2:], rng)
+        mlp = Sequential(_dense_stack(Xa.shape[1], self.mlp_hidden, rng))
+        head = _dense_stack(
+            flat + self.mlp_hidden[-1], (self.head_hidden,), rng, out=1
         )
-        layers: list = []
-        width = Xa.shape[1]
-        for h in self.mlp_hidden:
-            layers += [Dense(width, h, rng), ReLU()]
-            width = h
-        mlp = Sequential(layers)
-        joint = c2 * math.prod(s2) + width
-        head = Sequential(
-            [
-                Dense(joint, self.head_hidden, rng),
-                ReLU(),
-                Dense(self.head_hidden, 1, rng),
-            ]
-        )
-        self._net = TwoBranch(cnn, mlp, head)
-        loss = MSELoss()
-        net = self._net
-
-        def fwd_bwd(batch, targets):
-            xt, xa = batch
-            value = loss.forward(net.forward(xt, xa, training=True), targets)
-            net.backward(loss.backward())
-            return value
-
-        self.history_ = train_epochs(
-            (Xt, Xa), y, fwd_bwd, net.params_and_grads, Adam(self.lr),
-            self.epochs, self.batch_size, rng,
-        )
-        return self
-
-    def predict(self, tensors: np.ndarray, aux: np.ndarray) -> np.ndarray:
-        """Predicted execution times in milliseconds."""
-        if self._net is None:
-            raise NotFittedError("ConvMLPRegressor.predict before fit")
-        Xt = _as_tensor_batch(tensors)
-        Xa = self._norm.transform(np.asarray(aux, dtype=np.float64))
-        return LogTimeTransform.inverse(self._net.forward(Xt, Xa).ravel())
-
-    def state_dict(self) -> dict:
-        """Fitted state for :mod:`repro.ml.serialize`."""
-        if self._net is None:
-            raise NotFittedError("ConvMLPRegressor.state_dict before fit")
-        return {
-            "hyper": dict(
-                channels=list(self.channels),
-                mlp_hidden=list(self.mlp_hidden),
-                head_hidden=self.head_hidden,
-                kernel=self.kernel,
-                lr=self.lr,
-                epochs=self.epochs,
-                batch_size=self.batch_size,
-                seed=self.seed,
-            ),
-            "net": net_state(self._net),
-            "norm_scale": self._norm.state_dict(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "ConvMLPRegressor":
-        hyper = dict(state["hyper"])
-        hyper["channels"] = tuple(hyper["channels"])
-        hyper["mlp_hidden"] = tuple(hyper["mlp_hidden"])
-        model = cls(**hyper)
-        model._net = net_from_state(state["net"])
-        model._norm = MaxNormalizer.from_state(state["norm_scale"])
-        return model
+        return TwoBranch(Sequential(trunk), mlp, Sequential(head))

@@ -12,7 +12,7 @@ import numpy as np
 
 from ...errors import ModelError
 from .layers import Layer
-from .optimizers import Optimizer
+from .optimizers import Adam
 
 
 class Sequential:
@@ -82,7 +82,7 @@ def train_epochs(
     targets: np.ndarray,
     forward_backward,
     params_and_grads,
-    optimizer: Optimizer,
+    optimizer: Adam,
     epochs: int,
     batch_size: int,
     rng: np.random.Generator,

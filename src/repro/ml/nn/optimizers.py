@@ -1,7 +1,6 @@
-"""First-order optimizers.
+"""The optimizer of the paper's training setup.
 
-Adam matches the paper's training setup (Section V-A3: Adam with learning
-rates 1e-4 / 5e-4); plain SGD is kept for ablations and tests.
+Section V-A3: Adam with learning rates 1e-4 / 5e-4.
 """
 
 from __future__ import annotations
@@ -11,35 +10,7 @@ import numpy as np
 from ...errors import ModelError
 
 
-class Optimizer:
-    """Updates a fixed list of (param, grad) array pairs in place."""
-
-    def step(self, params_and_grads: "list[tuple[np.ndarray, np.ndarray]]") -> None:
-        raise NotImplementedError
-
-
-class SGD(Optimizer):
-    """Vanilla stochastic gradient descent with optional momentum."""
-
-    def __init__(self, lr: float = 0.01, momentum: float = 0.0):
-        if lr <= 0:
-            raise ModelError(f"lr must be positive, got {lr}")
-        self.lr = float(lr)
-        self.momentum = float(momentum)
-        self._velocity: dict[int, np.ndarray] = {}
-
-    def step(self, params_and_grads) -> None:
-        for param, grad in params_and_grads:
-            if self.momentum > 0.0:
-                v = self._velocity.setdefault(id(param), np.zeros_like(param))
-                v *= self.momentum
-                v -= self.lr * grad
-                param += v
-            else:
-                param -= self.lr * grad
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam (Kingma & Ba) with bias correction."""
 
     def __init__(

@@ -8,9 +8,6 @@ rebuild networks whose forward pass is bit-identical to the original:
 weights are restored verbatim and every other forward-pass ingredient
 (conv gather tables, layer order) is a deterministic function of the
 recorded shapes.
-
-Dropout layers serialize by rate only -- they are identity at inference
-time, which is the only mode a deserialized model runs in.
 """
 
 from __future__ import annotations
@@ -18,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ModelError
-from .layers import ConvND, Dense, Dropout, Flatten, Layer, ReLU
+from .layers import ConvND, Dense, Flatten, Layer, ReLU
 from .network import Sequential, TwoBranch
 
 _THROWAWAY_SEED = 0
@@ -48,8 +45,6 @@ def layer_state(layer: Layer) -> dict:
             "W": layer.W,
             "b": layer.b,
         }
-    if isinstance(layer, Dropout):
-        return {"type": "dropout", "rate": layer.rate}
     raise ModelError(f"cannot serialize layer type {type(layer).__name__}")
 
 
@@ -77,8 +72,6 @@ def layer_from_state(doc: dict) -> Layer:
         layer.W = np.asarray(doc["W"], dtype=np.float64)
         layer.b = np.asarray(doc["b"], dtype=np.float64)
         return layer
-    if kind == "dropout":
-        return Dropout(float(doc["rate"]), _rng())
     raise ModelError(f"unknown layer type {kind!r} in network state")
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..config import MAX_ORDER
-from ..errors import ArtifactError
+from ..errors import ArtifactError, ModelError
 from ..ml.serialize import model_from_state, model_state
 from ..stencil.features import feature_names
 from ..store import atomic_write_text, check_format, checksum, read_document
@@ -115,10 +115,23 @@ class ModelArtifact:
                 max_order=int(doc["max_order"]),
                 representatives=[str(r) for r in doc["representatives"]],
                 meta=dict(doc.get("meta", {})),
-                model=model_from_state(doc["model"]),
+                model=_rebuild_model(doc["model"]),
             )
         except KeyError as e:
             raise ArtifactError(f"malformed artifact: missing {e}") from None
+
+
+def _rebuild_model(doc: dict):
+    """:func:`model_from_state`, failing as :class:`ArtifactError`.
+
+    A checksum-valid document whose model state does not fit its
+    estimator (an unknown class, a constructor argument since removed)
+    is as unusable as a corrupt one.
+    """
+    try:
+        return model_from_state(doc)
+    except (ModelError, TypeError, ValueError) as e:
+        raise ArtifactError(f"unusable model state: {e}") from None
 
 
 def save_artifact(artifact: ModelArtifact, path: "str | Path") -> None:

@@ -1,10 +1,12 @@
-"""Fitted boosting models, pinned bit for bit.
+"""Fitted models, pinned bit for bit.
 
-``golden_models.json`` holds digests frozen by ``make_golden.py`` from
-the tree implementation that re-sorted every column at every node.  The
-presorted, all-feature split search must grow exactly the same trees, so
-any mismatch here is a real change in a threshold, a leaf value or a
-tie-break, not float noise.
+``golden_models.json`` holds digests frozen by ``make_golden.py``.  The
+boosting digests come from the tree implementation that re-sorted every
+column at every node: the presorted, all-feature split search must grow
+exactly the same trees.  The 3-D network digests pin weight init,
+minibatch order and the Adam steps of the convolutional estimators.  Any
+mismatch is a real change in a threshold, a leaf value, a tie-break or a
+weight, not float noise.
 """
 
 import json

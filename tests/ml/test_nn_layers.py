@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelError
-from repro.ml.nn import ConvND, Dense, Dropout, Flatten, MSELoss, ReLU, Sequential
+from repro.ml.nn import ConvND, Dense, Flatten, MSELoss, ReLU, Sequential
 from repro.ml.nn import SoftmaxCrossEntropy
 
 
@@ -170,24 +170,6 @@ class TestConvND:
         dx = conv.backward(loss.backward().reshape(1, 1, 2, 2, 2))
         num = numerical_grad(f, x)
         assert np.allclose(dx, num, atol=1e-5)
-
-
-class TestDropout:
-    def test_inference_identity(self):
-        d = Dropout(0.5, np.random.default_rng(0))
-        x = np.ones((4, 4))
-        assert np.array_equal(d.forward(x, training=False), x)
-
-    def test_training_zeroes_fraction(self):
-        d = Dropout(0.5, np.random.default_rng(0))
-        x = np.ones((100, 100))
-        out = d.forward(x, training=True)
-        frac = (out == 0).mean()
-        assert 0.4 < frac < 0.6
-
-    def test_invalid_rate(self):
-        with pytest.raises(ModelError):
-            Dropout(1.0, np.random.default_rng(0))
 
 
 class TestLosses:

@@ -10,7 +10,6 @@ from repro.ml.nn import (
     Flatten,
     MSELoss,
     ReLU,
-    SGD,
     Sequential,
     TwoBranch,
     train_epochs,
@@ -22,30 +21,6 @@ def _quadratic_params():
     w = np.array([5.0, -3.0])
     target = np.array([1.0, 2.0])
     return w, target
-
-
-class TestSGD:
-    def test_descends(self):
-        w, target = _quadratic_params()
-        opt = SGD(lr=0.1)
-        for _ in range(100):
-            grad = 2 * (w - target)
-            opt.step([(w, grad)])
-        assert np.allclose(w, target, atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        def loss_after(steps, momentum):
-            w, target = _quadratic_params()
-            opt = SGD(lr=0.02, momentum=momentum)
-            for _ in range(steps):
-                opt.step([(w, 2 * (w - target))])
-            return float(((w - target) ** 2).sum())
-
-        assert loss_after(30, 0.9) < loss_after(30, 0.0)
-
-    def test_rejects_bad_lr(self):
-        with pytest.raises(ModelError):
-            SGD(lr=0.0)
 
 
 class TestAdam:

@@ -335,13 +335,6 @@ class TestGBRegressor:
         many = GBRegressor(n_rounds=80, learning_rate=0.1, seed=0).fit(X, y)
         assert mape(y, many.predict(X)) < mape(y, few.predict(X))
 
-    def test_staged_matches_final(self):
-        X, y = _make_regression(100)
-        m = GBRegressor(n_rounds=10, seed=0).fit(X, y)
-        staged = m.staged_predict(X)
-        assert len(staged) == 10
-        assert np.allclose(staged[-1], m.predict(X))
-
     def test_deterministic(self):
         X, y = _make_regression(150)
         a = GBRegressor(n_rounds=20, subsample=0.7, seed=3).fit(X, y).predict(X)
@@ -376,8 +369,6 @@ class TestGBRegressor:
         model = GBRegressor(n_rounds=5, seed=0).fit(X, y)
         with pytest.raises(ModelError, match="splits on feature"):
             model.predict(X[:, :1])
-        with pytest.raises(ModelError, match="splits on feature"):
-            model.staged_predict(X[:, :1])
 
 
 class TestGBDTClassifier:

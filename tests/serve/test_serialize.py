@@ -36,6 +36,17 @@ TENSORS = np.stack([assign_tensor(s, 4) for s in STENCILS])
 T_CLS = RNG.integers(0, 3, size=len(STENCILS))
 AUX = RNG.normal(size=(len(STENCILS), 6))
 T_REG = np.abs(RNG.normal(size=len(STENCILS))) + 0.1
+TENSORS_3D = RNG.integers(0, 2, size=(12, 9, 9, 9)).astype(np.float64)
+T_CLS_3D = RNG.integers(0, 3, size=12)
+AUX_3D = RNG.normal(size=(12, 6))
+T_REG_3D = np.abs(RNG.normal(size=12)) + 0.1
+
+#: ``(tensors, labels, aux, times_ms)`` for the convolutional networks,
+#: which take 2-D and 3-D stencil tensors alike.
+CONV_DATA = (
+    (TENSORS, T_CLS, AUX, T_REG),
+    (TENSORS_3D, T_CLS_3D, AUX_3D, T_REG_3D),
+)
 
 
 def round_trip(model):
@@ -92,15 +103,18 @@ class TestEstimatorRoundTrips:
         assert np.array_equal(model.predict(X), clone.predict(X))
 
     def test_convnet_classifier(self):
-        model = ConvNetClassifier(
-            n_classes=3, channels=(2, 3), dense=8, epochs=2, seed=3
-        )
-        model.fit(TENSORS, T_CLS)
-        clone = round_trip(model)
-        assert np.array_equal(
-            model.predict_proba(TENSORS), clone.predict_proba(TENSORS)
-        )
-        assert np.array_equal(model.predict(TENSORS), clone.predict(TENSORS))
+        for tensors, labels, _, _ in CONV_DATA:
+            model = ConvNetClassifier(
+                n_classes=3, channels=(2, 3), dense=8, epochs=2, seed=3
+            )
+            model.fit(tensors, labels)
+            clone = round_trip(model)
+            assert np.array_equal(
+                model.predict_proba(tensors), clone.predict_proba(tensors)
+            )
+            assert np.array_equal(
+                model.predict(tensors), clone.predict(tensors)
+            )
 
     def test_fcnet_classifier(self):
         model = FcNetClassifier(n_classes=3, hidden=(16, 8), epochs=2, seed=3)
@@ -111,14 +125,16 @@ class TestEstimatorRoundTrips:
         )
 
     def test_convmlp_regressor(self):
-        model = ConvMLPRegressor(
-            channels=(2, 3), mlp_hidden=(8,), head_hidden=8, epochs=2, seed=3
-        )
-        model.fit(TENSORS, AUX, T_REG)
-        clone = round_trip(model)
-        assert np.array_equal(
-            model.predict(TENSORS, AUX), clone.predict(TENSORS, AUX)
-        )
+        for tensors, _, aux, times_ms in CONV_DATA:
+            model = ConvMLPRegressor(
+                channels=(2, 3), mlp_hidden=(8,), head_hidden=8, epochs=2,
+                seed=3,
+            )
+            model.fit(tensors, aux, times_ms)
+            clone = round_trip(model)
+            assert np.array_equal(
+                model.predict(tensors, aux), clone.predict(tensors, aux)
+            )
 
 
 class TestStateValidation:

@@ -7,6 +7,7 @@ heuristic fallback answers instead of the service failing; (3) every
 request leaves a trace in the telemetry counters.
 """
 
+import json
 import threading
 
 import numpy as np
@@ -19,12 +20,14 @@ from repro.serve import (
     ModelRegistry,
     PredictionService,
 )
+from repro.serve.artifacts import ModelArtifact
 from repro.serve.batching import MicroBatcher
 from repro.serve.fallback import LADDER
 from repro.serve.service import PredictRequest, SelectRequest, setting_from_dict
 from repro.serve.telemetry import LatencyHistogram
 from repro.stencil.generator import generate_population
 from repro.stencil.library import get
+from repro.store import checksum
 
 
 @pytest.fixture()
@@ -160,6 +163,37 @@ class TestDegradation:
         r = svc.select_one(get("star2d1r"), "V100")
         assert r.source == "fallback"
         assert svc.capabilities()["degraded"] == svc.degraded
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(
+                lambda m: m["state"]["hyper"].update(workers=2),
+                id="removed-hyperparameter",
+            ),
+            pytest.param(
+                lambda m: m.update({"class": "RandomForest"}),
+                id="unknown-class",
+            ),
+        ],
+    )
+    def test_misfit_model_state_degrades(
+        self, selector_artifact, tmp_path, edit
+    ):
+        # A checksum-valid artifact whose model state its estimator no
+        # longer accepts is recorded as degraded, not raised.
+        reg = ModelRegistry(tmp_path / "reg")
+        version = reg.publish(selector_artifact, "sel")
+        doc = selector_artifact.to_dict()
+        edit(doc["model"])
+        payload = {k: v for k, v in doc.items() if k != "checksum"}
+        doc["checksum"] = checksum(payload)
+        reg.path("sel", version).write_text(json.dumps(doc))
+        with pytest.raises(ArtifactError, match="unusable model state"):
+            ModelArtifact.from_dict(doc)
+        svc = PredictionService(registry=reg)
+        assert [d["artifact"] for d in svc.degraded] == ["sel"]
+        assert svc.select_one(get("star2d1r"), "V100").source == "fallback"
 
     def test_healthy_registry_loads(
         self, selector_artifact, predictor_artifact, tmp_path
