@@ -9,26 +9,27 @@ autotuner and the hybrid regressor come to that ceiling: statically
 autotuning candidate OCs beats the heuristic ladder on held-out
 stencils, and feeding the metric columns to the GBDT regressor (the
 hybrid method) does not cost runtime correlation.  They do not measure
-modelling skill.  This runs the same benches ``tools/bench_analytical.py``
-records into ``BENCH_analytical.json`` (at the quick shape) and asserts
-the acceptance bars.
+modelling skill.  This runs the same benches ``tools/bench_accuracy.py
+analytical`` records into ``BENCH_analytical.json`` (at the quick shape)
+and asserts the acceptance bars.
 """
 
-from repro.analysis.bench import (
+from conftest import print_table
+from tools.bench_accuracy import (
+    SHAPES,
     make_campaigns,
     run_regression_bench,
     run_selection_bench,
 )
 
-from conftest import print_table
-
 SEED = 29
 
 
 def test_analytical_selection_and_fidelity(benchmark):
-    train, test = make_campaigns(quick=True, seed=SEED)
+    shape = SHAPES["analytical"][True]
+    train, test = make_campaigns(shape, SEED, shape["gpus"], shape["gpus"])
 
-    sel = run_selection_bench(train, test, seed=SEED, quick=True)
+    sel = run_selection_bench(train, test, shape, SEED)
     rows = [
         [name, row["top1"], row["near_optimal"], row["geomean_slowdown"]]
         for name, row in sel["selectors"].items()
@@ -40,7 +41,7 @@ def test_analytical_selection_and_fidelity(benchmark):
         rows,
     )
 
-    reg = run_regression_bench(train, test, seed=SEED)
+    reg = run_regression_bench(train, test, SEED)
     print_table(
         "Held-out runtime fidelity",
         ["predictor", "PCC", "log-PCC"],

@@ -119,6 +119,9 @@ class ModelArtifact:
             )
         except KeyError as e:
             raise ArtifactError(f"malformed artifact: missing {e}") from None
+        except (TypeError, ValueError) as e:
+            # A metadata field of the wrong type ("ndim": "two").
+            raise ArtifactError(f"malformed artifact: {e}") from None
 
 
 def _rebuild_model(doc: dict):

@@ -1,6 +1,6 @@
 """Unit tests for the cross-vendor transfer bench building blocks.
 
-The full experiment lives behind ``tools/bench_portability.py``; here a
+The full experiment is ``tools/bench_accuracy.py portability``; here a
 micro-campaign exercises the pieces cheaply: GBDT picks transferred to
 an unseen AMD target, predictor-ranking picks, score averaging, and the
 shape/regime bookkeeping of the document.
@@ -8,14 +8,15 @@ shape/regime bookkeeping of the document.
 
 import pytest
 
-from repro.analysis.portability import (
-    _bench_shape,
+from repro.optimizations.combos import OC_BY_NAME
+from repro.stencil.generator import generate_population
+from tools.bench_accuracy import (
+    SHAPES,
     _gbdt_picks,
     _mean_scores,
     _predictor_picks,
+    _score_picks,
 )
-from repro.optimizations.combos import OC_BY_NAME
-from repro.stencil.generator import generate_population
 
 
 @pytest.fixture(scope="module")
@@ -37,13 +38,13 @@ def micro():
 
 class TestShape:
     def test_quick_is_smaller(self):
-        q, f = _bench_shape(True), _bench_shape(False)
+        q, f = SHAPES["portability"][True], SHAPES["portability"][False]
         assert q["n_train"] < f["n_train"]
         assert len(q["target_gpus"]) <= len(f["target_gpus"])
 
     def test_roles_are_disjoint(self):
         for quick in (True, False):
-            s = _bench_shape(quick)
+            s = SHAPES["portability"][quick]
             nvidia = set(s["nvidia_gpus"])
             targets = set(s["target_gpus"])
             assert s["amd_train_gpu"] not in nvidia | targets
@@ -85,8 +86,6 @@ class TestScores:
         assert m["infeasible_picks"] == 1.0
 
     def test_score_picks_on_amd_oracle(self, micro):
-        from repro.analysis.bench import _score_picks
-
         _, test = micro
         best = [p.best_oc for p in test.gpu_profiles("MI210")]
         perfect = _score_picks(test, "MI210", best)

@@ -165,31 +165,46 @@ class TestDegradation:
         assert svc.capabilities()["degraded"] == svc.degraded
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit,match",
         [
             pytest.param(
-                lambda m: m["state"]["hyper"].update(workers=2),
+                lambda d: d["model"]["state"]["hyper"].update(workers=2),
+                "unusable model state",
                 id="removed-hyperparameter",
             ),
             pytest.param(
-                lambda m: m.update({"class": "RandomForest"}),
+                lambda d: d["model"].update({"class": "RandomForest"}),
+                "unusable model state",
                 id="unknown-class",
+            ),
+            pytest.param(
+                lambda d: d.update(ndim="two"), "malformed artifact",
+                id="mistyped-ndim",
+            ),
+            pytest.param(
+                lambda d: d.update(representatives=7), "malformed artifact",
+                id="mistyped-representatives",
+            ),
+            pytest.param(
+                lambda d: d.update(meta=[1]), "malformed artifact",
+                id="mistyped-meta",
             ),
         ],
     )
     def test_misfit_model_state_degrades(
-        self, selector_artifact, tmp_path, edit
+        self, selector_artifact, tmp_path, edit, match
     ):
         # A checksum-valid artifact whose model state its estimator no
-        # longer accepts is recorded as degraded, not raised.
+        # longer accepts, or whose metadata has the wrong type, is
+        # recorded as degraded, not raised.
         reg = ModelRegistry(tmp_path / "reg")
         version = reg.publish(selector_artifact, "sel")
         doc = selector_artifact.to_dict()
-        edit(doc["model"])
+        edit(doc)
         payload = {k: v for k, v in doc.items() if k != "checksum"}
         doc["checksum"] = checksum(payload)
         reg.path("sel", version).write_text(json.dumps(doc))
-        with pytest.raises(ArtifactError, match="unusable model state"):
+        with pytest.raises(ArtifactError, match=match):
             ModelArtifact.from_dict(doc)
         svc = PredictionService(registry=reg)
         assert [d["artifact"] for d in svc.degraded] == ["sel"]
